@@ -18,8 +18,10 @@ files are JSON objects with a "schema": 1 marker:
 Polynomials are strings like "t1^2*t2 + 2*t2 - 1" (factors joined by "*",
 terms by "+"/"-") or lists of [[e1, ..., es], coeff] term pairs.  Space
 shorthands: {"total_degree": d}, {"squarefree_degree": d},
-{"squarefree_max_degree": d}.  Exit codes: 0 success, 1 input error,
-2 budget refusal.
+{"squarefree_max_degree": d}.  Integers in a problem file (q, s, degrees,
+coordinates, exponents, coefficients, r) must be JSON integers: floats and
+booleans are refused, never truncated.  Exit codes: 0 success, 1 input
+error, 2 budget refusal.
 """
 
 import argparse
@@ -49,6 +51,19 @@ from .weights import RghwProblem, relative_footprint, rghw_degree
 _FACTOR_VAR = re.compile(r"t(\d+)(?:\^(\d+))?\Z")
 _FACTOR_INT = re.compile(r"\d+\Z")
 _TERM_SPLIT = re.compile(r"(?=[+-])")
+
+
+def _integer(value, what):
+    """A problem-file integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integer_list(values, what):
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return [_integer(v, what) for v in values]
 
 
 def parse_polynomial(text, field, nvars):
@@ -104,8 +119,8 @@ def polynomial_from_pairs(pairs, field, nvars):
             raise ValueError(
                 f"exponent vector {exps!r} has wrong length for s={nvars}"
             )
-        mono = tuple(int(e) for e in exps)
-        terms[mono] = terms.get(mono, 0) + int(coeff)
+        mono = tuple(_integer(e, "exponent") for e in exps)
+        terms[mono] = terms.get(mono, 0) + _integer(coeff, "coefficient")
     return Polynomial(field, nvars, terms)
 
 
@@ -114,19 +129,19 @@ def _space_polynomials(spec, field, s):
     if isinstance(spec, dict):
         keys = set(spec)
         if keys == {"total_degree"}:
-            d = int(spec["total_degree"])
+            d = _integer(spec["total_degree"], "total_degree")
             if d < 0:
                 raise ValueError("total_degree must be non-negative")
             monos = [
                 m for m in product(range(d + 1), repeat=s) if sum(m) <= d
             ]
         elif keys == {"squarefree_degree"}:
-            d = int(spec["squarefree_degree"])
+            d = _integer(spec["squarefree_degree"], "squarefree_degree")
             if not 0 <= d <= s:
                 raise ValueError("squarefree_degree must lie in [0, s]")
             monos = [m for m in product(range(2), repeat=s) if sum(m) == d]
         elif keys == {"squarefree_max_degree"}:
-            d = int(spec["squarefree_max_degree"])
+            d = _integer(spec["squarefree_max_degree"], "squarefree_max_degree")
             if not 0 <= d <= s:
                 raise ValueError("squarefree_max_degree must lie in [0, s]")
             monos = [m for m in product(range(2), repeat=s) if sum(m) <= d]
@@ -148,7 +163,7 @@ def _space_polynomials(spec, field, s):
 
 def _points_from_spec(spec, field, s):
     if isinstance(spec, list):
-        pts = PointSet(field, spec)
+        pts = PointSet(field, [_integer_list(p, "point coordinate") for p in spec])
         if pts.nvars != s:
             raise ValueError(f"points have arity {pts.nvars}, expected s={s}")
         return pts
@@ -160,7 +175,9 @@ def _points_from_spec(spec, field, s):
             subsets = spec.get("subsets")
             if not isinstance(subsets, list) or len(subsets) != s:
                 raise ValueError("cartesian family needs s coordinate subsets")
-            return cartesian_points(field, subsets)
+            return cartesian_points(
+                field, [_integer_list(c, "subset coordinate") for c in subsets]
+            )
         raise ValueError(f"unknown point family {family!r}")
     raise ValueError("points must be a coordinate list or a family object")
 
@@ -216,8 +233,8 @@ def resolve_problem(data, order_override=None, need_spaces=True):
     for key in ("q", "s", "points"):
         if key not in data:
             raise ValueError(f"problem file is missing {key!r}")
-    field = PrimeField(int(data["q"]))
-    s = int(data["s"])
+    field = PrimeField(_integer(data["q"], "'q'"))
+    s = _integer(data["s"], "'s'")
     if s < 1:
         raise ValueError("s must be positive")
     order_name = order_override or data.get("order", "grevlex")
@@ -230,10 +247,8 @@ def resolve_problem(data, order_override=None, need_spaces=True):
         space1 = _space_polynomials(data["L1"], field, s)
         if data.get("L2") is not None:
             space2 = _space_polynomials(data["L2"], field, s)
-    r_values = data.get("r", [1])
-    if not isinstance(r_values, list) or not all(
-        isinstance(r, int) and r >= 1 for r in r_values
-    ):
+    r_values = _integer_list(data.get("r", [1]), "'r' entry")
+    if not all(r >= 1 for r in r_values):
         raise ValueError("'r' must be a list of positive integers")
     return ResolvedProblem(data, field, s, order, points, space1, space2, r_values)
 
@@ -329,8 +344,13 @@ def cmd_rghw(args):
     results = []
     refused = False
     for r in resolved.r_values:
-        entry = {"r": r, "rghw": None, "relative_footprint": None, "refusal": None}
-        entry["relative_footprint"] = relative_footprint(problem, r)
+        entry = {
+            "r": r,
+            "rghw": None,
+            "relative_footprint": relative_footprint(problem, r),
+            "certified": None,
+            "refusal": None,
+        }
         try:
             entry["rghw"] = rghw_degree(
                 problem,
@@ -339,6 +359,8 @@ def cmd_rghw(args):
                 threads=args.threads,
                 validate=args.validate,
             )
+            # M_r meeting the lower bound RFP_r certifies the value by itself.
+            entry["certified"] = entry["rghw"] == entry["relative_footprint"]
         except BudgetExceededError as exc:
             entry["refusal"] = str(exc)
             refused = True
@@ -372,6 +394,7 @@ def cmd_rghw(args):
             lines.append(
                 f"r={r}: M_{r} = {entry['rghw']}"
                 f"  RFP_{r} = {entry['relative_footprint']}"
+                + ("  (certified)" if entry["certified"] else "")
             )
     lines.append(f"elapsed: {elapsed:.3f}s")
     _emit(args, report.to_dict(), lines)

@@ -1,9 +1,10 @@
 """Evaluation codes and weight statistics.
 
 An evaluation code is the image of a polynomial space under evaluation at a
-point set.  Generator matrices live over GF(q) as integer arrays with
-entries in [0, q).  Weight enumeration walks all q^k codewords in chunks,
-guarded by an explicit element budget.
+point set.  Generator matrices live over GF(q) as int64 arrays with
+entries in [0, q), which needs (q - 1)^2 < 2^63 (see
+`field.check_int64_products`).  Weight enumeration walks all q^k codewords
+in chunks, guarded by an explicit element budget.
 """
 
 import os
@@ -17,6 +18,7 @@ from .errors import (
     FieldMismatchError,
     NonInjectiveEvaluationError,
 )
+from .field import check_int64_products
 from .groebner import normal_form
 from .poly import echelonize
 
@@ -73,6 +75,7 @@ class GeneratorMatrix:
     """A k x n matrix over GF(q) with entries stored as residues."""
 
     def __init__(self, field, rows, n=None):
+        check_int64_products(field.q, what="a generator matrix")
         self.field = field
         a = np.asarray(rows, dtype=np.int64)
         if a.size == 0:
@@ -231,10 +234,12 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
 
     Work is chunked; chunks may run on a thread pool and are merged by
     commutative sums, so the result does not depend on the thread count.
+    Raises ValueError when k * (q - 1)^2 >= 2^63.
     """
     q = code.field.q
     k = code.k
     n = code.n
+    check_int64_products(q, max(k, 1), what="codeword enumeration")
     total = q**k
     if total > budget:
         raise BudgetExceededError(total, budget, "codeword enumeration")

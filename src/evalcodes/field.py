@@ -3,9 +3,27 @@
 Elements of GF(q) are stored as canonical residues in [0, q).  Arithmetic
 wraps plain integer arithmetic mod q; inverses use Fermat's little theorem.
 Only prime q is supported.
+
+The numpy code paths hold residues in int64 and form sums of products of two
+residues, so they need terms * (q - 1)^2 < 2^63 for the number of products
+summed; `check_int64_products` refuses fields outside that limit instead of
+letting the arithmetic wrap silently.
 """
 
 from .errors import FieldMismatchError
+
+
+def check_int64_products(q, terms=1, what="int64 arithmetic"):
+    """Raise ValueError unless terms * (q - 1)^2 < 2^63.
+
+    A sum of `terms` products of two residues in [0, q) then fits in int64
+    without wrapping.  With terms=1 the largest admissible prime is
+    3037000493; for terms=2 it is 2147483647.
+    """
+    if terms * (q - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"{what} needs {terms} * (q - 1)^2 < 2^63; q = {q} is too large"
+        )
 
 
 def _is_prime(n):

@@ -19,7 +19,7 @@ from .errors import (
     NotZeroDimensionalError,
     ZeroPolynomialError,
 )
-from .field import PrimeField
+from .field import PrimeField, check_int64_products
 from .poly import (
     GREVLEX,
     Polynomial,
@@ -213,10 +213,12 @@ def vanishing_ideal(points, order=GREVLEX):
     generator, anything else becomes standard.  Evaluation vectors of border
     monomials are obtained from their parent by coordinatewise products.
     The footprint has exactly |X| elements and is cached on the result
-    together with the evaluation rows of the standard monomials.
+    together with the evaluation rows of the standard monomials.  Raises
+    ValueError when (q - 1)^2 >= 2^63, where the int64 elimination would wrap.
     """
     field = points.field
     q = field.q
+    check_int64_products(q, what="the vanishing ideal")
     s = points.nvars
     coords = np.array(points.points, dtype=np.int64)
 

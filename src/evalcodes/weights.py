@@ -4,11 +4,19 @@ M_r(C1, C2) is the smallest support size of an r dimensional subcode of C1
 meeting C2 only in zero.  For standard evaluation codes it equals
 deg(S/I(X)) minus the largest number of common zeros inside X over
 candidate sets F of r monic polynomials in L1 with pairwise distinct lead
-monomials whose span meets L2 trivially.  Candidates are walked in
-coefficient space over the echelon basis of L1, with batch evaluation of
-whole lead groups and pruning of branches that cannot beat the running
-maximum.  A definition level oracle enumerating subcodes directly is
-provided for cross checking; it never touches lead monomials or bases.
+monomials whose span meets L2 trivially.
+
+The search is a branch and bound over lead tuples.  For any F,
+|V_X(F)| = deg S/(I(X) + (F)) <= deg S/(in I(X) + (in F)), the number of
+standard monomials divisible by no lead of F; this footprint bound is known
+before a lead group is enumerated, and a group of partial sets is bounded by
+the best complete lead tuple through it.  Only leads realized by L1 outside
+L2 are tried, groups are visited best bound first, groups whose bound
+cannot beat the running maximum are skipped, and a group stops being scored
+once the maximum reaches its bound.  Surviving groups are scored chunk by
+chunk in coefficient space over the echelon basis of L1.  A definition
+level oracle enumerating subcodes directly is provided for cross checking;
+it never touches lead monomials or bases.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +36,7 @@ from .codes import (
     standardize,
 )
 from .errors import BudgetExceededError, DimensionMismatchError
+from .field import check_int64_products
 from .groebner import degree_with_F, footprint, vanishing_ideal
 from .poly import GREVLEX, Polynomial, PolySpace, echelonize, monomial_divides
 
@@ -68,6 +77,8 @@ class RghwProblem:
     Both spaces are standardized against the vanishing ideal of X, so they
     consist of standard monomial combinations and evaluate injectively.
     L2 must be strictly contained in L1; an absent L2 means the zero space.
+    Raises ValueError when k1 * (q - 1)^2 >= 2^63, the limit of the int64
+    products that score candidates.
     """
 
     def __init__(self, points, space1, space2=None, order=GREVLEX, gb=None):
@@ -97,6 +108,7 @@ class RghwProblem:
         if self.space2.dim >= self.space1.dim:
             raise ValueError("containment of L2 in L1 must be strict")
         q = field.q
+        check_int64_products(q, self.space1.dim, what="the candidate search")
         self._lead_monos = self.space1.leads()
         self._E = np.array(
             [[int(b.evaluate(p)) for p in points] for b in self.space1.basis],
@@ -108,6 +120,7 @@ class RghwProblem:
             self._A = np.zeros((0, self.space1.dim), dtype=np.int64)
             self._A_piv = []
         self._code_pair = None
+        self._divides = None
 
     @property
     def field(self):
@@ -132,6 +145,16 @@ class RghwProblem:
     @property
     def footprint_monomials(self):
         return tuple(footprint(self.gb))
+
+    def _lead_divisibility(self):
+        """Boolean k1 x |footprint| table: basis lead i divides monomial u."""
+        if self._divides is None:
+            delta = self.footprint_monomials
+            self._divides = np.array(
+                [[monomial_divides(m, u) for u in delta] for m in self._lead_monos],
+                dtype=bool,
+            )
+        return self._divides
 
     def codes(self):
         """The evaluation code pair (C1, C2)."""
@@ -176,7 +199,9 @@ def _candidate_rows(problem, lead, lo, hi):
     rows[:, lead] = 1
     idx = np.arange(lo, hi, dtype=np.int64)
     for t in range(free):
-        rows[:, lead + 1 + t] = (idx // q ** (free - 1 - t)) % q
+        power = q ** (free - 1 - t)
+        if power < hi:  # otherwise the digit is 0 for every index below hi
+            rows[:, lead + 1 + t] = (idx // power) % q
     return rows
 
 
@@ -230,53 +255,94 @@ def enumerate_candidates(problem, r):
 def _search_max_zeros(problem, r, budget, threads):
     """Largest |V_X(F)| over admissible candidate sets, with a witness.
 
-    Returns (max zeros, list of coefficient rows).  Chunks of a lead group
-    can be evaluated on a thread pool; merging follows the fixed chunk
-    order, so results do not depend on the thread count.
+    Returns (max zeros, list of coefficient rows).  A branch and bound over
+    lead tuples, one level per member of F:
+
+    - only realized lead positions are tried (every admissible member lies
+      outside L2), and only those leaving enough realized positions after
+      them for the remaining members;
+    - a lead group is bounded by the footprint count of the best complete
+      lead tuple through it, which bounds |V_X| of every set in its subtree;
+    - groups are visited in decreasing bound, ties to the smaller group
+      (higher lead index), and a group whose bound is at most the running
+      maximum is skipped;
+    - a group stops being scored once the maximum reaches its bound, since
+      nothing left in it can exceed that.
+
+    The budget is charged per chunk actually scored.  A group's first chunk
+    is scored alone, later ones in batches of one chunk per thread on a
+    pool; chunks are consumed and charged in chunk order, so the value, the
+    witness and any refusal do not depend on the thread count.
     """
     q = problem.q
     k1 = problem.k1
     e_matrix = problem._E
     m = e_matrix.shape[1]
     base = [(p, problem._A[i]) for i, p in enumerate(problem._A_piv)]
+    realized = _realized_positions(problem)
     nthreads = _resolve_threads(threads)
     pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
     counter = 0
     best_zeros = -1
     best_rows = None
+    ordered = {}
 
-    def charge(n):
+    def groups(js):
+        """(bound, j) for the member after leads realized[js], best first."""
+        if js not in ordered:
+            level = len(js)
+            start = js[-1] + 1 if js else 0
+            stop = len(realized) - (r - level) + 1
+            bounds = []
+            for j in range(start, stop):
+                if level == r - 1:
+                    leads = [realized[t] for t in js + (j,)]
+                    bounds.append((_footprint_survivors(problem, leads), j))
+                else:
+                    bounds.append((groups(js + (j,))[0][0], j))
+            # Decreasing bound; on equal bounds the higher lead index, whose
+            # group is smaller, comes first.
+            ordered[js] = sorted(bounds, reverse=True)
+        return ordered[js]
+
+    def scored_chunks(lead, alive, proj):
         nonlocal counter
-        counter += n
-        if counter > budget:
-            raise BudgetExceededError(counter, budget, "candidate enumeration")
-
-    def group_chunks(lead, alive, red):
         total = q ** (k1 - lead - 1)
-        ranges = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
         e_alive = e_matrix[:, alive]
 
-        def compute(rg):
-            rows = _candidate_rows(problem, lead, *rg)
-            res = _reduce_by(red, rows, q)
+        def compute(lo):
+            rows = _candidate_rows(problem, lead, lo, min(lo + _CHUNK, total))
+            res = (rows @ proj) % q
             ok = res.any(axis=1)
             vals = (rows @ e_alive) % q
             zeros = (vals == 0).sum(axis=1)
             return rows, res, ok, vals, zeros
 
-        if pool is not None and len(ranges) > 1:
-            yield from pool.map(compute, ranges)
-        else:
-            for rg in ranges:
-                yield compute(rg)
+        lo, width = 0, 1
+        while lo < total:
+            los = range(lo, min(lo + width * _CHUNK, total), _CHUNK)
+            if pool is not None and len(los) > 1:
+                results = pool.map(compute, los)
+            else:
+                results = map(compute, los)
+            for result in results:
+                counter += result[0].shape[0]
+                if counter > budget:
+                    raise BudgetExceededError(counter, budget, "candidate enumeration")
+                yield result
+            lo, width = lo + width * _CHUNK, nthreads
 
-    def extend(level, start_lead, alive, red, chosen):
+    def extend(js, alive, red, chosen):
         nonlocal best_zeros, best_rows
-        remaining = r - level
-        for lead in range(start_lead, k1 - remaining + 1):
-            charge(q ** (k1 - lead - 1))
-            for rows, res, ok, vals, zeros in group_chunks(lead, alive, red):
-                if level == r - 1:
+        proj = None
+        for bound, j in groups(js):
+            if bound <= best_zeros:
+                break
+            if proj is None:
+                # Reduction modulo span(L2, chosen) is linear: one matrix.
+                proj = _reduce_by(red, np.eye(k1, dtype=np.int64), q)
+            for rows, res, ok, vals, zeros in scored_chunks(realized[j], alive, proj):
+                if len(js) == r - 1:
                     scored = np.where(ok, zeros, -1)
                     i = int(np.argmax(scored))
                     if int(scored[i]) > best_zeros:
@@ -285,7 +351,7 @@ def _search_max_zeros(problem, r, budget, threads):
                 else:
                     for i in np.argsort(-zeros, kind="stable"):
                         i = int(i)
-                        if int(zeros[i]) <= best_zeros:
+                        if min(int(zeros[i]), bound) <= best_zeros:
                             break
                         if not ok[i]:
                             continue
@@ -293,15 +359,16 @@ def _search_max_zeros(problem, r, budget, threads):
                         piv = int(np.argmax(rr != 0))
                         norm = (rr * pow(int(rr[piv]), q - 2, q)) % q
                         extend(
-                            level + 1,
-                            lead + 1,
+                            js + (j,),
                             alive[vals[i] == 0],
                             red + [(piv, norm)],
                             chosen + [rows[i].copy()],
                         )
+                if best_zeros >= bound:
+                    break
 
     try:
-        extend(0, 0, np.arange(m), list(base), [])
+        extend((), np.arange(m), list(base), [])
     finally:
         if pool is not None:
             pool.shutdown()
@@ -406,25 +473,44 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
     return best
 
 
+def _realized_positions(problem):
+    """Basis positions whose lead is realized by L1 \\ L2, increasing.
+
+    Position i is realized exactly when the subspace of L1 elements with
+    lead at most m_i, spanned by basis elements i..k1-1, is not contained
+    in L2.
+    """
+    k1 = problem.k1
+    if problem.k2 == 0:
+        return list(range(k1))
+    eye = np.eye(k1, dtype=np.int64)
+    residues = reduce_rows(eye, problem._A, problem._A_piv, problem.q)
+    realized = []
+    suffix_inside = True
+    for i in reversed(range(k1)):
+        suffix_inside = suffix_inside and not residues[i].any()
+        if not suffix_inside:
+            realized.append(i)
+    return realized[::-1]
+
+
 def lead_set_difference(problem):
     """Lead monomials realized by L1 \\ L2, in decreasing order.
 
     A basis lead m_i belongs to the set exactly when the subspace of L1
     elements with lead at most m_i is not contained in L2.
     """
-    k1 = problem.k1
-    if problem.k2 == 0:
-        return list(problem._lead_monos)
-    eye = np.eye(k1, dtype=np.int64)
-    residues = reduce_rows(eye, problem._A, problem._A_piv, problem.q)
-    direction_in_l2 = [not residues[j].any() for j in range(k1)]
-    included = []
-    suffix_inside = True
-    for i in reversed(range(k1)):
-        suffix_inside = suffix_inside and direction_in_l2[i]
-        if not suffix_inside:
-            included.append(i)
-    return [problem._lead_monos[i] for i in sorted(included)]
+    return [problem._lead_monos[i] for i in _realized_positions(problem)]
+
+
+def _footprint_survivors(problem, positions):
+    """Standard monomials divisible by none of the leads at these positions.
+
+    This is deg S/(in I(X) + (in F)), the footprint bound on |V_X(F)| for
+    every F whose leads sit at the given basis positions.
+    """
+    divides = problem._lead_divisibility()[list(positions)]
+    return int(np.count_nonzero(~divides.any(axis=0)))
 
 
 def relative_footprint(problem, r):
@@ -434,19 +520,13 @@ def relative_footprint(problem, r):
     adjoining any r element subset of the realized lead monomials to the
     initial ideal.
     """
-    leads = lead_set_difference(problem)
-    if not 1 <= r <= len(leads):
+    positions = _realized_positions(problem)
+    if not 1 <= r <= len(positions):
         raise ValueError(
-            f"r must be between 1 and {len(leads)} realized leads, got {r}"
+            f"r must be between 1 and {len(positions)} realized leads, got {r}"
         )
-    delta = problem.footprint_monomials
-    best = -1
-    for subset in combinations(leads, r):
-        survivors = sum(
-            1
-            for u in delta
-            if not any(monomial_divides(mono, u) for mono in subset)
-        )
-        if survivors > best:
-            best = survivors
-    return len(delta) - best
+    best = max(
+        _footprint_survivors(problem, subset)
+        for subset in combinations(positions, r)
+    )
+    return len(problem.footprint_monomials) - best

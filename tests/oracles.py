@@ -165,3 +165,29 @@ def brute_lead_sweep(problem):
             continue
         leads.add(f.lead_monomial(problem.order))
     return leads
+
+
+def brute_max_candidate_zeros(problem, r):
+    """Largest common zero count in X over every admissible candidate set.
+
+    Walks `enumerate_candidates` to the end, with no bound and no pruning,
+    and counts zeros by direct evaluation.
+    """
+    from evalcodes import enumerate_candidates
+
+    return max(
+        brute_variety_count(problem.points, cand.polys)
+        for cand in enumerate_candidates(problem, r)
+    )
+
+
+def brute_relative_footprint(problem, r):
+    """RFP_r from monomial footprints of in I(X) plus r realized leads."""
+    from evalcodes import footprint, lead_set_difference, monomial_footprint
+
+    gb = problem.gb
+    survivors = max(
+        len(monomial_footprint(gb.leads() + list(subset), gb.nvars, gb.order))
+        for subset in combinations(lead_set_difference(problem), r)
+    )
+    return len(footprint(gb)) - survivors

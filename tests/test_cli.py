@@ -161,8 +161,8 @@ class TestRghwCommand:
         assert report.k1 == 5
         assert report.k2 == 3
         assert report.results == [
-            {"r": 1, "rghw": 1, "relative_footprint": 1, "refusal": None},
-            {"r": 2, "rghw": 2, "relative_footprint": 2, "refusal": None},
+            {"r": 1, "rghw": 1, "relative_footprint": 1, "certified": True, "refusal": None},
+            {"r": 2, "rghw": 2, "relative_footprint": 2, "certified": True, "refusal": None},
         ]
 
     def test_order_override_keeps_values(self, capsys):
@@ -311,3 +311,94 @@ class TestArgumentHandling:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestCertification:
+    def test_sharp_gap_is_not_certified(self, capsys):
+        code, out, _ = run(capsys, "rghw", "torus-f5-sharp-gap", "--json")
+        assert code == 0
+        entry = json.loads(out)["results"][0]
+        assert (entry["rghw"], entry["relative_footprint"]) == (8, 4)
+        assert entry["certified"] is False
+        code, out, _ = run(capsys, "rghw", "torus-f5-sharp-gap")
+        assert "M_1 = 8  RFP_1 = 4\n" in out
+        assert "(certified)" not in out
+
+    def test_five_points_are_certified(self, capsys):
+        code, out, _ = run(capsys, "rghw", "five-points-f3", "--json")
+        assert code == 0
+        assert [e["certified"] for e in json.loads(out)["results"]] == [True, True]
+        code, out, _ = run(capsys, "rghw", "five-points-f3")
+        assert "r=1: M_1 = 1  RFP_1 = 1  (certified)" in out
+        assert "r=2: M_2 = 2  RFP_2 = 2  (certified)" in out
+
+    def test_refused_entry_is_not_judged(self, capsys):
+        code, out, _ = run(capsys, "rghw", "five-points-f3", "--budget", "10", "--json")
+        assert code == 2
+        assert [e["certified"] for e in json.loads(out)["results"]] == [None, None]
+
+
+def _five_point_file(**changes):
+    data = {
+        "schema": 1,
+        "q": 3,
+        "s": 2,
+        "points": [[0, 0], [1, 0], [0, 1], [1, 1], [0, -1]],
+        "L1": {"total_degree": 2},
+        "L2": {"total_degree": 1},
+        "r": [1],
+    }
+    data.update(changes)
+    return data
+
+
+class TestStrictIntegers:
+    """Floats and booleans are refused with exit 1, never truncated."""
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"q": 3.7}, "'q'"),
+            ({"q": 3.0}, "'q'"),
+            ({"s": 2.9}, "'s'"),
+            ({"s": True}, "'s'"),
+            ({"L1": {"total_degree": 2.0}}, "total_degree"),
+            ({"L1": {"squarefree_degree": True}}, "squarefree_degree"),
+            ({"L2": {"squarefree_max_degree": 1.5}}, "squarefree_max_degree"),
+            ({"points": [[0, 0], [1, 0], [0, 1], [1, 1], [0, -1.0]]}, "point coordinate"),
+            ({"points": [[0, 0], [1, False]]}, "point coordinate"),
+            (
+                {"points": {"family": "cartesian", "subsets": [[0, 1], [0, 1.0]]}},
+                "subset coordinate",
+            ),
+            ({"L1": [[[[1, 0], 1.5]]]}, "coefficient"),
+            ({"L1": [[[[1.0, 0], 1]]]}, "exponent"),
+            ({"r": [True]}, "'r' entry"),
+            ({"r": [1.0]}, "'r' entry"),
+        ],
+    )
+    def test_non_integer_refused(self, capsys, tmp_path, changes, field):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_five_point_file(**changes)))
+        code, out, err = run(capsys, "rghw", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field} must be an integer")
+
+    def test_reported_example_refused(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(
+            json.dumps(
+                _five_point_file(
+                    q=3.7, s=2.9, points=[[0, 0], [1, 0], [0, 1], [1, 1], [0, -1.0]], r=[True]
+                )
+            )
+        )
+        assert run(capsys, "rghw", str(path), "--json")[0] == 1
+
+    def test_integers_still_accepted(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_five_point_file(r=[1, 2])))
+        code, out, _ = run(capsys, "rghw", str(path), "--json")
+        assert code == 0
+        assert [e["rghw"] for e in json.loads(out)["results"]] == [1, 2]

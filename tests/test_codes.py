@@ -7,6 +7,7 @@ import pytest
 from evalcodes import (
     GREVLEX,
     BudgetExceededError,
+    EvaluationCode,
     GeneratorMatrix,
     HypersimplexSpec,
     NonInjectiveEvaluationError,
@@ -284,3 +285,19 @@ class TestNextToMinimal:
         profile = WeightProfile(5, 3, 0, {0: 1})
         with pytest.raises(ValueError):
             next_to_minimal(profile)
+
+
+class TestInt64Limit:
+    def test_generator_matrix_limit(self):
+        GeneratorMatrix(PrimeField(3037000493), [[1, 2]])
+        with pytest.raises(ValueError, match=r"2\^63"):
+            GeneratorMatrix(PrimeField(3037000507), [[1, 2]])
+
+    def test_enumeration_needs_k_products_below_the_limit(self):
+        # A 2 x 2 generator matrix is fine over this field, but codeword
+        # enumeration sums two products per coordinate.
+        field = PrimeField(2147483659)
+        matrix = GeneratorMatrix(field, [[1, 0], [0, 1]])
+        code = EvaluationCode(None, PointSet(field, [(0,), (1,)]), matrix)
+        with pytest.raises(ValueError, match=r"2\^63"):
+            weight_distribution(code)

@@ -1,6 +1,7 @@
 import pytest
 
 from evalcodes import FieldMismatchError, PrimeField
+from evalcodes.field import check_int64_products
 
 
 def test_rejects_composite_and_bad_sizes():
@@ -79,3 +80,19 @@ def test_int_coercion_and_equality():
     assert hash(PrimeField(3)) == hash(PrimeField(3))
     assert PrimeField(3) == PrimeField(3)
     assert PrimeField(3) != PrimeField(5)
+
+
+class TestInt64Limit:
+    """terms * (q - 1)^2 < 2^63, checked at the nearest primes on each side."""
+
+    def test_single_products(self):
+        check_int64_products(3037000493)
+        with pytest.raises(ValueError, match=r"2\^63"):
+            check_int64_products(3037000507)
+
+    def test_sums_of_two_products(self):
+        check_int64_products(2147483647, 2)
+        with pytest.raises(ValueError, match=r"2\^63"):
+            check_int64_products(2147483659, 2)
+        with pytest.raises(ValueError, match=r"2\^63"):
+            check_int64_products(2147483647, 3)

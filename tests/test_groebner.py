@@ -354,3 +354,27 @@ class TestDegreeWithF:
             count = brute_variety_count(pts.points, [f for f in F if not f.is_zero()])
             assert deg == count
             assert deg <= bound <= len(pts)
+
+
+class TestInt64Limit:
+    def test_exact_just_below_the_limit(self):
+        # (q - 1)^2 < 2^63 for the largest such prime: the ideal of six
+        # random points has six standard monomials and vanishes on them.
+        field = PrimeField(3037000493)
+        rng = random.Random(SEED)
+        pts = PointSet(
+            field, [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(6)]
+        )
+        gb = vanishing_ideal(pts)
+        assert len(footprint(gb)) == 6
+        for g in gb.generators:
+            assert all(int(g.evaluate(p)) == 0 for p in pts)
+
+    def test_refused_above_the_limit(self):
+        # 3037000507 is the next prime; over GF(4294967311) the int64
+        # elimination used to wrap and return a 7-monomial footprint for
+        # six points.
+        for q in (3037000507, 4294967311):
+            pts = PointSet(PrimeField(q), [(1, 2), (3, 4)])
+            with pytest.raises(ValueError, match=r"2\^63"):
+                vanishing_ideal(pts)

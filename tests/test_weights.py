@@ -423,3 +423,28 @@ class TestRelativeFootprint:
         ]
         problem = RghwProblem(torus_points(field, s), monos1, monos2)
         assert relative_footprint(problem, 1) == rghw_degree(problem, 1)
+
+
+class TestInt64Limit:
+    """Scoring sums k1 products of residues: k1 * (q - 1)^2 < 2^63."""
+
+    @staticmethod
+    def line_problem(q, degree):
+        field = PrimeField(q)
+        points = PointSet(field, [(x,) for x in range(6)])
+        space = [Polynomial.monomial(field, (e,)) for e in range(degree + 1)]
+        return RghwProblem(points, space)
+
+    def test_just_below_the_limit(self):
+        # 2 * (q - 1)^2 < 2^63 for q = 2^31 - 1.  The group of t1 + c holds
+        # q candidates, but t1 already meets its footprint bound of one
+        # zero, so the search stops after one chunk.
+        problem = self.line_problem(2147483647, 1)
+        assert problem.k1 == 2
+        assert rghw_degree(problem, 1) == 5
+
+    def test_refused_above_the_limit(self):
+        with pytest.raises(ValueError, match=r"2\^63"):
+            self.line_problem(2147483659, 1)
+        with pytest.raises(ValueError, match=r"2\^63"):
+            self.line_problem(2147483647, 2)
