@@ -29,7 +29,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -253,41 +253,24 @@ def resolve_problem(data, order_override=None, need_spaces=True):
     return ResolvedProblem(data, field, s, order, points, space1, space2, r_values)
 
 
-@dataclass
-class ResultReport:
-    """Machine readable outcome of the rghw and weights commands."""
+def _report(command, elapsed, resolved=None, **fields):
+    """The --json payload of every command.
 
-    schema: int
-    command: str
-    problem: dict
-    order: str
-    q: int
-    s: int
-    n: int
-    k1: int
-    k2: int
-    results: list
-    weights: dict | None
-    refusal: str | None
-    budget: int
-    elapsed_seconds: float
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{f: data[f] for f in cls.__dataclass_fields__})
-
-    def check(self):
-        for entry in self.results:
-            m, fp = entry.get("rghw"), entry.get("relative_footprint")
-            if m is not None and fp is not None and m < fp:
-                raise RuntimeError(
-                    f"internal inconsistency: M_{entry['r']}={m} below"
-                    f" footprint bound {fp}"
-                )
-        return self
+    Commands on a problem file put the problem, order, q, s and n of the
+    resolved problem after the schema and command; the command's own fields
+    follow, then the elapsed time.
+    """
+    payload = {"schema": 1, "command": command}
+    if resolved is not None:
+        payload.update(
+            problem=resolved.data,
+            order=resolved.order.name,
+            q=resolved.field.q,
+            s=resolved.s,
+            n=len(resolved.points),
+        )
+    payload.update(fields, elapsed_seconds=elapsed)
+    return payload
 
 
 def _emit(args, payload, text_lines):
@@ -305,20 +288,15 @@ def cmd_vanishing_ideal(args):
     gb = vanishing_ideal(resolved.points, resolved.order)
     fp = footprint(gb)
     elapsed = time.perf_counter() - t0
-    payload = {
-        "schema": 1,
-        "command": "vanishing-ideal",
-        "problem": data,
-        "order": resolved.order.name,
-        "q": resolved.field.q,
-        "s": resolved.s,
-        "n": len(resolved.points),
-        "generators": [format_polynomial(g) for g in gb.generators],
-        "initial_ideal": [list(m) for m in initial_ideal(gb)],
-        "footprint_size": len(fp),
-        "standard_monomials": [list(m) for m in fp],
-        "elapsed_seconds": elapsed,
-    }
+    payload = _report(
+        "vanishing-ideal",
+        elapsed,
+        resolved,
+        generators=[format_polynomial(g) for g in gb.generators],
+        initial_ideal=[list(m) for m in initial_ideal(gb)],
+        footprint_size=len(fp),
+        standard_monomials=[list(m) for m in fp],
+    )
     lines = [
         f"vanishing ideal: q={resolved.field.q} s={resolved.s}"
         f" n={len(resolved.points)} order={resolved.order.name}",
@@ -359,32 +337,33 @@ def cmd_rghw(args):
                 threads=args.threads,
                 validate=args.validate,
             )
-            # M_r meeting the lower bound RFP_r certifies the value by itself.
-            entry["certified"] = entry["rghw"] == entry["relative_footprint"]
         except BudgetExceededError as exc:
             entry["refusal"] = str(exc)
             refused = True
+        else:
+            if entry["rghw"] < entry["relative_footprint"]:
+                raise RuntimeError(
+                    f"internal inconsistency: M_{r}={entry['rghw']} below"
+                    f" footprint bound {entry['relative_footprint']}"
+                )
+            # M_r meeting the lower bound RFP_r certifies the value by itself.
+            entry["certified"] = entry["rghw"] == entry["relative_footprint"]
         results.append(entry)
     elapsed = time.perf_counter() - t0
-    report = ResultReport(
-        schema=1,
-        command="rghw",
-        problem=data,
-        order=resolved.order.name,
-        q=resolved.field.q,
-        s=resolved.s,
-        n=len(resolved.points),
+    payload = _report(
+        "rghw",
+        elapsed,
+        resolved,
         k1=problem.k1,
         k2=problem.k2,
         results=results,
         weights=None,
         refusal=None,
         budget=args.budget,
-        elapsed_seconds=elapsed,
-    ).check()
+    )
     lines = [
-        f"rghw: q={report.q} s={report.s} n={report.n}"
-        f" k1={report.k1} k2={report.k2} order={report.order}"
+        f"rghw: q={resolved.field.q} s={resolved.s} n={len(resolved.points)}"
+        f" k1={problem.k1} k2={problem.k2} order={resolved.order.name}"
     ]
     for entry in results:
         r = entry["r"]
@@ -397,7 +376,7 @@ def cmd_rghw(args):
                 + ("  (certified)" if entry["certified"] else "")
             )
     lines.append(f"elapsed: {elapsed:.3f}s")
-    _emit(args, report.to_dict(), lines)
+    _emit(args, payload, lines)
     return 2 if refused else 0
 
 
@@ -427,25 +406,20 @@ def cmd_weights(args):
     except BudgetExceededError as exc:
         refusal = str(exc)
     elapsed = time.perf_counter() - t0
-    report = ResultReport(
-        schema=1,
-        command="weights",
-        problem=data,
-        order=resolved.order.name,
-        q=resolved.field.q,
-        s=resolved.s,
-        n=code.n,
+    payload = _report(
+        "weights",
+        elapsed,
+        resolved,
         k1=code.k,
         k2=0,
         results=[],
         weights=weights,
         refusal=refusal,
         budget=args.budget,
-        elapsed_seconds=elapsed,
-    ).check()
+    )
     lines = [
-        f"weights: q={report.q} s={report.s} n={report.n} k={report.k1}"
-        f" order={report.order}"
+        f"weights: q={resolved.field.q} s={resolved.s} n={code.n} k={code.k}"
+        f" order={resolved.order.name}"
     ]
     if refusal:
         lines.append(f"refused ({refusal})")
@@ -455,7 +429,7 @@ def cmd_weights(args):
             lines.append(f"{w:6d}  {c}")
         lines.append(f"distinct nonzero weights: {weights['distinct_weights']}")
     lines.append(f"elapsed: {elapsed:.3f}s")
-    _emit(args, report.to_dict(), lines)
+    _emit(args, payload, lines)
     return 2 if refusal else 0
 
 
@@ -491,15 +465,9 @@ def cmd_toric_table(args):
             refused = True
         rows.append(row)
     elapsed = time.perf_counter() - t0
-    payload = {
-        "schema": 1,
-        "command": "toric-table",
-        "q": args.q,
-        "s": args.s,
-        "rows": rows,
-        "budget": args.budget,
-        "elapsed_seconds": elapsed,
-    }
+    payload = _report(
+        "toric-table", elapsed, q=args.q, s=args.s, rows=rows, budget=args.budget
+    )
     lines = [f"toric codes over hypersimplices: q={args.q} s={args.s}"]
     lines.append(" d    n    k  delta  delta_formula  delta2")
     for row in rows:
@@ -518,6 +486,14 @@ def cmd_toric_table(args):
     lines.append(f"elapsed: {elapsed:.3f}s")
     _emit(args, payload, lines)
     return 2 if refused else 0
+
+
+def positive_int(text):
+    """Argument type for --budget: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -547,7 +523,7 @@ def build_parser():
         if spaces:
             p.add_argument(
                 "--budget",
-                type=int,
+                type=positive_int,
                 default=DEFAULT_BUDGET,
                 help=f"enumeration element budget (default {DEFAULT_BUDGET})",
             )

@@ -18,57 +18,13 @@ from .errors import (
     FieldMismatchError,
     NonInjectiveEvaluationError,
 )
-from .field import check_int64_products
+from .field import check_int64_products, rank_mod
 from .groebner import normal_form
 from .poly import echelonize
 
 DEFAULT_BUDGET = 10**7
-_CHUNK = 1 << 14
-
-
-def rref_mod(rows, q):
-    """Reduced row echelon form over GF(q): (matrix, pivot columns).
-
-    Zero rows are dropped; pivot entries are 1 with zeros above and below.
-    """
-    a = np.asarray(rows, dtype=np.int64) % q
-    if a.ndim != 2:
-        raise DimensionMismatchError("expected a 2d array")
-    nrows, ncols = a.shape
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if a[i, col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, col]), q - 2, q)) % q
-        col_vals = a[:, col].copy()
-        col_vals[r] = 0
-        a = (a - np.outer(col_vals, a[r])) % q
-        pivots.append(col)
-        r += 1
-    return a[:r], pivots
-
-
-def rank_mod(rows, q):
-    reduced, _ = rref_mod(rows, q)
-    return reduced.shape[0]
-
-
-def reduce_rows(rows, rref, pivots, q):
-    """Residues of rows after eliminating the pivots of a reduced basis."""
-    res = np.asarray(rows, dtype=np.int64) % q
-    for i, p in enumerate(pivots):
-        res = (res - np.outer(res[:, p], rref[i])) % q
-    return res
+# Rows per enumeration chunk, for weight enumeration and the RGHW search.
+_CHUNK = 1 << 13
 
 
 class GeneratorMatrix:
@@ -234,7 +190,8 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
 
     Work is chunked; chunks may run on a thread pool and are merged by
     commutative sums, so the result does not depend on the thread count.
-    Raises ValueError when k * (q - 1)^2 >= 2^63.
+    Raises ValueError when k * (q - 1)^2 >= 2^63, or when a budget of at
+    least q^k >= 2^63 is given, since codewords are indexed in int64.
     """
     q = code.field.q
     k = code.k
@@ -243,24 +200,28 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
     total = q**k
     if total > budget:
         raise BudgetExceededError(total, budget, "codeword enumeration")
+    if total >= 2**63:
+        raise ValueError(
+            f"codeword enumeration indexes q^k codewords in int64 and needs"
+            f" q^k < 2^63; {q}^{k} is too large"
+        )
     g = code.matrix.rows
     powers = np.array([q ** (k - 1 - j) for j in range(k)], dtype=np.int64)
 
-    def chunk_hist(lo, hi):
-        idx = np.arange(lo, hi, dtype=np.int64)
+    def chunk_hist(lo):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         coeffs = (idx[:, None] // powers[None, :]) % q
         words = (coeffs @ g) % q
         weights = np.count_nonzero(words, axis=1)
         return np.bincount(weights, minlength=n + 1)
 
-    ranges = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    los = range(0, total, _CHUNK)
     nthreads = _resolve_threads(threads)
-    if nthreads == 1 or len(ranges) == 1:
-        hists = [chunk_hist(lo, hi) for lo, hi in ranges]
+    if nthreads == 1 or len(los) == 1:
+        hist = sum(map(chunk_hist, los))
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            hists = list(pool.map(lambda r: chunk_hist(*r), ranges))
-    hist = np.sum(hists, axis=0)
+            hist = sum(pool.map(chunk_hist, los))
     distribution = {w: int(c) for w, c in enumerate(hist) if c}
     return WeightProfile(n, q, k, distribution)
 

@@ -7,10 +7,14 @@ Only prime q is supported.
 The numpy code paths hold residues in int64 and form sums of products of two
 residues, so they need terms * (q - 1)^2 < 2^63 for the number of products
 summed; `check_int64_products` refuses fields outside that limit instead of
-letting the arithmetic wrap silently.
+letting the arithmetic wrap silently.  `rref_mod` is the one GF(q) row
+reduction: polynomial spaces, generator matrices and the RGHW search all
+eliminate through it and `reduce_rows`.
 """
 
-from .errors import FieldMismatchError
+import numpy as np
+
+from .errors import DimensionMismatchError, FieldMismatchError
 
 
 def check_int64_products(q, terms=1, what="int64 arithmetic"):
@@ -24,6 +28,51 @@ def check_int64_products(q, terms=1, what="int64 arithmetic"):
         raise ValueError(
             f"{what} needs {terms} * (q - 1)^2 < 2^63; q = {q} is too large"
         )
+
+
+def rref_mod(rows, q):
+    """Reduced row echelon form over GF(q): (matrix, pivot columns).
+
+    Zero rows are dropped; pivot entries are 1 with zeros above and below.
+    Raises ValueError when (q - 1)^2 >= 2^63, where the int64 elimination
+    would wrap.
+    """
+    check_int64_products(q, what="row reduction")
+    a = np.asarray(rows, dtype=np.int64) % q
+    if a.ndim != 2:
+        raise DimensionMismatchError("expected a 2d array")
+    nrows, ncols = a.shape
+    r = 0
+    pivots = []
+    for col in range(ncols):
+        if r == nrows:
+            break
+        below = a[r:, col].nonzero()[0]
+        if below.size == 0:
+            continue
+        piv = r + int(below[0])
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r].copy()
+        row = (a[r] * pow(int(a[r, col]), q - 2, q)) % q
+        # Clears the column in every row, row r included; then restore it.
+        a = (a - a[:, col, None] * row) % q
+        a[r] = row
+        pivots.append(col)
+        r += 1
+    return a[:r], pivots
+
+
+def rank_mod(rows, q):
+    reduced, _ = rref_mod(rows, q)
+    return reduced.shape[0]
+
+
+def reduce_rows(rows, rref, pivots, q):
+    """Residues of rows after eliminating the pivots of a reduced basis."""
+    res = np.asarray(rows, dtype=np.int64) % q
+    for i, p in enumerate(pivots):
+        res = (res - np.outer(res[:, p], rref[i])) % q
+    return res
 
 
 def _is_prime(n):

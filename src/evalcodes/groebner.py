@@ -80,7 +80,6 @@ class GroebnerBasis:
         self.generators = list(generators)
         self.points = points
         self.standard_monomials = None
-        self.standard_evaluations = None
 
     def leads(self):
         return [g.lead_monomial(self.order) for g in self.generators]
@@ -212,9 +211,9 @@ def vanishing_ideal(points, order=GREVLEX):
     vector lies in the span of the standard vectors found so far yields a
     generator, anything else becomes standard.  Evaluation vectors of border
     monomials are obtained from their parent by coordinatewise products.
-    The footprint has exactly |X| elements and is cached on the result
-    together with the evaluation rows of the standard monomials.  Raises
-    ValueError when (q - 1)^2 >= 2^63, where the int64 elimination would wrap.
+    The footprint has exactly |X| elements and is cached on the result.
+    Raises ValueError when (q - 1)^2 >= 2^63, where the int64 elimination
+    would wrap.
     """
     field = points.field
     q = field.q
@@ -223,7 +222,6 @@ def vanishing_ideal(points, order=GREVLEX):
     coords = np.array(points.points, dtype=np.int64)
 
     standard = []
-    standard_rows = []
     rref = []
     generators = []
     lead_set = []
@@ -264,7 +262,6 @@ def vanishing_ideal(points, order=GREVLEX):
                     coeffs[idx] = (-inv * cc) % q
             rref.append((pivot, row, coeffs))
             standard.append(mono)
-            standard_rows.append([int(v) for v in raw])
             for i in range(s):
                 nxt = tuple(e + (1 if j == i else 0) for j, e in enumerate(mono))
                 if nxt not in seen:
@@ -275,7 +272,6 @@ def vanishing_ideal(points, order=GREVLEX):
     generators.sort(key=lambda g: order.key(g.lead_monomial(order)))
     gb = GroebnerBasis(field, s, order, generators, points=points)
     gb.standard_monomials = tuple(standard)
-    gb.standard_evaluations = standard_rows
     return gb
 
 

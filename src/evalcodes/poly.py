@@ -8,7 +8,7 @@ decreasing lead monomials.
 """
 
 from .errors import DimensionMismatchError, FieldMismatchError, ZeroPolynomialError
-from .field import FieldElement, PrimeField
+from .field import FieldElement, rref_mod
 
 
 def total_degree(m):
@@ -373,7 +373,9 @@ def echelonize(polys, order, field=None, nvars=None):
     """Row reduce a list of polynomials into a PolySpace.
 
     Zero polynomials are discarded; the span is preserved exactly.  field and
-    nvars are only needed when polys is empty.
+    nvars are only needed when polys is empty.  The coefficient matrix over
+    the monomials in decreasing order goes through `rref_mod`, whose
+    (q - 1)^2 < 2^63 limit applies.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -384,35 +386,11 @@ def echelonize(polys, order, field=None, nvars=None):
     nvars = polys[0].nvars
     for p in polys:
         polys[0]._check(p)
-    monos = set()
-    for p in polys:
-        monos.update(p.terms)
-    cols = order.sorted(monos, reverse=True)
-    index = {m: j for j, m in enumerate(cols)}
-    q = field.q
-    rows = [[0] * len(cols) for _ in polys]
-    for i, p in enumerate(polys):
-        for m, c in p.terms.items():
-            rows[i][index[m]] = c
-    pivots = []
-    rank = 0
-    for j in range(len(cols)):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][j])
-        rows[rank] = [(v * inv) % q for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [(a - c * b) % q for a, b in zip(rows[i], rows[rank])]
-        pivots.append(j)
-        rank += 1
-        if rank == len(rows):
-            break
-    basis = []
-    for i in range(rank):
-        terms = {cols[j]: rows[i][j] for j in range(len(cols)) if rows[i][j]}
-        basis.append(Polynomial(field, nvars, terms))
+    cols = order.sorted({m for p in polys for m in p.terms}, reverse=True)
+    rows = [[p.terms.get(m, 0) for m in cols] for p in polys]
+    reduced, _ = rref_mod(rows, field.q)
+    basis = [
+        Polynomial(field, nvars, {m: c for m, c in zip(cols, row) if c})
+        for row in reduced.tolist()
+    ]
     return PolySpace(field, nvars, order, basis)

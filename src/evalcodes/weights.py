@@ -25,22 +25,16 @@ from itertools import combinations
 import numpy as np
 
 from .codes import (
+    _CHUNK,
     DEFAULT_BUDGET,
-    EvaluationCode,
-    GeneratorMatrix,
     _resolve_threads,
     evaluate_space,
-    rank_mod,
-    reduce_rows,
-    rref_mod,
     standardize,
 )
 from .errors import BudgetExceededError, DimensionMismatchError
-from .field import check_int64_products
+from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from .groebner import degree_with_F, footprint, vanishing_ideal
 from .poly import GREVLEX, Polynomial, PolySpace, echelonize, monomial_divides
-
-_CHUNK = 1 << 13
 
 
 def gaussian_binomial(n, k, q):
@@ -52,23 +46,6 @@ def gaussian_binomial(n, k, q):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
-
-
-class CandidateSet:
-    """A set of r monic polynomials with pairwise distinct lead monomials."""
-
-    def __init__(self, polys, leads):
-        self.polys = tuple(polys)
-        self.leads = tuple(leads)
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __repr__(self):
-        return f"CandidateSet({[str(p) for p in self.polys]})"
 
 
 class RghwProblem:
@@ -110,16 +87,14 @@ class RghwProblem:
         q = field.q
         check_int64_products(q, self.space1.dim, what="the candidate search")
         self._lead_monos = self.space1.leads()
-        self._E = np.array(
-            [[int(b.evaluate(p)) for p in points] for b in self.space1.basis],
-            dtype=np.int64,
-        )
+        self._code1 = evaluate_space(self.space1, points)
+        self._E = self._code1.matrix.rows
         if coords:
             self._A, self._A_piv = rref_mod(np.array(coords, dtype=np.int64), q)
         else:
             self._A = np.zeros((0, self.space1.dim), dtype=np.int64)
             self._A_piv = []
-        self._code_pair = None
+        self._code2 = None
         self._divides = None
 
     @property
@@ -158,11 +133,9 @@ class RghwProblem:
 
     def codes(self):
         """The evaluation code pair (C1, C2)."""
-        if self._code_pair is None:
-            c1 = evaluate_space(self.space1, self.points)
-            c2 = evaluate_space(self.space2, self.points)
-            self._code_pair = (c1, c2)
-        return self._code_pair
+        if self._code2 is None:
+            self._code2 = evaluate_space(self.space2, self.points)
+        return self._code1, self._code2
 
     def poly_from_coefficients(self, coeffs):
         """The polynomial with the given coefficients on the L1 basis."""
@@ -205,53 +178,6 @@ def _candidate_rows(problem, lead, lo, hi):
     return rows
 
 
-def _reduce_by(red, rows, q):
-    res = rows % q
-    for p, row in red:
-        res = (res - np.outer(res[:, p], row)) % q
-    return res
-
-
-def enumerate_candidates(problem, r):
-    """Yield every admissible candidate set, in a fixed deterministic order.
-
-    Lead positions are chosen as increasing index tuples over the L1 basis
-    (which is sorted by decreasing lead monomial); coefficient fillings run
-    in odometer order, later elements fastest.  A set is admissible when its
-    span meets L2 only in zero, which also forces every member outside L2.
-    """
-    problem._check_r(r)
-    q = problem.q
-    k1 = problem.k1
-    base = [(p, problem._A[i]) for i, p in enumerate(problem._A_piv)]
-
-    def descend(level, start_lead, red, chosen, leads):
-        if level == r:
-            polys = [problem.poly_from_coefficients(c) for c in chosen]
-            yield CandidateSet(polys, leads)
-            return
-        for lead in range(start_lead, k1 - (r - level) + 1):
-            total = q ** (k1 - lead - 1)
-            for lo in range(0, total, _CHUNK):
-                rows = _candidate_rows(problem, lead, lo, min(lo + _CHUNK, total))
-                res = _reduce_by(base + red, rows, q)
-                for i in range(rows.shape[0]):
-                    rr = res[i]
-                    piv = next((j for j in range(k1) if rr[j]), None)
-                    if piv is None:
-                        continue
-                    norm = (rr * pow(int(rr[piv]), q - 2, q)) % q
-                    yield from descend(
-                        level + 1,
-                        lead + 1,
-                        red + [(piv, norm)],
-                        chosen + [rows[i]],
-                        leads + [problem._lead_monos[lead]],
-                    )
-
-    yield from descend(0, 0, [], [], [])
-
-
 def _search_max_zeros(problem, r, budget, threads):
     """Largest |V_X(F)| over admissible candidate sets, with a witness.
 
@@ -278,7 +204,6 @@ def _search_max_zeros(problem, r, budget, threads):
     k1 = problem.k1
     e_matrix = problem._E
     m = e_matrix.shape[1]
-    base = [(p, problem._A[i]) for i, p in enumerate(problem._A_piv)]
     realized = _realized_positions(problem)
     nthreads = _resolve_threads(threads)
     pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
@@ -332,7 +257,7 @@ def _search_max_zeros(problem, r, budget, threads):
                 yield result
             lo, width = lo + width * _CHUNK, nthreads
 
-    def extend(js, alive, red, chosen):
+    def extend(js, alive, red, pivots, chosen):
         nonlocal best_zeros, best_rows
         proj = None
         for bound, j in groups(js):
@@ -340,7 +265,7 @@ def _search_max_zeros(problem, r, budget, threads):
                 break
             if proj is None:
                 # Reduction modulo span(L2, chosen) is linear: one matrix.
-                proj = _reduce_by(red, np.eye(k1, dtype=np.int64), q)
+                proj = reduce_rows(np.eye(k1, dtype=np.int64), red, pivots, q)
             for rows, res, ok, vals, zeros in scored_chunks(realized[j], alive, proj):
                 if len(js) == r - 1:
                     scored = np.where(ok, zeros, -1)
@@ -361,14 +286,15 @@ def _search_max_zeros(problem, r, budget, threads):
                         extend(
                             js + (j,),
                             alive[vals[i] == 0],
-                            red + [(piv, norm)],
+                            red + [norm],
+                            pivots + [piv],
                             chosen + [rows[i].copy()],
                         )
                 if best_zeros >= bound:
                     break
 
     try:
-        extend((), np.arange(m), list(base), [])
+        extend((), np.arange(m), list(problem._A), list(problem._A_piv), [])
     finally:
         if pool is not None:
             pool.shutdown()

@@ -5,6 +5,7 @@ definition available, trading speed for obviousness, so that the fast
 numpy code paths can be checked against it on small inputs.
 """
 
+from collections import namedtuple
 from itertools import combinations, product
 
 
@@ -167,14 +168,48 @@ def brute_lead_sweep(problem):
     return leads
 
 
+# r monic polynomials of L1 with pairwise distinct lead monomials.
+CandidateSet = namedtuple("CandidateSet", ["polys", "leads"])
+
+
+def enumerate_candidates(problem, r):
+    """Yield every admissible candidate set, in a fixed deterministic order.
+
+    Lead positions are chosen as increasing index tuples over the L1 basis
+    (which is sorted by decreasing lead monomial); coefficient fillings run
+    in odometer order, later elements fastest.  A set is admissible when its
+    span meets L2 only in zero, checked as a rank over L2 and the set, which
+    also forces every member outside L2.
+    """
+    problem._check_r(r)
+    q = problem.q
+    k1 = problem.k1
+    lead_monos = problem.space1.leads()
+    l2 = [problem.space1.coordinates(b) for b in problem.space2.basis]
+
+    def descend(start, chosen, leads):
+        if len(chosen) == r:
+            polys = [problem.poly_from_coefficients(c) for c in chosen]
+            yield CandidateSet(polys, leads)
+            return
+        for lead in range(start, k1 - (r - len(chosen)) + 1):
+            for free in product(range(q), repeat=k1 - lead - 1):
+                row = [0] * lead + [1] + list(free)
+                rows = l2 + chosen + [row]
+                if pp_rank(rows, q) == len(rows):
+                    yield from descend(
+                        lead + 1, chosen + [row], leads + [lead_monos[lead]]
+                    )
+
+    yield from descend(0, [], [])
+
+
 def brute_max_candidate_zeros(problem, r):
     """Largest common zero count in X over every admissible candidate set.
 
     Walks `enumerate_candidates` to the end, with no bound and no pruning,
     and counts zeros by direct evaluation.
     """
-    from evalcodes import enumerate_candidates
-
     return max(
         brute_variety_count(problem.points, cand.polys)
         for cand in enumerate_candidates(problem, r)

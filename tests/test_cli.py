@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from evalcodes import Polynomial, PrimeField, format_polynomial
+from evalcodes import Polynomial, PrimeField, cli, format_polynomial
 from evalcodes.cli import (
-    ResultReport,
     fixture_names,
     load_problem,
     main,
@@ -155,12 +154,27 @@ class TestRghwCommand:
     def test_json_report_round_trip(self, capsys):
         code, out, _ = run(capsys, "rghw", "five-points-f3", "--json")
         assert code == 0
-        report = ResultReport.from_dict(json.loads(out))
-        again = ResultReport.from_dict(json.loads(json.dumps(report.to_dict())))
-        assert again == report
-        assert report.k1 == 5
-        assert report.k2 == 3
-        assert report.results == [
+        report = json.loads(out)
+        assert json.loads(json.dumps(report)) == report
+        assert list(report) == [
+            "schema",
+            "command",
+            "problem",
+            "order",
+            "q",
+            "s",
+            "n",
+            "k1",
+            "k2",
+            "results",
+            "weights",
+            "refusal",
+            "budget",
+            "elapsed_seconds",
+        ]
+        assert report["k1"] == 5
+        assert report["k2"] == 3
+        assert report["results"] == [
             {"r": 1, "rghw": 1, "relative_footprint": 1, "certified": True, "refusal": None},
             {"r": 2, "rghw": 2, "relative_footprint": 2, "certified": True, "refusal": None},
         ]
@@ -312,6 +326,22 @@ class TestArgumentHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["rghw", "five-points-f3"],
+            ["weights", "five-points-f3"],
+            ["toric-table", "3", "2"],
+        ],
+    )
+    def test_budget_below_one_exits_one(self, capsys, command):
+        # A budget below 1 is an input error, not a budget refusal (exit 2).
+        for budget in ("0", "-5"):
+            code, out, err = run(capsys, *command, "--budget", budget)
+            assert code == 1
+            assert out == ""
+            assert f"--budget: must be at least 1, got {budget}" in err
+
 
 class TestCertification:
     def test_sharp_gap_is_not_certified(self, capsys):
@@ -331,6 +361,13 @@ class TestCertification:
         code, out, _ = run(capsys, "rghw", "five-points-f3")
         assert "r=1: M_1 = 1  RFP_1 = 1  (certified)" in out
         assert "r=2: M_2 = 2  RFP_2 = 2  (certified)" in out
+
+    def test_value_below_the_footprint_bound_aborts(self, capsys, monkeypatch):
+        # M_r >= RFP_r always holds; a report contradicting it is refused.
+        monkeypatch.setattr(cli, "relative_footprint", lambda problem, r: 99)
+        with pytest.raises(RuntimeError, match="below footprint bound 99"):
+            main(["rghw", "five-points-f3", "--json"])
+        assert capsys.readouterr().out == ""
 
     def test_refused_entry_is_not_judged(self, capsys):
         code, out, _ = run(capsys, "rghw", "five-points-f3", "--budget", "10", "--json")

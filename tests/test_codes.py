@@ -26,7 +26,7 @@ from evalcodes import (
     vanishing_ideal,
     weight_distribution,
 )
-from evalcodes.codes import rank_mod, reduce_rows, rref_mod
+from evalcodes.field import rank_mod, reduce_rows, rref_mod
 
 from oracles import (
     brute_max_zero_count,
@@ -300,4 +300,17 @@ class TestInt64Limit:
         matrix = GeneratorMatrix(field, [[1, 0], [0, 1]])
         code = EvaluationCode(None, PointSet(field, [(0,), (1,)]), matrix)
         with pytest.raises(ValueError, match=r"2\^63"):
+            weight_distribution(code)
+
+    def test_enumeration_needs_codeword_indices_below_the_limit(self):
+        # 3^41 >= 2^63 codewords cannot be indexed in int64.  A budget that
+        # admits them gets a refusal naming the limit, raised before any
+        # array is built; a smaller budget still refuses on the budget.
+        field = PrimeField(3)
+        points = PointSet(field, list(product(range(3), repeat=4))[:41])
+        matrix = GeneratorMatrix(field, np.eye(41, dtype=np.int64))
+        code = EvaluationCode(None, points, matrix)
+        with pytest.raises(ValueError, match=r"q\^k < 2\^63"):
+            weight_distribution(code, budget=3**41)
+        with pytest.raises(BudgetExceededError):
             weight_distribution(code)

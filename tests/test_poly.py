@@ -23,6 +23,8 @@ from evalcodes.poly import (
     total_degree,
 )
 
+from oracles import pp_rref
+
 SEED = 20260823
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -203,6 +205,44 @@ def test_echelonize_span_preserved_random():
         assert bigger.dim == space.dim
         leads = [b.lead_monomial(GREVLEX) for b in space.basis]
         assert len(set(leads)) == len(leads)
+
+
+def oracle_echelon_basis(polys, order):
+    """The reduced echelon basis from `oracles.pp_rref` on the coefficients."""
+    field, nvars = polys[0].field, polys[0].nvars
+    cols = order.sorted({m for p in polys for m in p.terms}, reverse=True)
+    rows, _ = pp_rref([[p.coeff(m) for m in cols] for p in polys], field.q)
+    return [Polynomial(field, nvars, dict(zip(cols, row))) for row in rows]
+
+
+def test_echelonize_matches_plain_python_rref():
+    rng = random.Random(SEED + 4)
+    fields = (PrimeField(2), F3, F5, PrimeField(7), PrimeField(2147483647))
+    for _ in range(60):
+        field = rng.choice(fields)
+        order = rng.choice((LEX, GRLEX, GREVLEX))
+        nvars = rng.randint(1, 3)
+        count = rng.randint(1, 6)
+        polys = [random_polynomial(rng, field, nvars) for _ in range(count)]
+        # Repeats and combinations make the inputs dependent.
+        polys.append(polys[0] + polys[-1].scale(rng.randrange(field.q)))
+        space = echelonize(polys, order, field=field, nvars=nvars)
+        nonzero = [p for p in polys if not p.is_zero()]
+        want = oracle_echelon_basis(nonzero, order) if nonzero else []
+        assert space.basis == want
+
+
+def test_echelonize_int64_limit():
+    # Row reduction forms products of two residues in int64.
+    big = PrimeField(3037000493)
+    f = Polynomial(big, 2, {(1, 0): big.q - 1, (0, 1): 3, (0, 0): big.q - 2})
+    g = Polynomial(big, 2, {(1, 0): 5, (0, 0): big.q - 7})
+    space = echelonize([f, g, f + g], GREVLEX)
+    assert space.basis == oracle_echelon_basis([f, g, f + g], GREVLEX)
+    assert space.dim == 2
+    too_big = PrimeField(3037000507)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        echelonize([Polynomial.monomial(too_big, (1, 0))], GREVLEX)
 
 
 def test_distinct_leads_imply_independence():

@@ -14,7 +14,6 @@ from evalcodes import (
     PrimeField,
     RghwProblem,
     echelonize,
-    enumerate_candidates,
     gaussian_binomial,
     ghw,
     lead_set_difference,
@@ -26,9 +25,14 @@ from evalcodes import (
     torus_points,
     weight_distribution,
 )
-from evalcodes.codes import rank_mod
+from evalcodes.field import rank_mod
 
-from oracles import brute_lead_sweep, brute_min_support_subcode, brute_subspace_count
+from oracles import (
+    brute_lead_sweep,
+    brute_min_support_subcode,
+    brute_subspace_count,
+    enumerate_candidates,
+)
 
 SEED = 20260823
 F3 = PrimeField(3)
