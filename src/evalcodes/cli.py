@@ -34,7 +34,7 @@ from importlib import resources
 from itertools import product
 from pathlib import Path
 
-from .codes import DEFAULT_BUDGET, evaluate_space, next_to_minimal, standardize, weight_distribution
+from .codes import DEFAULT_BUDGET, evaluate_space, next_to_minimal, weight_distribution
 from .errors import BudgetExceededError
 from .families import (
     HypersimplexSpec,
@@ -44,7 +44,7 @@ from .families import (
     torus_points,
 )
 from .field import PrimeField
-from .groebner import PointSet, footprint, initial_ideal, vanishing_ideal
+from .groebner import PointSet, footprint, initial_ideal, normal_form, vanishing_ideal
 from .poly import Polynomial, echelonize, format_polynomial, order_by_name
 from .weights import RghwProblem, relative_footprint, rghw_degree
 
@@ -385,14 +385,13 @@ def cmd_weights(args):
     resolved = resolve_problem(data, args.order)
     t0 = time.perf_counter()
     gb = vanishing_ideal(resolved.points, resolved.order)
-    space = standardize(
-        echelonize(
-            resolved.space1,
-            resolved.order,
-            field=resolved.field,
-            nvars=resolved.s,
-        ),
-        gb,
+    # One elimination over the normal forms of the generators: the normal
+    # form is linear, so this is the standardized basis of their span.
+    space = echelonize(
+        [normal_form(f, gb) for f in resolved.space1],
+        resolved.order,
+        field=resolved.field,
+        nvars=resolved.s,
     )
     code = evaluate_space(space, resolved.points)
     refusal = None
@@ -489,7 +488,7 @@ def cmd_toric_table(args):
 
 
 def positive_int(text):
-    """Argument type for --budget: an integer of at least 1."""
+    """Argument type for --budget and --threads: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -529,9 +528,9 @@ def build_parser():
             )
             p.add_argument(
                 "--threads",
-                type=int,
+                type=positive_int,
                 default=None,
-                help="worker threads (default: available parallelism)",
+                help="worker threads, at least 1 (default: available parallelism)",
             )
 
     p = sub.add_parser(

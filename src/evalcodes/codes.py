@@ -3,8 +3,10 @@
 An evaluation code is the image of a polynomial space under evaluation at a
 point set.  Generator matrices live over GF(q) as int64 arrays with
 entries in [0, q), which needs (q - 1)^2 < 2^63 (see
-`field.check_int64_products`).  Weight enumeration walks all q^k codewords
-in chunks, guarded by an explicit element budget.
+`field.check_int64_products`).  One kernel, `_monic_chunks`, enumerates
+for both the weight distribution and the RGHW search: it scores chunks of
+monic coefficient rows (first nonzero entry 1), optionally on threads.
+Weight enumeration walks only the monic rows but is budgeted as q^k words.
 """
 
 import os
@@ -177,21 +179,56 @@ class WeightProfile:
         return f"WeightProfile(n={self.n}, k={self.k}, {self.distribution})"
 
 
-def _resolve_threads(threads):
-    if threads is None:
-        return max(1, os.cpu_count() or 1)
-    if threads < 1:
+def _monic_rows(q, k, lead, lo, hi):
+    """Monic coefficient rows lo..hi-1 with the given lead position.
+
+    Row i has zeros before `lead`, a 1 at `lead` and the base-q digits of
+    lo + i after it, most significant first (odometer order).
+    """
+    free = k - lead - 1
+    rows = np.zeros((hi - lo, k), dtype=np.int64)
+    rows[:, lead] = 1
+    idx = np.arange(lo, hi, dtype=np.int64)
+    for t in range(free):
+        power = q ** (free - 1 - t)
+        if power < hi:  # otherwise the digit is 0 for every index below hi
+            rows[:, lead + 1 + t] = (idx // power) % q
+    return rows
+
+
+def _monic_chunks(q, k, lead, score, threads):
+    """Yield score(rows) for each chunk of the monic rows with this lead.
+
+    Results come in chunk order whatever the thread count (None: one per
+    core).  The first chunk is scored alone, so a caller that stops after
+    it pays for no more; later ones run in batches of one chunk per thread.
+    """
+    if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
-    return threads
+    nthreads = threads or os.cpu_count() or 1
+    total = q ** (k - lead - 1)
+
+    def compute(lo):
+        return score(_monic_rows(q, k, lead, lo, min(lo + _CHUNK, total)))
+
+    yield compute(0)
+    rest = range(_CHUNK, total, _CHUNK)
+    if nthreads == 1 or not rest:
+        yield from map(compute, rest)
+        return
+    with ThreadPoolExecutor(max_workers=nthreads) as pool:
+        for i in range(0, len(rest), nthreads):
+            yield from pool.map(compute, rest[i : i + nthreads])
 
 
 def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
-    """Exact weight distribution by enumerating all q^k codewords.
+    """Exact weight distribution over all q^k coefficient vectors.
 
-    Work is chunked; chunks may run on a thread pool and are merged by
-    commutative sums, so the result does not depend on the thread count.
-    Raises ValueError when k * (q - 1)^2 >= 2^63, or when a budget of at
-    least q^k >= 2^63 is given, since codewords are indexed in int64.
+    Each nonzero vector is a nonzero multiple of exactly one monic vector,
+    of the same weight, so the monic histogram times q - 1 plus the zero
+    vector counts each vector once, also for rank deficient matrices.
+    Sums do not depend on the thread count.  Raises ValueError when
+    k * (q - 1)^2 >= 2^63, or when a budget of at least q^k >= 2^63 is given.
     """
     q = code.field.q
     k = code.k
@@ -205,23 +242,20 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
             f"codeword enumeration indexes q^k codewords in int64 and needs"
             f" q^k < 2^63; {q}^{k} is too large"
         )
+    if threads is not None and threads < 1:  # checked here too for k = 0
+        raise ValueError("threads must be at least 1")
     g = code.matrix.rows
-    powers = np.array([q ** (k - 1 - j) for j in range(k)], dtype=np.int64)
 
-    def chunk_hist(lo):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        coeffs = (idx[:, None] // powers[None, :]) % q
-        words = (coeffs @ g) % q
-        weights = np.count_nonzero(words, axis=1)
+    def chunk_hist(rows):
+        weights = np.count_nonzero((rows @ g) % q, axis=1)
         return np.bincount(weights, minlength=n + 1)
 
-    los = range(0, total, _CHUNK)
-    nthreads = _resolve_threads(threads)
-    if nthreads == 1 or len(los) == 1:
-        hist = sum(map(chunk_hist, los))
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            hist = sum(pool.map(chunk_hist, los))
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for lead in range(k):
+        for chunk in _monic_chunks(q, k, lead, chunk_hist, threads):
+            hist += chunk
+    hist *= q - 1
+    hist[0] += 1
     distribution = {w: int(c) for w, c in enumerate(hist) if c}
     return WeightProfile(n, q, k, distribution)
 

@@ -13,7 +13,7 @@ and the full weight hierarchy of the degree one hypersimplex code.
 from itertools import combinations, product
 
 from .codes import evaluate_space
-from .groebner import PointSet, vanishing_ideal
+from .groebner import PointSet
 from .poly import GREVLEX, Polynomial, PolySpace
 from .weights import RghwProblem
 

@@ -19,7 +19,7 @@ from .errors import (
     NotZeroDimensionalError,
     ZeroPolynomialError,
 )
-from .field import PrimeField, check_int64_products
+from .field import check_int64_products
 from .poly import (
     GREVLEX,
     Polynomial,

@@ -19,21 +19,14 @@ level oracle enumerating subcodes directly is provided for cross checking;
 it never touches lead monomials or bases.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
 
-from .codes import (
-    _CHUNK,
-    DEFAULT_BUDGET,
-    _resolve_threads,
-    evaluate_space,
-    standardize,
-)
+from .codes import DEFAULT_BUDGET, _monic_chunks, evaluate_space, standardize
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
-from .groebner import degree_with_F, footprint, vanishing_ideal
+from .groebner import degree_with_F, footprint, normal_form, vanishing_ideal
 from .poly import GREVLEX, Polynomial, PolySpace, echelonize, monomial_divides
 
 
@@ -65,15 +58,17 @@ class RghwProblem:
         s = points.nvars
         self.gb = gb if gb is not None else vanishing_ideal(points, order)
 
-        def as_space(sp):
-            if sp is None:
-                return PolySpace.empty(field, s, order)
+        def standard_space(sp):
             if isinstance(sp, PolySpace):
-                return sp
-            return echelonize(list(sp), order, field=field, nvars=s)
+                return standardize(sp, self.gb)
+            # Normal forms are linear and the reduced echelon basis of a span
+            # is unique, so one elimination over the normal forms of the raw
+            # generators gives the standardized basis.
+            polys = [normal_form(f, self.gb) for f in sp or []]
+            return echelonize(polys, order, field=field, nvars=s)
 
-        self.space1 = standardize(as_space(space1), self.gb)
-        self.space2 = standardize(as_space(space2), self.gb)
+        self.space1 = standard_space(space1)
+        self.space2 = standard_space(space2)
         if self.space1.dim == 0:
             raise ValueError("L1 reduces to the zero space on X")
         coords = []
@@ -163,21 +158,6 @@ class RghwProblem:
         )
 
 
-def _candidate_rows(problem, lead, lo, hi):
-    """Monic coefficient rows with the given lead position, odometer order."""
-    q = problem.q
-    k1 = problem.k1
-    free = k1 - lead - 1
-    rows = np.zeros((hi - lo, k1), dtype=np.int64)
-    rows[:, lead] = 1
-    idx = np.arange(lo, hi, dtype=np.int64)
-    for t in range(free):
-        power = q ** (free - 1 - t)
-        if power < hi:  # otherwise the digit is 0 for every index below hi
-            rows[:, lead + 1 + t] = (idx // power) % q
-    return rows
-
-
 def _search_max_zeros(problem, r, budget, threads):
     """Largest |V_X(F)| over admissible candidate sets, with a witness.
 
@@ -195,9 +175,10 @@ def _search_max_zeros(problem, r, budget, threads):
     - a group stops being scored once the maximum reaches its bound, since
       nothing left in it can exceed that.
 
-    The budget is charged per chunk actually scored.  A group's first chunk
-    is scored alone, later ones in batches of one chunk per thread on a
-    pool; chunks are consumed and charged in chunk order, so the value, the
+    Each group is walked by the enumeration kernel `codes._monic_chunks`,
+    whose first chunk is scored alone and later ones in batches of one
+    chunk per thread.  The budget is charged per chunk actually scored, and
+    chunks are consumed and charged in chunk order, so the value, the
     witness and any refusal do not depend on the thread count.
     """
     q = problem.q
@@ -205,8 +186,6 @@ def _search_max_zeros(problem, r, budget, threads):
     e_matrix = problem._E
     m = e_matrix.shape[1]
     realized = _realized_positions(problem)
-    nthreads = _resolve_threads(threads)
-    pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
     counter = 0
     best_zeros = -1
     best_rows = None
@@ -232,30 +211,20 @@ def _search_max_zeros(problem, r, budget, threads):
 
     def scored_chunks(lead, alive, proj):
         nonlocal counter
-        total = q ** (k1 - lead - 1)
         e_alive = e_matrix[:, alive]
 
-        def compute(lo):
-            rows = _candidate_rows(problem, lead, lo, min(lo + _CHUNK, total))
+        def score(rows):
             res = (rows @ proj) % q
             ok = res.any(axis=1)
             vals = (rows @ e_alive) % q
             zeros = (vals == 0).sum(axis=1)
             return rows, res, ok, vals, zeros
 
-        lo, width = 0, 1
-        while lo < total:
-            los = range(lo, min(lo + width * _CHUNK, total), _CHUNK)
-            if pool is not None and len(los) > 1:
-                results = pool.map(compute, los)
-            else:
-                results = map(compute, los)
-            for result in results:
-                counter += result[0].shape[0]
-                if counter > budget:
-                    raise BudgetExceededError(counter, budget, "candidate enumeration")
-                yield result
-            lo, width = lo + width * _CHUNK, nthreads
+        for result in _monic_chunks(q, k1, lead, score, threads):
+            counter += result[0].shape[0]
+            if counter > budget:
+                raise BudgetExceededError(counter, budget, "candidate enumeration")
+            yield result
 
     def extend(js, alive, red, pivots, chosen):
         nonlocal best_zeros, best_rows
@@ -293,11 +262,7 @@ def _search_max_zeros(problem, r, budget, threads):
                 if best_zeros >= bound:
                     break
 
-    try:
-        extend((), np.arange(m), list(problem._A), list(problem._A_piv), [])
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    extend((), np.arange(m), list(problem._A), list(problem._A_piv), [])
     return best_zeros, best_rows
 
 

@@ -78,6 +78,21 @@ def brute_weight_distribution(rows, q):
     return hist
 
 
+def brute_codeword_weights(rows, q):
+    """Weight histogram over all q^k coefficient vectors of the rows.
+
+    Each coefficient vector counts once, so a rank deficient set of rows
+    shows every codeword with its multiplicity.
+    """
+    n = len(rows[0]) if rows else 0
+    hist = {}
+    for coeffs in product(range(q), repeat=len(rows)):
+        word = [sum(c * row[j] for c, row in zip(coeffs, rows)) % q for j in range(n)]
+        w = hamming_weight(word)
+        hist[w] = hist.get(w, 0) + 1
+    return hist
+
+
 def brute_min_distance(rows, q):
     return min(
         hamming_weight(v) for v in span_vectors(rows, q) if any(v)
@@ -154,8 +169,6 @@ def brute_subspace_count(n, r, q):
 
 def brute_lead_sweep(problem):
     """Leads realized by elements of L1 outside L2, over all q^{k1} vectors."""
-    from evalcodes.poly import Polynomial
-
     q = problem.q
     leads = set()
     for coeffs in product(range(q), repeat=problem.k1):

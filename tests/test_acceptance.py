@@ -12,7 +12,6 @@ import time
 import pytest
 
 from evalcodes import (
-    BudgetExceededError,
     HypersimplexSpec,
     PointSet,
     Polynomial,

@@ -326,14 +326,13 @@ class TestArgumentHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["rghw", "five-points-f3"],
-            ["weights", "five-points-f3"],
-            ["toric-table", "3", "2"],
-        ],
-    )
+    COMMANDS = [
+        ["rghw", "five-points-f3"],
+        ["weights", "five-points-f3"],
+        ["toric-table", "3", "2"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_budget_below_one_exits_one(self, capsys, command):
         # A budget below 1 is an input error, not a budget refusal (exit 2).
         for budget in ("0", "-5"):
@@ -341,6 +340,15 @@ class TestArgumentHandling:
             assert code == 1
             assert out == ""
             assert f"--budget: must be at least 1, got {budget}" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_threads_below_one_exits_one(self, capsys, command):
+        # Rejected while parsing, before a small budget could refuse first.
+        for threads in ("0", "-2"):
+            code, out, err = run(capsys, *command, "--threads", threads, "--budget", "1")
+            assert code == 1
+            assert out == ""
+            assert f"--threads: must be at least 1, got {threads}" in err
 
 
 class TestCertification:

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from evalcodes import (
     vanishing_ideal,
     weight_distribution,
 )
+from evalcodes import codes
 from evalcodes.field import rank_mod, reduce_rows, rref_mod
 
 from oracles import (
+    brute_codeword_weights,
     brute_max_zero_count,
     brute_support_union,
     brute_weight_distribution,
@@ -245,8 +248,59 @@ class TestWeightDistribution:
         for threads in (2, 3, 7):
             assert weight_distribution(code, threads=threads) == base
 
+    def test_thread_count_below_one_refused(self):
+        # Also for the zero code, where nothing is enumerated.
+        space = echelonize([], GREVLEX, field=F3, nvars=2)
+        zero = evaluate_space(space, PointSet(F3, FIVE_POINTS))
+        for code in (zero, toric_code(HypersimplexSpec(F3, 2, 1))):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                weight_distribution(code, threads=0)
 
-def _profile_from_rows(rows, q):
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_monic_walk_counts_every_coefficient_vector(self, q):
+        # Three-row chunks split every lead group, so the first chunk and
+        # the thread batches come into play.  Three shapes in four are rank
+        # deficient (a zero row, a repeated row or a combination of rows),
+        # where codewords repeat.
+        rng = random.Random(SEED + q)
+        for k in range(1, 6):
+            for shape in ("random", "zero", "repeat", "combination"):
+                n = rng.randint(1, 6)
+                rows = random_rows(rng, q, k, n)
+                if k > 1 and shape == "zero":
+                    rows[rng.randrange(k)] = [0] * n
+                elif k > 1 and shape == "repeat":
+                    rows[1] = [(rng.randrange(1, q) * v) % q for v in rows[0]]
+                elif k > 2 and shape == "combination":
+                    rows[2] = [(a + 2 * b) % q for a, b in zip(rows[0], rows[1])]
+                expected = brute_codeword_weights(rows, q)
+                with mock.patch.object(codes, "_CHUNK", 3):
+                    for threads in (1, 2, 3):
+                        profile = _profile_from_rows(rows, q, threads)
+                        assert profile.distribution == expected
+                        assert profile.total() == q**k
+
+
+class TestMonicKernel:
+    def test_chunks_come_in_odometer_order(self):
+        # The search's witness and budget charges follow the chunk order,
+        # which must not depend on the thread count.
+        for q, k in ((2, 5), (3, 4), (5, 3)):
+            for lead in range(k):
+                expected = [
+                    [0] * lead + [1] + list(free)
+                    for free in product(range(q), repeat=k - lead - 1)
+                ]
+                with mock.patch.object(codes, "_CHUNK", 3):
+                    for threads in (1, 2, 3):
+                        chunks = list(
+                            codes._monic_chunks(q, k, lead, np.ndarray.tolist, threads)
+                        )
+                        assert all(len(c) == 3 for c in chunks[:-1])
+                        assert [row for c in chunks for row in c] == expected
+
+
+def _profile_from_rows(rows, q, threads=None):
     """Run the enumeration path on a bare generator matrix."""
     field = PrimeField(q)
     n = len(rows[0])
@@ -260,7 +314,7 @@ def _profile_from_rows(rows, q):
     code.n = n
     code.k = matrix.k
     code.field = field
-    return weight_distribution(code)
+    return weight_distribution(code, threads=threads)
 
 
 class TestNextToMinimal:

@@ -1,20 +1,15 @@
-from itertools import combinations, product
-
 import pytest
 
 from evalcodes import (
-    GREVLEX,
     CartesianSpec,
     ExponentProfile,
     HypersimplexSpec,
     Polynomial,
     PrimeField,
-    RghwProblem,
     cartesian_code,
     cartesian_points,
     cartesian_problem,
     cartesian_rghw_formula,
-    evaluate_space,
     linear_form_zero_count,
     reducible_zero_bound,
     relative_footprint,

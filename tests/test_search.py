@@ -28,7 +28,7 @@ from evalcodes import (
     relative_footprint,
     rghw_degree,
 )
-from evalcodes import weights
+from evalcodes import codes
 from evalcodes.cli import load_problem, resolve_problem
 from evalcodes.weights import (
     _footprint_survivors,
@@ -129,7 +129,7 @@ def test_pruned_search_with_many_chunks_per_group(case):
     # the chunk order and the thread batches all come into play.  The
     # witness may change with the chunk size on ties; the maximum may not.
     problem, r = case
-    with mock.patch.object(weights, "_CHUNK", 3):
+    with mock.patch.object(codes, "_CHUNK", 3):
         zeros, rows = searched(problem, r)
     assert zeros == brute_max_candidate_zeros(problem, r)
     check_witness(problem, r, zeros, rows)
