@@ -35,12 +35,13 @@ from itertools import product
 from pathlib import Path
 
 from .codes import DEFAULT_BUDGET, evaluate_space, next_to_minimal, weight_distribution
+from .codes import enumeration_size
 from .errors import BudgetExceededError
 from .families import (
     HypersimplexSpec,
     cartesian_points,
-    toric_code,
     toric_min_distance_formula,
+    toric_space,
     torus_points,
 )
 from .field import PrimeField
@@ -334,7 +335,6 @@ def cmd_rghw(args):
                 problem,
                 r,
                 budget=args.budget,
-                threads=args.threads,
                 validate=args.validate,
             )
         except BudgetExceededError as exc:
@@ -438,19 +438,22 @@ def cmd_toric_table(args):
         raise ValueError("s must be positive")
     t0 = time.perf_counter()
     rows = []
-    refused = False
+    points = None  # the torus, built for the first row that is not refused
     for d in range(1, args.s + 1):
-        code = toric_code(HypersimplexSpec(field, args.s, d))
-        row = {"d": d, "n": code.n, "k": code.k}
+        space = toric_space(HypersimplexSpec(field, args.s, d))
+        row = {"d": d, "n": (args.q - 1) ** args.s, "k": space.dim}  # n = |(K*)^s|
         row["min_distance_formula"] = toric_min_distance_formula(args.q, args.s, d)
+        row.update(min_distance=None, next_to_minimal=None, refusal=None)
         try:
+            # Refused from k alone, before the costly evaluation of the code.
+            enumeration_size(args.q, space.dim, args.budget)
+            points = points or torus_points(field, args.s)
             profile = weight_distribution(
-                code, budget=args.budget, threads=args.threads
+                evaluate_space(space, points), budget=args.budget, threads=args.threads
             )
             row["min_distance"] = profile.minimum_distance
             # The second-weight convention is only defined for q >= 3.
             row["next_to_minimal"] = next_to_minimal(profile) if args.q >= 3 else None
-            row["refusal"] = None
             if row["min_distance"] != row["min_distance_formula"]:
                 raise RuntimeError(
                     f"internal inconsistency: enumerated distance"
@@ -458,10 +461,7 @@ def cmd_toric_table(args):
                     f" {row['min_distance_formula']} at d={d}"
                 )
         except BudgetExceededError as exc:
-            row["min_distance"] = None
-            row["next_to_minimal"] = None
             row["refusal"] = str(exc)
-            refused = True
         rows.append(row)
     elapsed = time.perf_counter() - t0
     payload = _report(
@@ -484,7 +484,7 @@ def cmd_toric_table(args):
             )
     lines.append(f"elapsed: {elapsed:.3f}s")
     _emit(args, payload, lines)
-    return 2 if refused else 0
+    return 2 if any(row["refusal"] for row in rows) else 0
 
 
 def positive_int(text):
@@ -530,7 +530,8 @@ def build_parser():
                 "--threads",
                 type=positive_int,
                 default=None,
-                help="worker threads, at least 1 (default: available parallelism)",
+                help="weight enumeration threads, at least 1 (default: the CPUs this"
+                " process may run on); the rghw search runs on one thread",
             )
 
     p = sub.add_parser(

@@ -3,10 +3,10 @@
 An evaluation code is the image of a polynomial space under evaluation at a
 point set.  Generator matrices live over GF(q) as int64 arrays with
 entries in [0, q), which needs (q - 1)^2 < 2^63 (see
-`field.check_int64_products`).  One kernel, `_monic_chunks`, enumerates
-for both the weight distribution and the RGHW search: it scores chunks of
-monic coefficient rows (first nonzero entry 1), optionally on threads.
-Weight enumeration walks only the monic rows but is budgeted as q^k words.
+`field.check_int64_products`).  One kernel enumerates for both the weight
+distribution and the RGHW search: `_monic_spans` walks chunk spans of monic
+coefficient rows (first nonzero entry 1) in odometer order, `_monic_rows`
+builds them.  Weight enumeration walks monic rows, budgeted as q^k words.
 """
 
 import os
@@ -196,43 +196,19 @@ def _monic_rows(q, k, lead, lo, hi):
     return rows
 
 
-def _monic_chunks(q, k, lead, score, threads):
-    """Yield score(rows) for each chunk of the monic rows with this lead.
-
-    Results come in chunk order whatever the thread count (None: one per
-    core).  The first chunk is scored alone, so a caller that stops after
-    it pays for no more; later ones run in batches of one chunk per thread.
-    """
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be at least 1")
-    nthreads = threads or os.cpu_count() or 1
-    total = q ** (k - lead - 1)
-
-    def compute(lo):
-        return score(_monic_rows(q, k, lead, lo, min(lo + _CHUNK, total)))
-
-    yield compute(0)
-    rest = range(_CHUNK, total, _CHUNK)
-    if nthreads == 1 or not rest:
-        yield from map(compute, rest)
-        return
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        for i in range(0, len(rest), nthreads):
-            yield from pool.map(compute, rest[i : i + nthreads])
+def _monic_spans(q, k, leads):
+    """Spans (lead, lo, hi) of at most _CHUNK monic rows for each lead, in
+    odometer order; only the last span of a lead may be short."""
+    for lead in leads:
+        total = q ** (k - lead - 1)
+        for lo in range(0, total, _CHUNK):
+            yield lead, lo, min(lo + _CHUNK, total)
 
 
-def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
-    """Exact weight distribution over all q^k coefficient vectors.
-
-    Each nonzero vector is a nonzero multiple of exactly one monic vector,
-    of the same weight, so the monic histogram times q - 1 plus the zero
-    vector counts each vector once, also for rank deficient matrices.
-    Sums do not depend on the thread count.  Raises ValueError when
-    k * (q - 1)^2 >= 2^63, or when a budget of at least q^k >= 2^63 is given.
-    """
-    q = code.field.q
-    k = code.k
-    n = code.n
+def enumeration_size(q, k, budget):
+    """q^k, after the checks of a weight distribution in their order:
+    ValueError when k * (q - 1)^2 >= 2^63, BudgetExceededError when q^k
+    exceeds the budget, then ValueError when q^k >= 2^63."""
     check_int64_products(q, max(k, 1), what="codeword enumeration")
     total = q**k
     if total > budget:
@@ -242,18 +218,42 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
             f"codeword enumeration indexes q^k codewords in int64 and needs"
             f" q^k < 2^63; {q}^{k} is too large"
         )
-    if threads is not None and threads < 1:  # checked here too for k = 0
+    return total
+
+
+def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
+    """Exact weight distribution over all q^k coefficient vectors.
+
+    Each nonzero vector is a nonzero multiple of exactly one monic vector,
+    of the same weight, so the monic histogram times q - 1 plus the zero
+    vector counts each vector once, also for rank deficient matrices.  The
+    monic chunks are mapped over one pool of `threads` workers (None: the
+    CPUs this process may run on), or walked on the calling thread when
+    threads == 1 or when all (q^k - 1)/(q - 1) monic rows fit in one chunk.
+    Sums do not depend on the thread count.  Raises as `enumeration_size`.
+    """
+    q = code.field.q
+    k = code.k
+    n = code.n
+    total = enumeration_size(q, k, budget)
+    if threads is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+    elif threads < 1:
         raise ValueError("threads must be at least 1")
     g = code.matrix.rows
 
-    def chunk_hist(rows):
-        weights = np.count_nonzero((rows @ g) % q, axis=1)
+    def chunk_hist(span):
+        weights = np.count_nonzero((_monic_rows(q, k, *span) @ g) % q, axis=1)
         return np.bincount(weights, minlength=n + 1)
 
+    spans = _monic_spans(q, k, range(k))
     hist = np.zeros(n + 1, dtype=np.int64)
-    for lead in range(k):
-        for chunk in _monic_chunks(q, k, lead, chunk_hist, threads):
-            hist += chunk
+    if threads == 1 or (total - 1) // (q - 1) <= _CHUNK:
+        hist = sum(map(chunk_hist, spans), hist)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            hist = sum(pool.map(chunk_hist, spans), hist)
     hist *= q - 1
     hist[0] += 1
     distribution = {w: int(c) for w, c in enumerate(hist) if c}

@@ -210,16 +210,19 @@ class HypersimplexSpec:
         self.d = d
 
 
+def toric_space(spec, order=GREVLEX):
+    """Span of the squarefree monomials of degree exactly d on the torus."""
+    monos = _squarefree_monomials(spec.s, [spec.d])
+    return _torus_space(spec.field, spec.s, monos, order)
+
+
 def toric_code(spec, order=GREVLEX):
     """Evaluation of squarefree monomials of degree exactly d on the torus.
 
     Dimension is binom(s, d) for q >= 3; for q = 2 the code collapses to
     the [1, 1] repetition code.
     """
-    space = _torus_space(
-        spec.field, spec.s, _squarefree_monomials(spec.s, [spec.d]), order
-    )
-    return evaluate_space(space, torus_points(spec.field, spec.s))
+    return evaluate_space(toric_space(spec, order), torus_points(spec.field, spec.s))
 
 
 def toric_problem(field, s, d1, degrees2=None, order=GREVLEX):

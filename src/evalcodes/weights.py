@@ -23,7 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, _monic_chunks, evaluate_space, standardize
+from .codes import DEFAULT_BUDGET, evaluate_space, standardize
+from .codes import _monic_rows, _monic_spans  # the enumeration kernel
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from .groebner import degree_with_F, footprint, normal_form, vanishing_ideal
@@ -158,7 +159,7 @@ class RghwProblem:
         )
 
 
-def _search_max_zeros(problem, r, budget, threads):
+def _search_max_zeros(problem, r, budget):
     """Largest |V_X(F)| over admissible candidate sets, with a witness.
 
     Returns (max zeros, list of coefficient rows).  A branch and bound over
@@ -175,11 +176,10 @@ def _search_max_zeros(problem, r, budget, threads):
     - a group stops being scored once the maximum reaches its bound, since
       nothing left in it can exceed that.
 
-    Each group is walked by the enumeration kernel `codes._monic_chunks`,
-    whose first chunk is scored alone and later ones in batches of one
-    chunk per thread.  The budget is charged per chunk actually scored, and
-    chunks are consumed and charged in chunk order, so the value, the
-    witness and any refusal do not depend on the thread count.
+    Each group is walked on the calling thread, chunk by chunk over the
+    spans of the enumeration kernel `codes._monic_spans`, in odometer order.
+    Each chunk is charged to the budget before it is scored, so the search
+    refuses before it builds the chunk that would pass the budget.
     """
     q = problem.q
     k1 = problem.k1
@@ -209,25 +209,8 @@ def _search_max_zeros(problem, r, budget, threads):
             ordered[js] = sorted(bounds, reverse=True)
         return ordered[js]
 
-    def scored_chunks(lead, alive, proj):
-        nonlocal counter
-        e_alive = e_matrix[:, alive]
-
-        def score(rows):
-            res = (rows @ proj) % q
-            ok = res.any(axis=1)
-            vals = (rows @ e_alive) % q
-            zeros = (vals == 0).sum(axis=1)
-            return rows, res, ok, vals, zeros
-
-        for result in _monic_chunks(q, k1, lead, score, threads):
-            counter += result[0].shape[0]
-            if counter > budget:
-                raise BudgetExceededError(counter, budget, "candidate enumeration")
-            yield result
-
     def extend(js, alive, red, pivots, chosen):
-        nonlocal best_zeros, best_rows
+        nonlocal counter, best_zeros, best_rows
         proj = None
         for bound, j in groups(js):
             if bound <= best_zeros:
@@ -235,7 +218,16 @@ def _search_max_zeros(problem, r, budget, threads):
             if proj is None:
                 # Reduction modulo span(L2, chosen) is linear: one matrix.
                 proj = reduce_rows(np.eye(k1, dtype=np.int64), red, pivots, q)
-            for rows, res, ok, vals, zeros in scored_chunks(realized[j], alive, proj):
+                e_alive = e_matrix[:, alive]
+            for lead, lo, hi in _monic_spans(q, k1, [realized[j]]):
+                counter += hi - lo
+                if counter > budget:
+                    raise BudgetExceededError(counter, budget, "candidate enumeration")
+                rows = _monic_rows(q, k1, lead, lo, hi)
+                res = (rows @ proj) % q
+                ok = res.any(axis=1)
+                vals = (rows @ e_alive) % q
+                zeros = (vals == 0).sum(axis=1)
                 if len(js) == r - 1:
                     scored = np.where(ok, zeros, -1)
                     i = int(np.argmax(scored))
@@ -273,10 +265,13 @@ def rghw_degree(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False)
     zeros counted by direct evaluation.  With validate=True the maximizing
     candidate set is recomputed through the Groebner basis degree route and
     the definition oracle is replayed when it fits the budget; any
-    disagreement raises instead of being silently resolved.
+    disagreement raises instead of being silently resolved.  The search
+    runs on the calling thread; `threads` must be None or at least 1.
     """
     problem._check_r(r)
-    best_zeros, best_rows = _search_max_zeros(problem, r, budget, threads)
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
+    best_zeros, best_rows = _search_max_zeros(problem, r, budget)
     if best_zeros < 0:
         raise RuntimeError("no admissible candidate set found")
     value = problem.num_points - best_zeros

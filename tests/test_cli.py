@@ -1,9 +1,16 @@
 import json
+import math
 import random
 
 import pytest
 
-from evalcodes import Polynomial, PrimeField, cli, format_polynomial
+from evalcodes import (
+    BudgetExceededError,
+    Polynomial,
+    PrimeField,
+    cli,
+    format_polynomial,
+)
 from evalcodes.cli import (
     fixture_names,
     load_problem,
@@ -314,6 +321,23 @@ class TestToricTableCommand:
         code, _, err = run(capsys, "toric-table", "4", "2")
         assert code == 1
         assert "prime" in err
+
+    def test_budget_refuses_rows_before_building_codes(self, capsys, monkeypatch):
+        # 3^k > 1 for every row, so every row is refused from its dimension
+        # alone, before any polynomial is evaluated at the 1024 torus points.
+        def no_evaluation(*args):
+            raise AssertionError("a refused row's code was evaluated")
+
+        monkeypatch.setattr(Polynomial, "evaluate", no_evaluation)
+        code, out, _ = run(capsys, "toric-table", "3", "10", "--budget", "1", "--json")
+        assert code == 2
+        rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == [1024] * 10
+        assert [row["k"] for row in rows] == [math.comb(10, d) for d in range(1, 11)]
+        for row in rows:
+            refusal = BudgetExceededError(3 ** row["k"], 1, "codeword enumeration")
+            assert row["refusal"] == str(refusal)
+            assert row["min_distance"] is None and row["next_to_minimal"] is None
 
 
 class TestArgumentHandling:

@@ -283,21 +283,74 @@ class TestWeightDistribution:
 
 class TestMonicKernel:
     def test_chunks_come_in_odometer_order(self):
-        # The search's witness and budget charges follow the chunk order,
-        # which must not depend on the thread count.
+        # The search's witness and budget charges follow the span order.
         for q, k in ((2, 5), (3, 4), (5, 3)):
-            for lead in range(k):
-                expected = [
-                    [0] * lead + [1] + list(free)
-                    for free in product(range(q), repeat=k - lead - 1)
-                ]
-                with mock.patch.object(codes, "_CHUNK", 3):
-                    for threads in (1, 2, 3):
-                        chunks = list(
-                            codes._monic_chunks(q, k, lead, np.ndarray.tolist, threads)
-                        )
-                        assert all(len(c) == 3 for c in chunks[:-1])
-                        assert [row for c in chunks for row in c] == expected
+            expected = [
+                [0] * lead + [1] + list(free)
+                for lead in range(k)
+                for free in product(range(q), repeat=k - lead - 1)
+            ]
+            with mock.patch.object(codes, "_CHUNK", 3):
+                spans = list(codes._monic_spans(q, k, range(k)))
+                for lead in range(k):
+                    group = [span for span in spans if span[0] == lead]
+                    assert list(codes._monic_spans(q, k, [lead])) == group
+                    sizes = [hi - lo for _, lo, hi in group]
+                    assert all(size == 3 for size in sizes[:-1])
+                    assert 1 <= sizes[-1] <= 3
+            walked = [row for span in spans for row in codes._monic_rows(q, k, *span)]
+            assert [row.tolist() for row in walked] == expected
+
+
+class TestThreadPolicy:
+    # The weight distribution maps its chunks over at most one pool per
+    # call; a walk that fits in one chunk, or one thread, makes none.
+    ROWS = [[1, 2, 0, 1, 1], [0, 1, 1, 2, 0], [2, 2, 1, 0, 1]]  # 13 monic rows
+
+    def no_pool(self):
+        error = AssertionError("a thread pool was made")
+        return mock.patch.object(codes, "ThreadPoolExecutor", side_effect=error)
+
+    def counted_pools(self):
+        real = codes.ThreadPoolExecutor
+        return mock.patch.object(codes, "ThreadPoolExecutor", wraps=real)
+
+    def test_one_pool_per_call(self):
+        expected = brute_codeword_weights(self.ROWS, 3)
+        for chunk, threads in product((3, 12), (2, 3)):
+            chunk_size = mock.patch.object(codes, "_CHUNK", chunk)
+            with chunk_size, self.counted_pools() as pool:
+                profile = _profile_from_rows(self.ROWS, 3, threads)
+            assert profile.distribution == expected
+            assert pool.call_count == 1
+
+    def test_no_pool_at_one_thread_or_for_one_chunk(self):
+        expected = brute_codeword_weights(self.ROWS, 3)
+        with self.no_pool():
+            with mock.patch.object(codes, "_CHUNK", 3):
+                assert _profile_from_rows(self.ROWS, 3, 1).distribution == expected
+            with mock.patch.object(codes, "_CHUNK", 13):
+                for threads in (2, 3, None):
+                    profile = _profile_from_rows(self.ROWS, 3, threads)
+                    assert profile.distribution == expected
+
+    def test_default_follows_cpu_affinity(self):
+        # One allowed CPU means one worker, whatever os.cpu_count() says;
+        # without sched_getaffinity the default falls back to os.cpu_count().
+        expected = brute_codeword_weights(self.ROWS, 3)
+        affinity = mock.patch.object(
+            codes.os, "sched_getaffinity", return_value={0}, create=True
+        )
+        no_affinity = mock.patch.object(codes.os, "sched_getaffinity", None, create=True)
+        with mock.patch.object(codes, "_CHUNK", 3), self.no_pool():
+            with affinity, mock.patch.object(codes.os, "cpu_count", return_value=8):
+                assert _profile_from_rows(self.ROWS, 3).distribution == expected
+            with no_affinity, mock.patch.object(codes.os, "cpu_count", return_value=1):
+                assert _profile_from_rows(self.ROWS, 3).distribution == expected
+        with mock.patch.object(codes, "_CHUNK", 3), self.counted_pools() as pool:
+            with no_affinity, mock.patch.object(codes.os, "cpu_count", return_value=2):
+                assert _profile_from_rows(self.ROWS, 3).distribution == expected
+        assert pool.call_count == 1
 
 
 def _profile_from_rows(rows, q, threads=None):

@@ -5,7 +5,10 @@ points of X are listed in another order, when another monomial order is
 used for the Groebner basis and the echelon bases, or when L1 is given by
 another generating set of the same space.  The last one sends arbitrary
 generators through `echelonize`, whose reduced echelon basis is unique, so
-the standardized basis of L1 must come out the same as well.
+the standardized basis of L1 must come out the same as well.  An affine
+change of coordinates x -> a*x + b (every a_i nonzero) applied to X, with
+every generator f replaced by f(a^-1 (t - b)), gives the same codes, so it
+may not change M_r either.
 """
 
 from itertools import product
@@ -126,3 +129,42 @@ def test_invariant_under_change_of_basis_of_l1(case, data):
     moved = RghwProblem(PointSet(field, points), mixed, gens2)
     assert moved.space1.basis == problem.space1.basis
     assert weights_of(moved) == weights_of(problem)
+
+
+def substitute(f, lines):
+    """f(l_1, ..., l_s) for polynomials l_i in the same variables."""
+    out = Polynomial.zero(f.field, f.nvars)
+    for mono, c in f.terms.items():
+        term = Polynomial.constant(f.field, f.nvars, c)
+        for line, e in zip(lines, mono):
+            for _ in range(e):
+                term = term * line
+        out = out + term
+    return out
+
+
+@SETTINGS
+@given(problems(), st.data())
+def test_invariant_under_affine_change_of_coordinates(case, data):
+    field, points, gens1, gens2, problem = case
+    q, s = field.q, len(points[0])
+    a = [data.draw(st.integers(1, q - 1)) for _ in range(s)]
+    b = [data.draw(st.integers(0, q - 1)) for _ in range(s)]
+    moved_points = [
+        [(ai * x + bi) % q for ai, x, bi in zip(a, p, b)] for p in points
+    ]
+    # t_i -> a_i^-1 (t_i - b_i), so the moved generator takes at a*x + b the
+    # value the original takes at x.
+    lines = []
+    for i in range(s):
+        inv = pow(a[i], q - 2, q)
+        unit = tuple(int(j == i) for j in range(s))
+        lines.append(Polynomial(field, s, {unit: inv, (0,) * s: -inv * b[i]}))
+    moved = RghwProblem(
+        PointSet(field, moved_points),
+        [substitute(f, lines) for f in gens1],
+        [substitute(f, lines) for f in gens2],
+    )
+    assert (moved.k1, moved.k2) == (problem.k1, problem.k2)
+    for r in range(1, min(2, problem.k1 - problem.k2) + 1):
+        assert rghw_degree(moved, r) == rghw_degree(problem, r)

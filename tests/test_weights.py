@@ -320,6 +320,14 @@ class TestRghwDegree:
         for threads in (2, 3, 5):
             assert rghw_degree(problem, 1, threads=threads) == base
 
+    def test_thread_count_below_one_refused(self):
+        # The search runs on one thread, but threads < 1 is still an error.
+        problem = five_point_problem()
+        for threads in (0, -2):
+            for search in (rghw_degree, ghw):
+                with pytest.raises(ValueError, match="threads must be at least 1"):
+                    search(problem, 1, threads=threads)
+
     def test_budget_refusal(self):
         problem = five_point_problem()
         with pytest.raises(BudgetExceededError) as info:
