@@ -35,7 +35,7 @@ from itertools import product
 from pathlib import Path
 
 from .codes import DEFAULT_BUDGET, evaluate_space, next_to_minimal, weight_distribution
-from .codes import enumeration_size
+from .codes import enumeration_size, standardize
 from .errors import BudgetExceededError
 from .families import (
     HypersimplexSpec,
@@ -45,8 +45,8 @@ from .families import (
     torus_points,
 )
 from .field import PrimeField
-from .groebner import PointSet, footprint, initial_ideal, normal_form, vanishing_ideal
-from .poly import Polynomial, echelonize, format_polynomial, order_by_name
+from .groebner import PointSet, footprint, initial_ideal, vanishing_ideal
+from .poly import Polynomial, format_polynomial, order_by_name
 from .weights import RghwProblem, relative_footprint, rghw_degree
 
 _FACTOR_VAR = re.compile(r"t(\d+)(?:\^(\d+))?\Z")
@@ -385,15 +385,7 @@ def cmd_weights(args):
     resolved = resolve_problem(data, args.order)
     t0 = time.perf_counter()
     gb = vanishing_ideal(resolved.points, resolved.order)
-    # One elimination over the normal forms of the generators: the normal
-    # form is linear, so this is the standardized basis of their span.
-    space = echelonize(
-        [normal_form(f, gb) for f in resolved.space1],
-        resolved.order,
-        field=resolved.field,
-        nvars=resolved.s,
-    )
-    code = evaluate_space(space, resolved.points)
+    code = evaluate_space(standardize(resolved.space1, gb), resolved.points)
     refusal = None
     weights = None
     try:

@@ -118,16 +118,18 @@ def evaluate_space(space, points):
 
 
 def standardize(space, gb):
-    """Replace each basis element by its normal form, then echelonize.
+    """The span of the normal forms of the generators, echelonized in gb.order.
 
-    The evaluation image on the basis point set is unchanged, and the result
-    consists of standard monomial combinations only, so evaluation becomes
-    injective on it.
+    `space` is a PolySpace or a list of polynomials.  Normal forms are
+    linear and the reduced echelon basis of a span is unique, so one
+    elimination gives the standardized basis whatever generators span the
+    space and whatever order a PolySpace was echelonized in.  The evaluation
+    image on the basis point set is unchanged, and the result consists of
+    standard monomial combinations only, so evaluation becomes injective on
+    it.  Its leads are leads in gb.order, as the footprint bound needs.
     """
-    reduced = [normal_form(b, gb) for b in space.basis]
-    return echelonize(
-        reduced, space.order, field=space.field, nvars=space.nvars
-    )
+    reduced = [normal_form(f, gb) for f in getattr(space, "basis", space)]
+    return echelonize(reduced, gb.order, field=gb.field, nvars=gb.nvars)
 
 
 def support(rows):

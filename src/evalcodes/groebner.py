@@ -5,7 +5,9 @@ Vanishing ideals of finite point sets are built directly by the linear
 algebra method: standard monomials are collected in increasing order while
 candidate monomials whose evaluation vectors become dependent turn into
 generators.  The footprint (set of standard monomials) then carries all
-degree information: deg(S/I) equals its cardinality.
+degree information: deg(S/I) equals its cardinality, and, being a basis of
+S/I, it turns deg S/(I + (F)) into |footprint| minus one rank over GF(q)
+(`degree_with_F`).  No general Groebner basis algorithm is needed.
 """
 
 import heapq
@@ -19,17 +21,8 @@ from .errors import (
     NotZeroDimensionalError,
     ZeroPolynomialError,
 )
-from .field import check_int64_products
-from .poly import (
-    GREVLEX,
-    Polynomial,
-    divide,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-    total_degree,
-)
+from .field import check_int64_products, rank_mod
+from .poly import GREVLEX, Polynomial, divide, monomial_divides, total_degree
 
 
 class PointSet:
@@ -118,90 +111,6 @@ class Footprint:
     def count_upto(self, d):
         """Number of standard monomials of total degree at most d."""
         return sum(1 for m in self.monomials if total_degree(m) <= d)
-
-
-def buchberger(gens, order):
-    """Reduced Groebner basis from arbitrary generators.
-
-    Classical pair processing in increasing lcm order, skipping pairs with
-    coprime leads, followed by full inter-reduction.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ZeroPolynomialError("no nonzero generators given")
-    field = gens[0].field
-    nvars = gens[0].nvars
-    for g in gens:
-        gens[0]._check(g)
-    basis = [g.monic(order) for g in gens]
-    pairheap = []
-    counter = 0
-
-    def push_pairs(upto):
-        nonlocal counter
-        j = upto
-        lm_j = basis[j].lead_monomial(order)
-        for i in range(j):
-            lm_i = basis[i].lead_monomial(order)
-            lcm = monomial_lcm(lm_i, lm_j)
-            if lcm == monomial_mul(lm_i, lm_j):
-                continue
-            heapq.heappush(
-                pairheap, (total_degree(lcm), order.key(lcm), counter, i, j)
-            )
-            counter += 1
-
-    for j in range(1, len(basis)):
-        push_pairs(j)
-    while pairheap:
-        _, _, _, i, j = heapq.heappop(pairheap)
-        fi, fj = basis[i], basis[j]
-        lm_i = fi.lead_monomial(order)
-        lm_j = fj.lead_monomial(order)
-        lcm = monomial_lcm(lm_i, lm_j)
-        s = fi.term_mul(monomial_div(lcm, lm_i)) - fj.term_mul(
-            monomial_div(lcm, lm_j)
-        )
-        if s.is_zero():
-            continue
-        _, r = divide(s, basis, order)
-        if not r.is_zero():
-            basis.append(r.monic(order))
-            push_pairs(len(basis) - 1)
-    return GroebnerBasis(field, nvars, order, _interreduce(basis, order), points=None)
-
-
-def _interreduce(basis, order):
-    """Minimalize and tail-reduce a Groebner basis into reduced form."""
-    leads = [g.lead_monomial(order) for g in basis]
-    minimal = []
-    for i, m in enumerate(leads):
-        strictly_divided = any(
-            monomial_divides(leads[j], m) and leads[j] != m
-            for j in range(len(basis))
-            if j != i
-        )
-        duplicate = any(leads[j] == m for j in range(i))
-        if not strictly_divided and not duplicate:
-            minimal.append(basis[i])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            if not others:
-                continue
-            _, r = divide(minimal[i], others, order)
-            if r.is_zero():
-                minimal.pop(i)
-                changed = True
-                break
-            r = r.monic(order)
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
-    minimal.sort(key=lambda g: order.key(g.lead_monomial(order)))
-    return minimal
 
 
 def vanishing_ideal(points, order=GREVLEX):
@@ -384,7 +293,8 @@ def emptiness_criteria(F, points, order=GREVLEX):
     colon_trivial: the colon ideal (I(X) : (F)) equals I(X), computed as the
     vanishing ideal of the points where some member of F survives.
     variety_empty: direct point count.
-    ideal_is_unit: the reduced basis of I(X) + (F) is {1}.
+    ideal_is_unit: I(X) + (F) is the whole ring, that is, the degree of
+    S/(I(X) + (F)) from `degree_with_F` is 0.
     """
     _check_F(F)
     hits = set(map(tuple, variety_in_X(F, points)))
@@ -395,26 +305,39 @@ def emptiness_criteria(F, points, order=GREVLEX):
         colon_trivial = colon.generators == gb.generators
     else:
         colon_trivial = False
-    joined = buchberger(gb.generators + [f for f in F if not f.is_zero()], order)
-    one = Polynomial.constant(points.field, points.nvars, 1)
-    ideal_is_unit = joined.generators == [one]
+    ideal_is_unit = degree_with_F(gb, F)[0] == 0
     return EmptinessCriteria(colon_trivial, len(hits) == 0, ideal_is_unit)
 
 
 def degree_with_F(gb, F):
     """Degrees of S/(I + (F)) and of S modulo the initial monomials.
 
-    Returns (deg(S/(I,F)), deg(S/(in I, in F))).  The first equals the
-    number of common zeros inside X; when that count is zero the basis
-    computation is skipped and 0 is returned directly.  The second is the
-    footprint count after adjoining the lead monomials of F, an upper bound
-    for the first.
+    Returns (deg(S/(I,F)), deg(S/(in I, in F))).  The footprint Delta of I
+    is a basis of S/I, so the normal forms of u*f for u in Delta and f in F
+    span the image of (F) in S/I, and the first degree is |Delta| minus the
+    rank of their coordinate rows over Delta.  For I = I(X) it equals the
+    number of common zeros of F inside X; the points are never consulted.
+    The second is the footprint count after adjoining the lead monomials of
+    F, an upper bound for the first.  gb must be zero dimensional
+    (NotZeroDimensionalError otherwise), F must share its field and variable
+    count (FieldMismatchError, DimensionMismatchError), and the rank is
+    subject to the int64 limit of `rank_mod`.
     """
     _check_F(F)
     nonzero = [f for f in F if not f.is_zero()]
+    images = {}
+    for u in footprint(gb):
+        if not any(u):
+            images[u] = [normal_form(f, gb) for f in nonzero]
+            continue
+        # Delta is an order ideal walked in increasing order, so u / t_i is
+        # done for the first t_i dividing u, and NF(t_i NF(f u / t_i)) = NF(f u).
+        i = next(i for i, e in enumerate(u) if e)
+        step = tuple(int(j == i) for j in range(gb.nvars))
+        parent = tuple(e - d for e, d in zip(u, step))
+        images[u] = [normal_form(g.term_mul(step), gb) for g in images[parent]]
+    rows = [[g.coeff(v) for v in images] for gs in images.values() for g in gs]
+    exact = len(images) - (rank_mod(rows, gb.field.q) if rows else 0)
     in_leads = gb.leads() + [f.lead_monomial(gb.order) for f in nonzero]
     fp_bound = len(monomial_footprint(in_leads, gb.nvars, gb.order))
-    if gb.points is not None and not variety_in_X(F, gb.points):
-        return 0, fp_bound
-    joined = buchberger(gb.generators + nonzero, gb.order)
-    return degree_zero_dim(joined), fp_bound
+    return exact, fp_bound

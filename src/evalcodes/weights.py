@@ -27,8 +27,8 @@ from .codes import DEFAULT_BUDGET, evaluate_space, standardize
 from .codes import _monic_rows, _monic_spans  # the enumeration kernel
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
-from .groebner import degree_with_F, footprint, normal_form, vanishing_ideal
-from .poly import GREVLEX, Polynomial, PolySpace, echelonize, monomial_divides
+from .groebner import degree_with_F, footprint, vanishing_ideal
+from .poly import GREVLEX, Polynomial, monomial_divides
 
 
 def gaussian_binomial(n, k, q):
@@ -45,8 +45,9 @@ def gaussian_binomial(n, k, q):
 class RghwProblem:
     """A point set with two nested polynomial spaces, ready for the search.
 
-    Both spaces are standardized against the vanishing ideal of X, so they
-    consist of standard monomial combinations and evaluate injectively.
+    Both spaces (PolySpaces or lists of generators) are standardized against
+    the vanishing ideal of X and echelonized in its order, so they consist
+    of standard monomial combinations and evaluate injectively.
     L2 must be strictly contained in L1; an absent L2 means the zero space.
     Raises ValueError when k1 * (q - 1)^2 >= 2^63, the limit of the int64
     products that score candidates.
@@ -56,20 +57,9 @@ class RghwProblem:
         self.points = points
         self.order = order
         field = points.field
-        s = points.nvars
         self.gb = gb if gb is not None else vanishing_ideal(points, order)
-
-        def standard_space(sp):
-            if isinstance(sp, PolySpace):
-                return standardize(sp, self.gb)
-            # Normal forms are linear and the reduced echelon basis of a span
-            # is unique, so one elimination over the normal forms of the raw
-            # generators gives the standardized basis.
-            polys = [normal_form(f, self.gb) for f in sp or []]
-            return echelonize(polys, order, field=field, nvars=s)
-
-        self.space1 = standard_space(space1)
-        self.space2 = standard_space(space2)
+        self.space1 = standardize(space1, self.gb)
+        self.space2 = standardize(space2 or [], self.gb)
         if self.space1.dim == 0:
             raise ValueError("L1 reduces to the zero space on X")
         coords = []
@@ -262,9 +252,10 @@ def rghw_degree(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False)
     """The r-th relative generalized Hamming weight M_r(C1, C2).
 
     Computed as deg(S/I(X)) minus the largest candidate zero count, with
-    zeros counted by direct evaluation.  With validate=True the maximizing
-    candidate set is recomputed through the Groebner basis degree route and
-    the definition oracle is replayed when it fits the budget; any
+    zeros counted by direct evaluation.  With validate=True the zero count
+    of the maximizing candidate set is recomputed as deg S/(I(X) + (F)) by
+    `degree_with_F`, a rank over the footprint that never evaluates at the
+    points, and the definition oracle is replayed when it fits the budget; any
     disagreement raises instead of being silently resolved.  The search
     runs on the calling thread; `threads` must be None or at least 1.
     """

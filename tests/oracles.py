@@ -2,11 +2,23 @@
 
 Everything here is deliberately plain Python following the most direct
 definition available, trading speed for obviousness, so that the fast
-numpy code paths can be checked against it on small inputs.
+numpy code paths can be checked against it on small inputs.  `buchberger`
+is the reference route for deg S/(I + (F)), which the library computes as a
+rank over the footprint.
 """
 
+import heapq
 from collections import namedtuple
 from itertools import combinations, product
+
+from evalcodes import GroebnerBasis, ZeroPolynomialError, divide
+from evalcodes.poly import (
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+    total_degree,
+)
 
 
 def pp_rref(rows, q):
@@ -239,3 +251,87 @@ def brute_relative_footprint(problem, r):
         for subset in combinations(lead_set_difference(problem), r)
     )
     return len(footprint(gb)) - survivors
+
+
+def buchberger(gens, order):
+    """Reduced Groebner basis from arbitrary generators.
+
+    Classical pair processing in increasing lcm order, skipping pairs with
+    coprime leads, followed by full inter-reduction.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise ZeroPolynomialError("no nonzero generators given")
+    field = gens[0].field
+    nvars = gens[0].nvars
+    for g in gens:
+        gens[0]._check(g)
+    basis = [g.monic(order) for g in gens]
+    pairheap = []
+    counter = 0
+
+    def push_pairs(upto):
+        nonlocal counter
+        j = upto
+        lm_j = basis[j].lead_monomial(order)
+        for i in range(j):
+            lm_i = basis[i].lead_monomial(order)
+            lcm = monomial_lcm(lm_i, lm_j)
+            if lcm == monomial_mul(lm_i, lm_j):
+                continue
+            heapq.heappush(
+                pairheap, (total_degree(lcm), order.key(lcm), counter, i, j)
+            )
+            counter += 1
+
+    for j in range(1, len(basis)):
+        push_pairs(j)
+    while pairheap:
+        _, _, _, i, j = heapq.heappop(pairheap)
+        fi, fj = basis[i], basis[j]
+        lm_i = fi.lead_monomial(order)
+        lm_j = fj.lead_monomial(order)
+        lcm = monomial_lcm(lm_i, lm_j)
+        s = fi.term_mul(monomial_div(lcm, lm_i)) - fj.term_mul(
+            monomial_div(lcm, lm_j)
+        )
+        if s.is_zero():
+            continue
+        _, r = divide(s, basis, order)
+        if not r.is_zero():
+            basis.append(r.monic(order))
+            push_pairs(len(basis) - 1)
+    return GroebnerBasis(field, nvars, order, _interreduce(basis, order), points=None)
+
+
+def _interreduce(basis, order):
+    """Minimalize and tail-reduce a Groebner basis into reduced form."""
+    leads = [g.lead_monomial(order) for g in basis]
+    minimal = []
+    for i, m in enumerate(leads):
+        strictly_divided = any(
+            monomial_divides(leads[j], m) and leads[j] != m
+            for j in range(len(basis))
+            if j != i
+        )
+        duplicate = any(leads[j] == m for j in range(i))
+        if not strictly_divided and not duplicate:
+            minimal.append(basis[i])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(minimal)):
+            others = minimal[:i] + minimal[i + 1 :]
+            if not others:
+                continue
+            _, r = divide(minimal[i], others, order)
+            if r.is_zero():
+                minimal.pop(i)
+                changed = True
+                break
+            r = r.monic(order)
+            if r != minimal[i]:
+                minimal[i] = r
+                changed = True
+    minimal.sort(key=lambda g: order.key(g.lead_monomial(order)))
+    return minimal

@@ -2,17 +2,22 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evalcodes import (
     GREVLEX,
+    GRLEX,
     LEX,
+    DimensionMismatchError,
+    FieldMismatchError,
+    GroebnerBasis,
     NotZeroDimensionalError,
     PointSet,
     Polynomial,
     PrimeField,
     ZeroPolynomialError,
     box_degree,
-    buchberger,
     degree_with_F,
     degree_zero_dim,
     divide,
@@ -29,7 +34,7 @@ from evalcodes import (
 )
 from evalcodes.poly import monomial_lcm, monomial_div
 
-from oracles import brute_variety_count
+from oracles import brute_variety_count, buchberger
 
 SEED = 20260823
 F3 = PrimeField(3)
@@ -355,6 +360,58 @@ class TestDegreeWithF:
             assert deg == count
             assert deg <= bound <= len(pts)
 
+    def test_malformed_F_refused_on_every_path(self):
+        # The constant has no common zero in X; its field is refused anyway.
+        gb = vanishing_ideal(PointSet(F3, FIVE_POINTS), GREVLEX)
+        with pytest.raises(FieldMismatchError):
+            degree_with_F(gb, [Polynomial.constant(F5, 2, 1)])
+        with pytest.raises(DimensionMismatchError):
+            degree_with_F(gb, [Polynomial.monomial(F3, (1, 0, 0))])
+        # t1^2 - t1 alone is a Groebner basis of a positive dimensional ideal.
+        lines = GroebnerBasis(F3, 2, GREVLEX, [parse(F3, 2, {(2, 0): 1, (1, 0): -1})])
+        with pytest.raises(NotZeroDimensionalError):
+            degree_with_F(lines, [Polynomial.monomial(F3, (0, 1))])
+
+
+@st.composite
+def ideals_with_F(draw):
+    """(points, basis of I(X), F) with 1 <= |F| <= 3, q <= 7 and s <= 3."""
+    field = PrimeField(draw(st.sampled_from((2, 3, 5, 7))))
+    s = draw(st.integers(1, 3))
+    grid = list(product(range(field.q), repeat=s))
+    points = draw(
+        st.lists(st.sampled_from(grid), min_size=1, max_size=8, unique=True)
+    )
+    pts = PointSet(field, points)
+    gb = vanishing_ideal(pts, draw(st.sampled_from((LEX, GRLEX, GREVLEX))))
+    monos = list(product(range(3), repeat=s))
+    terms = st.dictionaries(
+        st.sampled_from(monos), st.integers(1, field.q - 1), min_size=1, max_size=3
+    )
+    F = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = Polynomial(field, s, draw(terms))
+        if draw(st.booleans()):  # a member of I(X)
+            f = f * draw(st.sampled_from(gb.generators))
+        F.append(f)
+    return pts, gb, F
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(ideals_with_F())
+def test_degree_with_F_matches_point_count_and_buchberger(case):
+    pts, gb, F = case
+    exact, bound = degree_with_F(gb, F)
+    assert exact == brute_variety_count(pts.points, F)
+    assert exact == degree_zero_dim(buchberger(gb.generators + F, gb.order))
+    assert exact <= bound <= len(pts)
+
 
 class TestInt64Limit:
     def test_exact_just_below_the_limit(self):
@@ -369,6 +426,22 @@ class TestInt64Limit:
         assert len(footprint(gb)) == 6
         for g in gb.generators:
             assert all(int(g.evaluate(p)) == 0 for p in pts)
+
+    def test_degree_with_F_just_below_the_limit(self):
+        # The rank route adds no limit of its own: a line through two of six
+        # random points meets them in exactly those two.
+        field = PrimeField(3037000493)
+        rng = random.Random(SEED)
+        pts = PointSet(
+            field, [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(6)]
+        )
+        (x0, y0), (x1, y1) = pts.points[:2]
+        line = parse(
+            field, 2, {(1, 0): y1 - y0, (0, 1): x0 - x1, (0, 0): x1 * y0 - x0 * y1}
+        )
+        count = brute_variety_count(pts.points, [line])
+        assert count >= 2
+        assert degree_with_F(vanishing_ideal(pts), [line])[0] == count
 
     def test_refused_above_the_limit(self):
         # 3037000507 is the next prime; over GF(4294967311) the int64

@@ -2,13 +2,16 @@
 
 M_r(C1, C2) depends only on the code pair, so it may not change when the
 points of X are listed in another order, when another monomial order is
-used for the Groebner basis and the echelon bases, or when L1 is given by
+used for the Groebner basis and the echelon bases (also when L1 and L2
+arrive as spaces echelonized in another order), or when L1 is given by
 another generating set of the same space.  The last one sends arbitrary
 generators through `echelonize`, whose reduced echelon basis is unique, so
 the standardized basis of L1 must come out the same as well.  An affine
 change of coordinates x -> a*x + b (every a_i nonzero) applied to X, with
 every generator f replaced by f(a^-1 (t - b)), gives the same codes, so it
-may not change M_r either.
+may not change M_r either.  Independently of all of these, the search, the
+definition oracle and the Groebner degree must agree on every drawn problem
+for r <= 2.
 """
 
 from itertools import product
@@ -24,6 +27,7 @@ from evalcodes import (
     Polynomial,
     PrimeField,
     RghwProblem,
+    echelonize,
     rghw_degree,
 )
 
@@ -86,6 +90,16 @@ def weights_of(problem):
 
 
 @SETTINGS
+@given(problems())
+def test_search_agrees_with_oracle_and_groebner_degree(case):
+    # validate=True raises unless the Groebner degree of the witness equals
+    # its zero count and the definition oracle gives the same M_r.
+    problem = case[-1]
+    for r in range(1, min(2, problem.k1 - problem.k2) + 1):
+        rghw_degree(problem, r, validate=True)
+
+
+@SETTINGS
 @given(problems(), st.data())
 def test_invariant_under_permuting_points(case, data):
     field, points, gens1, gens2, problem = case
@@ -99,9 +113,19 @@ def test_invariant_under_permuting_points(case, data):
 def test_invariant_under_monomial_order(case):
     field, points, gens1, gens2, problem = case
     want = weights_of(problem)
-    for order in (LEX, GRLEX, GREVLEX):
+    orders = (LEX, GRLEX, GREVLEX)
+    for order in orders:
         moved = RghwProblem(PointSet(field, points), gens1, gens2, order)
         assert weights_of(moved) == want
+        # Spaces echelonized in another order are standardized in this one.
+        for other in orders:
+            if other is not order:
+                l1, l2 = (
+                    echelonize(gens, other, field=field, nvars=len(points[0]))
+                    for gens in (gens1, gens2)
+                )
+                moved = RghwProblem(PointSet(field, points), l1, l2, order)
+                assert weights_of(moved) == want
 
 
 @SETTINGS

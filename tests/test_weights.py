@@ -260,6 +260,22 @@ class TestRghwDegree:
             assert rghw_degree(problem, 1) == 1
             assert rghw_degree(problem, 2) == 2
 
+    def test_space_echelonized_in_another_order(self):
+        # Regression: a PolySpace echelonized in lex kept its lex leads in a
+        # grevlex problem, so the footprint bound pruned the wrong groups
+        # and M_1 came out 3.  The same generators as a list gave 2.
+        points = PointSet(F5, [(1, 3), (3, 4), (2, 2), (3, 1), (0, 0), (0, 2)])
+        l1 = [
+            Polynomial(F5, 2, {(0, 2): -1}),
+            Polynomial(F5, 2, {(1, 0): -2, (0, 1): 2}),
+            Polynomial(F5, 2, {(2, 1): 1}),
+        ]
+        problem = RghwProblem(points, echelonize(l1, LEX), None, GREVLEX)
+        code1, _ = problem.codes()
+        assert rghw_definition_oracle(code1, None, 1) == 2
+        assert rghw_degree(problem, 1) == 2
+        assert problem.space1 == RghwProblem(points, l1, None, GREVLEX).space1
+
     def test_distinct_lead_selection_alone_is_not_sound(self):
         # Regression: with X, L1, L2 below, restricting the search to
         # subsets with distinct leads outside the lead set of L2 would
