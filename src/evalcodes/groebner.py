@@ -1,12 +1,14 @@
 """Groebner bases, vanishing ideals and footprint degree computations.
 
 The central objects are reduced Groebner bases of zero dimensional ideals.
-Vanishing ideals of finite point sets are built directly by the linear
-algebra method: standard monomials are collected in increasing order while
-candidate monomials whose evaluation vectors become dependent turn into
-generators.  The footprint (set of standard monomials) then carries all
-degree information: deg(S/I) equals its cardinality, and, being a basis of
-S/I, it turns deg S/(I + (F)) into |footprint| minus one rank over GF(q)
+Vanishing ideals of finite point sets are built directly by the
+Buchberger-Moeller linear algebra method: standard monomials are collected
+in increasing order while candidate monomials whose evaluation vectors
+become dependent turn into generators, read off the coefficient tag that
+each evaluation row carries through the elimination.  The footprint (set
+of standard monomials) then carries all degree information: deg(S/I)
+equals its cardinality, and, being a basis of S/I, it turns
+deg S/(I + (F)) into |footprint| minus one rank over GF(q)
 (`degree_with_F`).  No general Groebner basis algorithm is needed.
 """
 
@@ -64,15 +66,18 @@ class PointSet:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis, generators sorted by increasing lead."""
+    """A reduced Groebner basis, generators sorted by increasing lead.
 
-    def __init__(self, field, nvars, order, generators, points=None):
+    standard_monomials is the footprint in increasing order when the
+    builder already knows it, else None.
+    """
+
+    def __init__(self, field, nvars, order, generators, standard_monomials=None):
         self.field = field
         self.nvars = nvars
         self.order = order
         self.generators = list(generators)
-        self.points = points
-        self.standard_monomials = None
+        self.standard_monomials = standard_monomials
 
     def leads(self):
         return [g.lead_monomial(self.order) for g in self.generators]
@@ -120,9 +125,13 @@ def vanishing_ideal(points, order=GREVLEX):
     vector lies in the span of the standard vectors found so far yields a
     generator, anything else becomes standard.  Evaluation vectors of border
     monomials are obtained from their parent by coordinatewise products.
-    The footprint has exactly |X| elements and is cached on the result.
-    Raises ValueError when (q - 1)^2 >= 2^63, where the int64 elimination
-    would wrap.
+    Each vector is tagged with its combination of monomials (Moeller and
+    Buchberger): the row holds the m evaluations, then the coefficients on
+    the standard monomials, then a 1 for the monomial itself.  Eliminating
+    the tagged row against the stored rows reduces both at once, so when
+    the evaluations vanish the tag is the generator.  The footprint has
+    exactly |X| elements and is kept on the result.  Raises ValueError when
+    (q - 1)^2 >= 2^63, where the int64 elimination would wrap.
     """
     field = points.field
     q = field.q
@@ -130,58 +139,48 @@ def vanishing_ideal(points, order=GREVLEX):
     s = points.nvars
     coords = np.array(points.points, dtype=np.int64)
 
+    m = len(points)
     standard = []
-    rref = []
+    rows = []
     generators = []
     lead_set = []
 
     seen = set()
     start = (0,) * s
-    heap = [(order.key(start), start, np.ones(len(points), dtype=np.int64))]
+    heap = [(order.key(start), start, np.ones(m, dtype=np.int64))]
     seen.add(start)
     while heap:
         _, mono, vec = heapq.heappop(heap)
         if any(monomial_divides(lead, mono) for lead in lead_set):
             continue
-        raw = vec
-        vec = vec.copy()
-        combo = {}
-        for pivot, row, coeffs in rref:
-            c = int(vec[pivot])
+        res = np.zeros(2 * m + 1, dtype=np.int64)
+        res[:m] = vec
+        res[m + len(standard)] = 1
+        for pivot, row in rows:
+            c = int(res[pivot])
             if c:
-                vec = (vec - c * row) % q
-                for idx, cc in coeffs.items():
-                    combo[idx] = (combo.get(idx, 0) + c * cc) % q
-        nonzero = np.nonzero(vec)[0]
+                res = (res - c * row) % q
+        nonzero = np.nonzero(res[:m])[0]
         if nonzero.size == 0:
+            tag = res[m : m + len(standard)]
             terms = {mono: 1}
-            for idx, cc in combo.items():
-                if cc:
-                    prev = terms.get(standard[idx], 0)
-                    terms[standard[idx]] = (prev - cc) % q
+            for idx in np.nonzero(tag)[0]:
+                terms[standard[idx]] = int(tag[idx])
             generators.append(Polynomial(field, s, terms))
             lead_set.append(mono)
         else:
             pivot = int(nonzero[0])
-            inv = field.inv(int(vec[pivot]))
-            row = (vec * inv) % q
-            coeffs = {len(standard): inv}
-            for idx, cc in combo.items():
-                if cc:
-                    coeffs[idx] = (-inv * cc) % q
-            rref.append((pivot, row, coeffs))
+            rows.append((pivot, (res * field.inv(int(res[pivot]))) % q))
             standard.append(mono)
             for i in range(s):
                 nxt = tuple(e + (1 if j == i else 0) for j, e in enumerate(mono))
                 if nxt not in seen:
                     seen.add(nxt)
                     heapq.heappush(
-                        heap, (order.key(nxt), nxt, (raw * coords[:, i]) % q)
+                        heap, (order.key(nxt), nxt, (vec * coords[:, i]) % q)
                     )
     generators.sort(key=lambda g: order.key(g.lead_monomial(order)))
-    gb = GroebnerBasis(field, s, order, generators, points=points)
-    gb.standard_monomials = tuple(standard)
-    return gb
+    return GroebnerBasis(field, s, order, generators, tuple(standard))
 
 
 def normal_form(f, gb):

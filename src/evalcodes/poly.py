@@ -330,19 +330,8 @@ class PolySpace:
     def leads(self):
         return [b.lead_monomial(self.order) for b in self.basis]
 
-    def reduce(self, f):
-        """Residue of f after eliminating every basis lead."""
-        r = f
-        for b in self.basis:
-            if r.is_zero():
-                break
-            c = r.coeff(b.lead_monomial(self.order))
-            if c:
-                r = r - b.scale(c)
-        return r
-
     def contains(self, f):
-        return self.reduce(f).is_zero()
+        return self.coordinates(f) is not None
 
     def coordinates(self, f):
         """Coefficients of f on the basis, or None when f is outside."""

@@ -301,7 +301,7 @@ def buchberger(gens, order):
         if not r.is_zero():
             basis.append(r.monic(order))
             push_pairs(len(basis) - 1)
-    return GroebnerBasis(field, nvars, order, _interreduce(basis, order), points=None)
+    return GroebnerBasis(field, nvars, order, _interreduce(basis, order))
 
 
 def _interreduce(basis, order):

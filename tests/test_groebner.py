@@ -32,7 +32,7 @@ from evalcodes import (
     vanishing_ideal,
     variety_in_X,
 )
-from evalcodes.poly import monomial_lcm, monomial_div
+from evalcodes.poly import monomial_div, monomial_divides, monomial_lcm
 
 from oracles import brute_variety_count, buchberger
 
@@ -187,6 +187,43 @@ class TestVanishingIdeal:
         direct = buchberger(gens, GREVLEX)
         pts = PointSet(F3, [(a, b) for a in (0, 1) for b in (0, 1, 2)])
         assert vanishing_ideal(pts, GREVLEX).generators == direct.generators
+
+
+@st.composite
+def point_sets(draw):
+    """X with q in {2, 3, 5, 7, 31}, s <= 3 and |X| <= 40."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 31)))
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(40, q**s)))
+    ranks = draw(st.randoms(use_true_random=False)).sample(range(q**s), m)
+    return PointSet(PrimeField(q), [[r // q**i % q for i in range(s)] for r in ranks])
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(pts=point_sets())
+def test_vanishing_ideal_is_the_reduced_basis(order, pts):
+    # Monic generators of I(X), a Groebner basis, no tail term in in(I):
+    # together the unique reduced basis, whose footprint has |X| elements.
+    gb = vanishing_ideal(pts, order)
+    leads = gb.leads()
+    for g in gb.generators:
+        assert g.lead_coeff(order) == 1
+        assert all(int(g.evaluate(p)) == 0 for p in pts)
+        lead = g.lead_monomial(order)
+        for mono in g.terms:
+            if mono != lead:
+                assert not any(monomial_divides(m, mono) for m in leads)
+    assert is_groebner(gb.generators, order)
+    fp = monomial_footprint(leads, pts.nvars, order)
+    assert len(fp) == len(pts)
+    assert gb.standard_monomials == fp.monomials
 
 
 class TestNormalForm:
