@@ -99,17 +99,18 @@ class EvaluationCode:
 def evaluate_space(space, points):
     """Evaluate a polynomial space at a point set.
 
-    The space must evaluate injectively; otherwise the caller should
-    standardize it against the vanishing ideal first.
+    The generator matrix has one row per basis polynomial, its values at
+    the points from `PointSet.evaluate`.  The space must evaluate
+    injectively; otherwise the caller should standardize it against the
+    vanishing ideal first.
     """
     if space.field != points.field:
         raise FieldMismatchError("space and points over different fields")
     if space.nvars != points.nvars:
         raise DimensionMismatchError("space and points in different arities")
-    rows = [
-        [int(b.evaluate(p)) for p in points] for b in space.basis
-    ]
-    matrix = GeneratorMatrix(points.field, rows, n=len(points))
+    matrix = GeneratorMatrix(
+        points.field, points.evaluate(space.basis), n=len(points)
+    )
     if matrix.rank < space.dim:
         raise NonInjectiveEvaluationError(
             "evaluation is not injective on the space; standardize it first"

@@ -1,8 +1,8 @@
 """Prime field arithmetic.
 
-Elements of GF(q) are stored as canonical residues in [0, q).  Arithmetic
-wraps plain integer arithmetic mod q; inverses use Fermat's little theorem.
-Only prime q is supported.
+Elements of GF(q) are plain int residues in [0, q), with no element type:
+arithmetic is integer arithmetic mod q, and `PrimeField` holds q and the
+inverse (Fermat's little theorem).  Only prime q is supported.
 
 The numpy code paths hold residues in int64 and form sums of products of two
 residues, so they need terms * (q - 1)^2 < 2^63 for the number of products
@@ -14,7 +14,7 @@ eliminate through it and `reduce_rows`.
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FieldMismatchError
+from .errors import DimensionMismatchError
 
 
 def check_int64_products(q, terms=1, what="int64 arithmetic"):
@@ -107,113 +107,9 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.q})"
 
-    def __call__(self, value):
-        """Canonical element for any integer value."""
-        return FieldElement(self, value % self.q)
-
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, 1)
-
-    def elements(self):
-        """All field elements in residue order."""
-        return [FieldElement(self, v) for v in range(self.q)]
-
-    def nonzero_elements(self):
-        """The multiplicative group, in residue order 1, 2, ..., q-1."""
-        return [FieldElement(self, v) for v in range(1, self.q)]
-
     def inv(self, value):
         """Inverse of an integer residue, as an integer in [1, q)."""
         v = value % self.q
         if v == 0:
             raise ZeroDivisionError("0 has no inverse")
         return pow(v, self.q - 2, self.q)
-
-
-class FieldElement:
-    """An element of a PrimeField, stored as a residue in [0, q)."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value % field.q
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"elements of {self.field} and {other.field} cannot mix"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * self.field.inv(v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, v * self.field.inv(self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, -self.value)
-
-    def inv(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.q, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value}"

@@ -10,6 +10,8 @@ of standard monomials) then carries all degree information: deg(S/I)
 equals its cardinality, and, being a basis of S/I, it turns
 deg S/(I + (F)) into |footprint| minus one rank over GF(q)
 (`degree_with_F`).  No general Groebner basis algorithm is needed.
+`PointSet.evaluate` is the one evaluation of given polynomials at points;
+evaluation codes and `variety_in_X` both go through it.
 """
 
 import heapq
@@ -20,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FieldMismatchError,
     NotZeroDimensionalError,
     ZeroPolynomialError,
 )
@@ -54,6 +57,34 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
+    def evaluate(self, polys):
+        """Values of the polynomials at the points: a len(polys) x |X| array.
+
+        Entries are int64 residues in [0, q), row i holding polys[i] at the
+        points in order.  Each monomial's value vector is built once, by
+        square-and-multiply on the coordinate columns, so every product is
+        of two residues: fields with (q - 1)^2 >= 2^63 are refused with
+        ValueError.  A polynomial over another field raises
+        FieldMismatchError, one in another number of variables
+        DimensionMismatchError.
+        """
+        q = self.field.q
+        check_int64_products(q, what="polynomial evaluation")
+        for f in polys:
+            if f.field != self.field:
+                raise FieldMismatchError("polynomial and points over different fields")
+            if f.nvars != self.nvars:
+                raise DimensionMismatchError("polynomial and points of different arity")
+        columns = np.array(self.points, dtype=np.int64).T
+        monomials = {}
+        values = np.zeros((len(polys), len(self.points)), dtype=np.int64)
+        for row, f in zip(values, polys):
+            for mono, c in f.terms.items():
+                if mono not in monomials:
+                    monomials[mono] = _monomial_values(columns, mono, q)
+                row[:] = (row + c * monomials[mono] % q) % q
+        return values
+
     def __eq__(self, other):
         return (
             isinstance(other, PointSet)
@@ -63,6 +94,19 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet(q={self.field.q}, m={len(self.points)}, s={self.nvars})"
+
+
+def _monomial_values(columns, mono, q):
+    """t^mono at every point, by square-and-multiply on each column."""
+    vec = np.ones(columns.shape[1], dtype=np.int64)
+    for base, e in zip(columns, mono):
+        while e:
+            if e & 1:
+                vec = vec * base % q
+            e >>= 1
+            if e:
+                base = base * base % q
+    return vec
 
 
 class GroebnerBasis:
@@ -270,15 +314,15 @@ def _check_F(F):
 
 
 def variety_in_X(F, points):
-    """Points of X where every polynomial of F vanishes.
+    """Points of X where every polynomial of F vanishes, in the order of X.
 
+    The values come from `PointSet.evaluate`, so F must share the field and
+    variable count of the points (FieldMismatchError,
+    DimensionMismatchError) and fields with (q - 1)^2 >= 2^63 are refused.
     An empty F imposes no condition, so the result is all of X.
     """
-    hits = []
-    for p in points:
-        if all(int(f.evaluate(p)) == 0 for f in F):
-            hits.append(p)
-    return hits
+    vanishes = ~points.evaluate(F).any(axis=0)
+    return [p for p, hit in zip(points, vanishes) if hit]
 
 
 EmptinessCriteria = namedtuple(
@@ -316,8 +360,8 @@ def degree_with_F(gb, F):
     span the image of (F) in S/I, and the first degree is |Delta| minus the
     rank of their coordinate rows over Delta.  For I = I(X) it equals the
     number of common zeros of F inside X; the points are never consulted.
-    The second is the footprint count after adjoining the lead monomials of
-    F, an upper bound for the first.  gb must be zero dimensional
+    The second, an upper bound for the first, counts the u in Delta that no
+    lead monomial of F divides.  gb must be zero dimensional
     (NotZeroDimensionalError otherwise), F must share its field and variable
     count (FieldMismatchError, DimensionMismatchError), and the rank is
     subject to the int64 limit of `rank_mod`.
@@ -337,6 +381,8 @@ def degree_with_F(gb, F):
         images[u] = [normal_form(g.term_mul(step), gb) for g in images[parent]]
     rows = [[g.coeff(v) for v in images] for gs in images.values() for g in gs]
     exact = len(images) - (rank_mod(rows, gb.field.q) if rows else 0)
-    in_leads = gb.leads() + [f.lead_monomial(gb.order) for f in nonzero]
-    fp_bound = len(monomial_footprint(in_leads, gb.nvars, gb.order))
+    in_F = [f.lead_monomial(gb.order) for f in nonzero]
+    fp_bound = sum(
+        1 for u in images if not any(monomial_divides(m, u) for m in in_F)
+    )
     return exact, fp_bound

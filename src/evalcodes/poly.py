@@ -8,7 +8,7 @@ decreasing lead monomials.
 """
 
 from .errors import DimensionMismatchError, FieldMismatchError, ZeroPolynomialError
-from .field import FieldElement, rref_mod
+from .field import rref_mod
 
 
 def total_degree(m):
@@ -29,10 +29,6 @@ def monomial_div(a, b):
     if not monomial_divides(b, a):
         raise ValueError(f"{b} does not divide {a}")
     return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 class MonomialOrder:
@@ -177,8 +173,6 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        if isinstance(other, FieldElement):
-            return self.scale(other.value)
         self._check(other)
         out = {}
         q = self.field.q
@@ -205,23 +199,6 @@ class Polynomial:
     def monic(self, order):
         inv = self.field.inv(self.lead_coeff(order))
         return self.scale(inv)
-
-    def evaluate(self, point):
-        """Value at a point given as a tuple of integers or field elements."""
-        if len(point) != self.nvars:
-            raise DimensionMismatchError(
-                f"point of length {len(point)} for {self.nvars} variables"
-            )
-        q = self.field.q
-        coords = [int(x) % q for x in point]
-        acc = 0
-        for mono, c in self.terms.items():
-            v = c
-            for x, e in zip(coords, mono):
-                if e:
-                    v = (v * pow(x, e, q)) % q
-            acc = (acc + v) % q
-        return FieldElement(self.field, acc)
 
     def __eq__(self, other):
         return (

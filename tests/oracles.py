@@ -4,7 +4,8 @@ Everything here is deliberately plain Python following the most direct
 definition available, trading speed for obviousness, so that the fast
 numpy code paths can be checked against it on small inputs.  `buchberger`
 is the reference route for deg S/(I + (F)), which the library computes as a
-rank over the footprint.
+rank over the footprint, and `evaluate_at` the point-by-point reference for
+`PointSet.evaluate`.
 """
 
 import heapq
@@ -12,13 +13,11 @@ from collections import namedtuple
 from itertools import combinations, product
 
 from evalcodes import GroebnerBasis, ZeroPolynomialError, divide
-from evalcodes.poly import (
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-    total_degree,
-)
+from evalcodes.poly import monomial_div, monomial_divides, monomial_mul, total_degree
+
+
+def monomial_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def pp_rref(rows, q):
@@ -149,11 +148,25 @@ def brute_min_support_subcode(rows1, rows2, q, r):
     return best
 
 
+def evaluate_at(f, point):
+    """Value of f at one point, term by term with Python integers."""
+    q = f.field.q
+    coords = [x % q for x in point]
+    acc = 0
+    for mono, c in f.terms.items():
+        v = c
+        for x, e in zip(coords, mono):
+            if e:
+                v = (v * pow(x, e, q)) % q
+        acc = (acc + v) % q
+    return acc
+
+
 def brute_variety_count(points, polys):
     """Number of common zeros among the points, by direct evaluation."""
     count = 0
     for point in points:
-        if all(int(f.evaluate(point)) == 0 for f in polys):
+        if all(evaluate_at(f, point) == 0 for f in polys):
             count += 1
     return count
 

@@ -6,6 +6,7 @@ import pytest
 
 from evalcodes import (
     BudgetExceededError,
+    PointSet,
     Polynomial,
     PrimeField,
     cli,
@@ -328,7 +329,7 @@ class TestToricTableCommand:
         def no_evaluation(*args):
             raise AssertionError("a refused row's code was evaluated")
 
-        monkeypatch.setattr(Polynomial, "evaluate", no_evaluation)
+        monkeypatch.setattr(PointSet, "evaluate", no_evaluation)
         code, out, _ = run(capsys, "toric-table", "3", "10", "--budget", "1", "--json")
         assert code == 2
         rows = json.loads(out)["rows"]

@@ -35,6 +35,7 @@ from oracles import (
     brute_max_zero_count,
     brute_support_union,
     brute_weight_distribution,
+    evaluate_at,
     pp_rank,
     pp_rref,
 )
@@ -156,10 +157,8 @@ class TestStandardize:
                 polys.append(Polynomial(F3, 2, terms))
             space = echelonize(polys, GREVLEX, field=F3, nvars=2)
             out = standardize(space, gb)
-            rows_before = [
-                [int(b.evaluate(p)) for p in pts] for b in space.basis
-            ]
-            rows_after = [[int(b.evaluate(p)) for p in pts] for b in out.basis]
+            rows_before = [[evaluate_at(b, p) for p in pts] for b in space.basis]
+            rows_after = [[evaluate_at(b, p) for p in pts] for b in out.basis]
             if not rows_before and not rows_after:
                 continue
             stacked = rows_before + rows_after

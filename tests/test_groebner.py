@@ -1,8 +1,9 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from evalcodes import (
@@ -32,9 +33,9 @@ from evalcodes import (
     vanishing_ideal,
     variety_in_X,
 )
-from evalcodes.poly import monomial_div, monomial_divides, monomial_lcm
+from evalcodes.poly import monomial_div, monomial_divides
 
-from oracles import brute_variety_count, buchberger
+from oracles import brute_variety_count, buchberger, evaluate_at, monomial_lcm
 
 SEED = 20260823
 F3 = PrimeField(3)
@@ -94,6 +95,55 @@ class TestPointSet:
             PointSet(F3, [])
         with pytest.raises(ValueError):
             PointSet(F3, [[0, 0], [1]])
+
+
+@st.composite
+def evaluations(draw):
+    """(X, polys): q in {2, 3, 5, 7, 31, 3037000493} and s <= 3.
+
+    Exponents are small, at least q - 1 (where t^e wraps around the
+    multiplicative group) or 10^12.  The polynomials draw their terms from
+    one small pool of monomials, so monomials repeat across them; zero
+    coefficients give zero polynomials.
+    """
+    q = draw(st.sampled_from((2, 3, 5, 7, 31, 3037000493)))
+    s = draw(st.integers(1, 3))
+    points = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, q - 1)] * s),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        )
+    )
+    exponents = st.integers(0, 3) | st.integers(q - 1, q + 1) | st.just(10**12)
+    monos = draw(st.lists(st.tuples(*[exponents] * s), min_size=1, max_size=5))
+    terms = st.dictionaries(
+        st.sampled_from(monos), st.integers(0, q - 1), min_size=1, max_size=4
+    )
+    field = PrimeField(q)
+    polys = [
+        Polynomial(field, s, t) for t in draw(st.lists(terms, min_size=1, max_size=4))
+    ]
+    return PointSet(field, points), polys
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@example((PointSet(F3, [(0, 1), (2, 2)]), []))
+@given(evaluations())
+def test_evaluate_matches_pointwise_oracle(case):
+    pts, polys = case
+    values = pts.evaluate(polys)
+    assert values.dtype == np.int64
+    assert values.shape == (len(polys), len(pts))
+    for row, f in zip(values.tolist(), polys):
+        assert row == [evaluate_at(f, p) for p in pts]
 
 
 class TestBuchberger:
@@ -173,7 +223,7 @@ class TestVanishingIdeal:
                     gb = vanishing_ideal(pts, GREVLEX)
                     for g in gb.generators:
                         for p in pts:
-                            assert int(g.evaluate(p)) == 0
+                            assert evaluate_at(g, p) == 0
                     assert degree_zero_dim(gb) == len(pts)
                     assert is_groebner(gb.generators, GREVLEX)
 
@@ -215,7 +265,7 @@ def test_vanishing_ideal_is_the_reduced_basis(order, pts):
     leads = gb.leads()
     for g in gb.generators:
         assert g.lead_coeff(order) == 1
-        assert all(int(g.evaluate(p)) == 0 for p in pts)
+        assert all(evaluate_at(g, p) == 0 for p in pts)
         lead = g.lead_monomial(order)
         for mono in g.terms:
             if mono != lead:
@@ -253,7 +303,7 @@ class TestNormalForm:
             nf = normal_form(f, gb)
             assert normal_form(nf, gb) == nf
             for p in pts:
-                assert int(f.evaluate(p)) == int(nf.evaluate(p))
+                assert evaluate_at(f, p) == evaluate_at(nf, p)
 
 
 class TestFootprint:
@@ -332,6 +382,14 @@ class TestVarietyAndEmptiness:
         assert variety_in_X([], pts) == pts.points
         f = parse(F3, 2, {(1, 0): 1, (0, 1): 1})
         assert variety_in_X([f], pts) == [(1, 2), (2, 1)]
+
+    def test_variety_refuses_mismatched_F(self):
+        # Read mod 3, t1 + t2 + 2 over GF(5) would be t1 + t2 - 1, with zeros in X.
+        pts = torus_points(F3, 2)
+        with pytest.raises(FieldMismatchError):
+            variety_in_X([parse(F5, 2, {(1, 0): 1, (0, 1): 1, (0, 0): 2})], pts)
+        with pytest.raises(DimensionMismatchError):
+            variety_in_X([Polynomial.monomial(F3, (1, 0, 0))], pts)
 
     def test_emptiness_examples(self):
         pts = torus_points(F3, 2)
@@ -448,6 +506,8 @@ def test_degree_with_F_matches_point_count_and_buchberger(case):
     assert exact == brute_variety_count(pts.points, F)
     assert exact == degree_zero_dim(buchberger(gb.generators + F, gb.order))
     assert exact <= bound <= len(pts)
+    in_F = [f.lead_monomial(gb.order) for f in F if not f.is_zero()]
+    assert bound == len(monomial_footprint(gb.leads() + in_F, gb.nvars, gb.order))
 
 
 class TestInt64Limit:
@@ -462,7 +522,7 @@ class TestInt64Limit:
         gb = vanishing_ideal(pts)
         assert len(footprint(gb)) == 6
         for g in gb.generators:
-            assert all(int(g.evaluate(p)) == 0 for p in pts)
+            assert all(evaluate_at(g, p) == 0 for p in pts)
 
     def test_degree_with_F_just_below_the_limit(self):
         # The rank route adds no limit of its own: a line through two of six
@@ -488,3 +548,8 @@ class TestInt64Limit:
             pts = PointSet(PrimeField(q), [(1, 2), (3, 4)])
             with pytest.raises(ValueError, match=r"2\^63"):
                 vanishing_ideal(pts)
+            with pytest.raises(ValueError, match=r"2\^63"):
+                pts.evaluate([])
+            line = Polynomial(pts.field, 2, {(1, 0): 1, (0, 1): 1})
+            with pytest.raises(ValueError, match=r"2\^63"):
+                variety_in_X([line], pts)

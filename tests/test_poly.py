@@ -7,6 +7,7 @@ from evalcodes import (
     GREVLEX,
     GRLEX,
     LEX,
+    PointSet,
     Polynomial,
     PrimeField,
     ZeroPolynomialError,
@@ -18,12 +19,11 @@ from evalcodes import (
 from evalcodes.poly import (
     PolySpace,
     monomial_divides,
-    monomial_lcm,
     monomial_mul,
     total_degree,
 )
 
-from oracles import pp_rref
+from oracles import monomial_lcm, pp_rref
 
 SEED = 20260823
 F3 = PrimeField(3)
@@ -107,11 +107,13 @@ def test_lead_of_zero_rejected():
 
 def test_evaluate_examples():
     f = Polynomial(F3, 2, {(2, 0): 1, (1, 0): -1})
-    assert int(f.evaluate((2, 0))) == 2
-    one = Polynomial.constant(F5, 2, 1)
-    assert int(one.evaluate((4, 3))) == 1
     g = Polynomial(F3, 2, {(1, 2): 1, (1, 1): -1})
-    assert int(g.evaluate((1, 1))) == 0
+    assert PointSet(F3, [(2, 0), (1, 1)]).evaluate([f, g]).tolist() == [
+        [2, 0],
+        [0, 0],
+    ]
+    one = Polynomial.constant(F5, 2, 1)
+    assert PointSet(F5, [(4, 3)]).evaluate([one]).tolist() == [[1]]
 
 
 def test_arithmetic_identities_random():
@@ -125,10 +127,9 @@ def test_arithmetic_identities_random():
             assert f - f == Polynomial.zero(field, 2)
             assert f * g == g * f
             assert (f * g) * h == f * (g * h)
-            point = tuple(rng.randrange(field.q) for _ in range(2))
-            assert int((f * g).evaluate(point)) == (
-                int(f.evaluate(point)) * int(g.evaluate(point))
-            ) % field.q
+            point = PointSet(field, [tuple(rng.randrange(field.q) for _ in range(2))])
+            fg, f_value, g_value = point.evaluate([f * g, f, g])[:, 0].tolist()
+            assert fg == f_value * g_value % field.q
 
 
 def test_format_and_degree():
