@@ -3,10 +3,14 @@
 An evaluation code is the image of a polynomial space under evaluation at a
 point set.  Generator matrices live over GF(q) as int64 arrays with
 entries in [0, q), which needs (q - 1)^2 < 2^63 (see
-`field.check_int64_products`).  One kernel enumerates for both the weight
-distribution and the RGHW search: `_monic_spans` walks chunk spans of monic
-coefficient rows (first nonzero entry 1) in odometer order, `_monic_rows`
-builds them.  Weight enumeration walks monic rows, budgeted as q^k words.
+`field.check_int64_products`).  One table kernel counts zeros for both the
+weight distribution and the RGHW search.  A monic coefficient row (first
+nonzero entry 1) splits after its lead into a high prefix h and l low
+digits with q^l <= _CHUNK.  Its word is a_h + B_i mod q, where a_h comes
+from the lead and the prefix, and the table of low-digit words B, a
+`_ZeroTable`, is shared by every lead.  The word is zero exactly where
+B_i == -a_h mod q, so a zero count is n byte compares.  Weight
+enumeration walks monic rows, budgeted as q^k words.
 """
 
 import os
@@ -25,8 +29,12 @@ from .groebner import normal_form
 from .poly import echelonize
 
 DEFAULT_BUDGET = 10**7
-# Rows per enumeration chunk, for weight enumeration and the RGHW search.
+# Most words per table comparison, for weight enumeration and the RGHW
+# search: q^l <= _CHUNK for the l low digits of the table kernel.
 _CHUNK = 1 << 13
+# Words per batch of prefixes whose targets are computed at once, and per
+# broadcast of the weight distribution.
+_BATCH = 1 << 15
 
 
 class GeneratorMatrix:
@@ -182,30 +190,105 @@ class WeightProfile:
         return f"WeightProfile(n={self.n}, k={self.k}, {self.distribution})"
 
 
-def _monic_rows(q, k, lead, lo, hi):
-    """Monic coefficient rows lo..hi-1 with the given lead position.
+def _low_digit_count(q, free):
+    """l, the largest number of trailing digits of `free` with q^l <= _CHUNK."""
+    low = 0
+    while low < free and q ** (low + 1) <= _CHUNK:
+        low += 1
+    return low
 
-    Row i has zeros before `lead`, a 1 at `lead` and the base-q digits of
-    lo + i after it, most significant first (odometer order).
-    """
-    free = k - lead - 1
-    rows = np.zeros((hi - lo, k), dtype=np.int64)
-    rows[:, lead] = 1
+
+def _digits(q, width, lo, hi):
+    """Base-q digits of lo..hi-1, `width` per row, most significant first."""
     idx = np.arange(lo, hi, dtype=np.int64)
-    for t in range(free):
-        power = q ** (free - 1 - t)
+    out = np.zeros((hi - lo, width), dtype=np.int64)
+    for t in range(width):
+        power = q ** (width - 1 - t)
         if power < hi:  # otherwise the digit is 0 for every index below hi
-            rows[:, lead + 1 + t] = (idx // power) % q
-    return rows
+            out[:, t] = (idx // power) % q
+    return out
 
 
-def _monic_spans(q, k, leads):
-    """Spans (lead, lo, hi) of at most _CHUNK monic rows for each lead, in
-    odometer order; only the last span of a lead may be short."""
-    for lead in leads:
-        total = q ** (k - lead - 1)
-        for lo in range(0, total, _CHUNK):
-            yield lead, lo, min(lo + _CHUNK, total)
+def _monic_row(q, k, lead, index):
+    """Monic coefficient row number `index` of its lead, in odometer order.
+
+    Zeros before `lead`, a 1 at `lead` and the base-q digits of index
+    after it, most significant first.
+    """
+    row = np.zeros(k, dtype=np.int64)
+    row[lead] = 1
+    row[lead + 1 :] = _digits(q, k - lead - 1, index, index + 1)[0]
+    return row
+
+
+def _count_equal(low, targets):
+    """Entries of each column of `low` equal to `targets`, for an
+    ncols x L table and targets of shape (..., ncols); shape (..., L).
+
+    Byte compares, summed down the columns in the smallest unsigned dtype
+    that holds ncols: row after contiguous row of L bytes, which vectorizes.
+    """
+    equal = low == targets[..., None]
+    width = np.min_scalar_type(low.shape[0])
+    return np.add.reduce(equal.view(np.uint8), axis=-2, dtype=width)
+
+
+class _ZeroTable:
+    """The table kernel over the rows of a k x ncols matrix mod q.
+
+    The monic row number h * q^l + i of a lead has the word a_h + B_i mod q,
+    where a_h = matrix[lead] + (digits of h) @ matrix[lead + 1 : k - l] and
+    B_i, column i of low(l), is the word of low-digit row i.  The word is
+    zero exactly where B_i equals `targets(...)`, which is -a_h mod q.  The
+    table is stored one row per column of the matrix, so compares and sums
+    run along contiguous rows of q^l entries, in the smallest unsigned
+    dtype that holds q - 1.
+    """
+
+    def __init__(self, matrix, q):
+        self.matrix = matrix
+        self.q = q
+        self.dtype = np.min_scalar_type(q - 1)
+        self._table = np.zeros((matrix.shape[1], 1), dtype=self.dtype)
+        self._depth = 0
+
+    def low(self, depth):
+        """The ncols x q^depth table whose column i is (digits of i) @ the
+        last `depth` rows of the matrix, mod q.  Grown one more significant
+        digit at a time, with int64 additions narrowed afterwards, and only
+        as deep as asked; a shallower table is a leading slice of the
+        columns of a deeper one."""
+        q = self.q
+        k, ncols = self.matrix.shape
+        while self._depth < depth:
+            row = self.matrix[k - 1 - self._depth]
+            multiples = np.outer(row, np.arange(q, dtype=np.int64)) % q
+            grown = (multiples[:, :, None] + self._table[:, None, :]) % q
+            self._table = grown.reshape(ncols, -1).astype(self.dtype)
+            self._depth += 1
+        return self._table[:, : q**depth]
+
+    def targets(self, lead, depth, lo, hi):
+        """-a_h mod q for the prefixes lo..hi-1 of the lead, one row each."""
+        high = self.matrix[lead + 1 : self.matrix.shape[0] - depth]
+        words = self.matrix[lead] + _digits(self.q, len(high), lo, hi) @ high
+        return ((-words) % self.q).astype(self.dtype)
+
+    def batches(self, lead):
+        """(depth, lo, hi) for the prefixes of the lead, in order, in batches
+        of about _BATCH words; depth is the lead's number of low digits."""
+        free = self.matrix.shape[0] - lead - 1
+        depth = _low_digit_count(self.q, free)
+        prefixes = self.q ** (free - depth)
+        step = max(1, _BATCH // self.q**depth)
+        for lo in range(0, prefixes, step):
+            yield depth, lo, min(lo + step, prefixes)
+
+    def prefix_targets(self, lead, columns=slice(None)):
+        """Yield the targets of the prefixes h = 0, 1, ... of the lead in
+        order, restricted to `columns`; computed a batch at a time."""
+        for depth, lo, hi in self.batches(lead):
+            yield from self.targets(lead, depth, lo, hi)[:, columns]
 
 
 def enumeration_size(q, k, budget):
@@ -230,10 +313,12 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
     Each nonzero vector is a nonzero multiple of exactly one monic vector,
     of the same weight, so the monic histogram times q - 1 plus the zero
     vector counts each vector once, also for rank deficient matrices.  The
-    monic chunks are mapped over one pool of `threads` workers (None: the
-    CPUs this process may run on), or walked on the calling thread when
-    threads == 1 or when all (q^k - 1)/(q - 1) monic rows fit in one chunk.
-    Sums do not depend on the thread count.  Raises as `enumeration_size`.
+    monic rows of each lead are counted by the table kernel in batches of
+    about _BATCH words, several prefixes per broadcast.  The batches are
+    mapped over one pool of `threads` workers (None: the CPUs this process
+    may run on), or walked on the calling thread when threads == 1 or when
+    all (q^k - 1)/(q - 1) monic rows fit in one chunk.  Sums do not depend
+    on the thread count.  Raises as `enumeration_size`.
     """
     q = code.field.q
     k = code.k
@@ -244,20 +329,23 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
         threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     elif threads < 1:
         raise ValueError("threads must be at least 1")
-    g = code.matrix.rows
+    table = _ZeroTable(code.matrix.rows, q)
+    # The deepest table, for lead 0, is built before any worker reads it.
+    table.low(_low_digit_count(q, k - 1))
 
-    def chunk_hist(span):
-        weights = np.count_nonzero((_monic_rows(q, k, *span) @ g) % q, axis=1)
-        return np.bincount(weights, minlength=n + 1)
+    def zeros_hist(batch):
+        lead, depth, lo, hi = batch
+        zeros = _count_equal(table.low(depth), table.targets(lead, depth, lo, hi))
+        return np.bincount(zeros.ravel(), minlength=n + 1)
 
-    spans = _monic_spans(q, k, range(k))
+    batches = ((lead, *batch) for lead in range(k) for batch in table.batches(lead))
     hist = np.zeros(n + 1, dtype=np.int64)
     if threads == 1 or (total - 1) // (q - 1) <= _CHUNK:
-        hist = sum(map(chunk_hist, spans), hist)
+        hist = sum(map(zeros_hist, batches), hist)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            hist = sum(pool.map(chunk_hist, spans), hist)
-    hist *= q - 1
+            hist = sum(pool.map(zeros_hist, batches), hist)
+    hist = hist[::-1] * (q - 1)  # weight n - zeros
     hist[0] += 1
     distribution = {w: int(c) for w, c in enumerate(hist) if c}
     return WeightProfile(n, q, k, distribution)

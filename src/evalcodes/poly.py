@@ -262,25 +262,40 @@ def divide(f, divisors, order):
         if g.is_zero():
             raise ZeroPolynomialError("cannot divide by the zero polynomial")
         f._check(g)
-    leads = [(g.lead_monomial(order), g.lead_coeff(order)) for g in divisors]
-    quots = [Polynomial.zero(f.field, f.nvars) for _ in divisors]
-    rem = Polynomial.zero(f.field, f.nvars)
-    p = f
-    q = f.field.q
-    while not p.is_zero():
-        pm = p.lead_monomial(order)
-        pc = p.terms[pm]
-        for i, (gm, gc) in enumerate(leads):
+    field = f.field
+    q = field.q
+    heads = [
+        (g.lead_monomial(order), field.inv(g.lead_coeff(order)), g.terms)
+        for g in divisors
+    ]
+    # One mutable dividend; its lead strictly decreases, so every quotient
+    # and remainder monomial is written once.
+    p = dict(f.terms)
+    quots = [{} for _ in divisors]
+    rem = {}
+    while p:
+        pm = order.max(p)
+        pc = p[pm]
+        for (gm, ginv, gterms), quot in zip(heads, quots):
             if monomial_divides(gm, pm):
                 t = monomial_div(pm, gm)
-                c = (pc * f.field.inv(gc)) % q
-                quots[i] = quots[i] + Polynomial.monomial(f.field, t, c)
-                p = p - divisors[i].term_mul(t, c)
+                c = (pc * ginv) % q
+                quot[t] = c
+                for m, v in gterms.items():
+                    mt = monomial_mul(m, t)
+                    value = (p.get(mt, 0) - c * v) % q
+                    if value:
+                        p[mt] = value
+                    else:
+                        del p[mt]
                 break
         else:
-            rem = rem + Polynomial.monomial(f.field, pm, pc)
-            p = p - Polynomial.monomial(f.field, pm, pc)
-    return quots, rem
+            rem[pm] = pc
+            del p[pm]
+    return (
+        [Polynomial(field, f.nvars, terms) for terms in quots],
+        Polynomial(field, f.nvars, rem),
+    )
 
 
 class PolySpace:

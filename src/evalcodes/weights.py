@@ -13,18 +13,20 @@ before a lead group is enumerated, and a group of partial sets is bounded by
 the best complete lead tuple through it.  Only leads realized by L1 outside
 L2 are tried, groups are visited best bound first, groups whose bound
 cannot beat the running maximum are skipped, and a group stops being scored
-once the maximum reaches its bound.  Surviving groups are scored chunk by
-chunk in coefficient space over the echelon basis of L1.  A definition
-level oracle enumerating subcodes directly is provided for cross checking;
-it never touches lead monomials or bases.
+once the maximum reaches its bound.  Surviving groups are scored prefix by
+prefix in coefficient space over the echelon basis of L1, by the table
+kernel of `codes`: zero counts and the L2 residue test are byte compares
+against tables of low-digit words, and only the candidates kept are
+rebuilt in full.  A definition level oracle enumerating subcodes directly
+is provided for cross checking; it never touches lead monomials or bases.
 """
 
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
 from .codes import DEFAULT_BUDGET, evaluate_space, standardize
-from .codes import _monic_rows, _monic_spans  # the enumeration kernel
+from .codes import _count_equal, _low_digit_count, _monic_row, _ZeroTable
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from .groebner import degree_with_F, footprint, vanishing_ideal
@@ -166,15 +168,19 @@ def _search_max_zeros(problem, r, budget):
     - a group stops being scored once the maximum reaches its bound, since
       nothing left in it can exceed that.
 
-    Each group is walked on the calling thread, chunk by chunk over the
-    spans of the enumeration kernel `codes._monic_spans`, in odometer order.
-    Each chunk is charged to the budget before it is scored, so the search
-    refuses before it builds the chunk that would pass the budget.
+    Each group is walked on the calling thread with the table kernel
+    `codes._ZeroTable`, one prefix of q^l candidates at a time, in odometer
+    order.  Each prefix is charged to the budget before it is scored, so the
+    search refuses before it scores the prefix that would pass the budget.
+    Reduction modulo span(L2, chosen) is linear, so the admissibility test
+    of a candidate, a nonzero residue, is a byte compare against a table of
+    the residues of the low-digit rows.
     """
     q = problem.q
     k1 = problem.k1
     e_matrix = problem._E
     m = e_matrix.shape[1]
+    words = _ZeroTable(e_matrix, q)
     realized = _realized_positions(problem)
     counter = 0
     best_zeros = -1
@@ -201,29 +207,38 @@ def _search_max_zeros(problem, r, budget):
 
     def extend(js, alive, red, pivots, chosen):
         nonlocal counter, best_zeros, best_rows
-        proj = None
+        residues = None
         for bound, j in groups(js):
             if bound <= best_zeros:
                 break
-            if proj is None:
-                # Reduction modulo span(L2, chosen) is linear: one matrix.
+            if residues is None:
                 proj = reduce_rows(np.eye(k1, dtype=np.int64), red, pivots, q)
-                e_alive = e_matrix[:, alive]
-            for lead, lo, hi in _monic_spans(q, k1, [realized[j]]):
-                counter += hi - lo
+                residues = _ZeroTable(proj, q)
+                low_alive = {}
+            lead = realized[j]
+            depth = _low_digit_count(q, k1 - lead - 1)
+            if depth not in low_alive:
+                low_alive[depth] = words.low(depth)[alive]
+            low = low_alive[depth]
+            size = low.shape[1]
+            # With nothing to reduce by, every monic row is admissible.
+            ok = np.ones(size, dtype=bool)
+            res_targets = residues.prefix_targets(lead) if red else repeat(None)
+            word_targets = words.prefix_targets(lead, alive)
+            for h, (target, target_res) in enumerate(zip(word_targets, res_targets)):
+                counter += size
                 if counter > budget:
                     raise BudgetExceededError(counter, budget, "candidate enumeration")
-                rows = _monic_rows(q, k1, lead, lo, hi)
-                res = (rows @ proj) % q
-                ok = res.any(axis=1)
-                vals = (rows @ e_alive) % q
-                zeros = (vals == 0).sum(axis=1)
+                zeros = _count_equal(low, target).astype(np.int64)
+                if red:
+                    ok = (residues.low(depth) != target_res[:, None]).any(axis=0)
+                first = h * size
                 if len(js) == r - 1:
-                    scored = np.where(ok, zeros, -1)
+                    scored = np.where(ok, zeros, -1) if red else zeros
                     i = int(np.argmax(scored))
                     if int(scored[i]) > best_zeros:
                         best_zeros = int(scored[i])
-                        best_rows = chosen + [rows[i].copy()]
+                        best_rows = chosen + [_monic_row(q, k1, lead, first + i)]
                 else:
                     for i in np.argsort(-zeros, kind="stable"):
                         i = int(i)
@@ -231,15 +246,16 @@ def _search_max_zeros(problem, r, budget):
                             break
                         if not ok[i]:
                             continue
-                        rr = res[i]
+                        row = _monic_row(q, k1, lead, first + i)
+                        rr = (row @ proj) % q
                         piv = int(np.argmax(rr != 0))
                         norm = (rr * pow(int(rr[piv]), q - 2, q)) % q
                         extend(
                             js + (j,),
-                            alive[vals[i] == 0],
+                            alive[low[:, i] == target],
                             red + [norm],
                             pivots + [piv],
-                            chosen + [rows[i].copy()],
+                            chosen + [row],
                         )
                 if best_zeros >= bound:
                     break

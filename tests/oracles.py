@@ -5,15 +5,21 @@ definition available, trading speed for obviousness, so that the fast
 numpy code paths can be checked against it on small inputs.  `buchberger`
 is the reference route for deg S/(I + (F)), which the library computes as a
 rank over the footprint, and `evaluate_at` the point-by-point reference for
-`PointSet.evaluate`.
+`PointSet.evaluate`.  `monic_rows` and the walks over it,
+`monic_walk_weights` and `monic_walk_search`, are the reference enumerator
+for the table kernel: whole coefficient rows times the generator matrix.
 """
 
 import heapq
 from collections import namedtuple
 from itertools import combinations, product
 
-from evalcodes import GroebnerBasis, ZeroPolynomialError, divide
+import numpy as np
+
+from evalcodes import BudgetExceededError, GroebnerBasis, ZeroPolynomialError, divide
+from evalcodes.field import reduce_rows
 from evalcodes.poly import monomial_div, monomial_divides, monomial_mul, total_degree
+from evalcodes.weights import _footprint_survivors, _realized_positions
 
 
 def monomial_lcm(a, b):
@@ -102,6 +108,126 @@ def brute_codeword_weights(rows, q):
         w = hamming_weight(word)
         hist[w] = hist.get(w, 0) + 1
     return hist
+
+
+def monic_rows(q, k, lead, lo, hi):
+    """Monic coefficient rows lo..hi-1 with the given lead position.
+
+    Row i has zeros before `lead`, a 1 at `lead` and the base-q digits of
+    lo + i after it, most significant first (odometer order).
+    """
+    free = k - lead - 1
+    rows = np.zeros((hi - lo, k), dtype=np.int64)
+    rows[:, lead] = 1
+    idx = np.arange(lo, hi, dtype=np.int64)
+    for t in range(free):
+        rows[:, lead + 1 + t] = (idx // q ** (free - 1 - t)) % q
+    return rows
+
+
+def monic_spans(q, k, leads, chunk):
+    """Spans (lead, lo, hi) of at most `chunk` monic rows for each lead, in
+    odometer order; only the last span of a lead may be short."""
+    for lead in leads:
+        total = q ** (k - lead - 1)
+        for lo in range(0, total, chunk):
+            yield lead, lo, min(lo + chunk, total)
+
+
+def monic_walk_weights(rows, q, chunk=1 << 13):
+    """Weight histogram over all q^k coefficient vectors of a k x n matrix.
+
+    Every monic row times the matrix, chunk by chunk; each of the q - 1
+    nonzero multiples of a monic row has its weight, and the zero vector
+    adds weight 0.
+    """
+    g = np.asarray(rows, dtype=np.int64) % q
+    k, n = g.shape
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for span in monic_spans(q, k, range(k), chunk):
+        weights = np.count_nonzero((monic_rows(q, k, *span) @ g) % q, axis=1)
+        hist += np.bincount(weights, minlength=n + 1)
+    hist *= q - 1
+    hist[0] += 1
+    return {w: int(c) for w, c in enumerate(hist) if c}
+
+
+def monic_walk_search(problem, r, budget, chunk=1 << 13):
+    """(max zeros, witness rows) of the RGHW branch and bound, scoring whole
+    coefficient rows times the evaluation matrix, `chunk` rows at a time.
+
+    The same lead groups, visit order and stops as the library search; the
+    candidates of a group are scored as `(rows @ E) % q` and `(rows @ proj)
+    % q`, charged to the budget chunk by chunk.
+    """
+    q = problem.q
+    k1 = problem.k1
+    e_matrix = problem._E
+    realized = _realized_positions(problem)
+    counter = 0
+    best_zeros = -1
+    best_rows = None
+    ordered = {}
+
+    def groups(js):
+        if js not in ordered:
+            level = len(js)
+            start = js[-1] + 1 if js else 0
+            stop = len(realized) - (r - level) + 1
+            bounds = []
+            for j in range(start, stop):
+                if level == r - 1:
+                    leads = [realized[t] for t in js + (j,)]
+                    bounds.append((_footprint_survivors(problem, leads), j))
+                else:
+                    bounds.append((groups(js + (j,))[0][0], j))
+            ordered[js] = sorted(bounds, reverse=True)
+        return ordered[js]
+
+    def extend(js, alive, red, pivots, chosen):
+        nonlocal counter, best_zeros, best_rows
+        proj = reduce_rows(np.eye(k1, dtype=np.int64), red, pivots, q)
+        e_alive = e_matrix[:, alive]
+        for bound, j in groups(js):
+            if bound <= best_zeros:
+                break
+            for span in monic_spans(q, k1, [realized[j]], chunk):
+                counter += span[2] - span[1]
+                if counter > budget:
+                    raise BudgetExceededError(counter, budget, "candidate enumeration")
+                rows = monic_rows(q, k1, *span)
+                res = (rows @ proj) % q
+                ok = res.any(axis=1)
+                vals = (rows @ e_alive) % q
+                zeros = (vals == 0).sum(axis=1)
+                if len(js) == r - 1:
+                    scored = np.where(ok, zeros, -1)
+                    i = int(np.argmax(scored))
+                    if int(scored[i]) > best_zeros:
+                        best_zeros = int(scored[i])
+                        best_rows = chosen + [rows[i].copy()]
+                else:
+                    for i in np.argsort(-zeros, kind="stable"):
+                        i = int(i)
+                        if min(int(zeros[i]), bound) <= best_zeros:
+                            break
+                        if not ok[i]:
+                            continue
+                        rr = res[i]
+                        piv = int(np.argmax(rr != 0))
+                        norm = (rr * pow(int(rr[piv]), q - 2, q)) % q
+                        extend(
+                            js + (j,),
+                            alive[vals[i] == 0],
+                            red + [norm],
+                            pivots + [piv],
+                            chosen + [rows[i].copy()],
+                        )
+                if best_zeros >= bound:
+                    break
+
+    extend((), np.arange(e_matrix.shape[1]), list(problem._A), list(problem._A_piv), [])
+    return best_zeros, best_rows
 
 
 def brute_min_distance(rows, q):

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalcodes import (
     GREVLEX,
@@ -36,6 +38,8 @@ from oracles import (
     brute_support_union,
     brute_weight_distribution,
     evaluate_at,
+    monic_rows,
+    monic_walk_weights,
     pp_rank,
     pp_rref,
 )
@@ -257,8 +261,9 @@ class TestWeightDistribution:
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_monic_walk_counts_every_coefficient_vector(self, q):
-        # Three-row chunks split every lead group, so the first chunk and
-        # the thread batches come into play.  Three shapes in four are rank
+        # Three-word tables and four-word batches split every lead group
+        # into several prefixes and batches, so the first batch and the
+        # thread batches come into play.  Three shapes in four are rank
         # deficient (a zero row, a repeated row or a combination of rows),
         # where codewords repeat.
         rng = random.Random(SEED + q)
@@ -273,32 +278,64 @@ class TestWeightDistribution:
                 elif k > 2 and shape == "combination":
                     rows[2] = [(a + 2 * b) % q for a, b in zip(rows[0], rows[1])]
                 expected = brute_codeword_weights(rows, q)
-                with mock.patch.object(codes, "_CHUNK", 3):
+                with mock.patch.multiple(codes, _CHUNK=3, _BATCH=4):
                     for threads in (1, 2, 3):
                         profile = _profile_from_rows(rows, q, threads)
                         assert profile.distribution == expected
                         assert profile.total() == q**k
 
 
-class TestMonicKernel:
-    def test_chunks_come_in_odometer_order(self):
-        # The search's witness and budget charges follow the span order.
-        for q, k in ((2, 5), (3, 4), (5, 3)):
-            expected = [
-                [0] * lead + [1] + list(free)
-                for lead in range(k)
-                for free in product(range(q), repeat=k - lead - 1)
-            ]
-            with mock.patch.object(codes, "_CHUNK", 3):
-                spans = list(codes._monic_spans(q, k, range(k)))
+class TestTableKernel:
+    def test_zero_counts_come_in_odometer_order(self):
+        # The search's witness and budget charges follow this order: the
+        # words of prefix h, low index i are monic row h * q^l + i times G,
+        # and each has the zero count of that reference word.  A two-digit
+        # table over GF(251) sums residues past 255 while it grows.
+        rng = random.Random(SEED)
+        cases = [
+            (q, k, chunk)
+            for q, k in ((2, 5), (3, 4), (5, 3), (257, 2))
+            for chunk in (3, codes._CHUNK)
+        ]
+        for q, k, chunk in cases + [(251, 3, 251**2)]:
+            n = rng.randint(1, 6)
+            g = np.array(random_rows(rng, q, k, n), dtype=np.int64)
+            with mock.patch.object(codes, "_CHUNK", chunk):
+                table = codes._ZeroTable(g, q)
                 for lead in range(k):
-                    group = [span for span in spans if span[0] == lead]
-                    assert list(codes._monic_spans(q, k, [lead])) == group
-                    sizes = [hi - lo for _, lo, hi in group]
-                    assert all(size == 3 for size in sizes[:-1])
-                    assert 1 <= sizes[-1] <= 3
-            walked = [row for span in spans for row in codes._monic_rows(q, k, *span)]
-            assert [row.tolist() for row in walked] == expected
+                    free = k - lead - 1
+                    depth = codes._low_digit_count(q, free)
+                    assert q**depth <= chunk
+                    assert depth == free or q ** (depth + 1) > chunk
+                    low = table.low(depth)
+                    zeros = [
+                        int(c)
+                        for h in range(q ** (free - depth))
+                        for c in codes._count_equal(
+                            low, table.targets(lead, depth, h, h + 1)[0]
+                        )
+                    ]
+                    rows = monic_rows(q, k, lead, 0, q**free)
+                    assert zeros == list(np.count_nonzero((rows @ g) % q == 0, axis=1))
+                    for index in range(0, q**free, max(1, q**free // 7)):
+                        row = codes._monic_row(q, k, lead, index)
+                        assert row.tolist() == rows[index].tolist()
+
+    def test_table_dtype_and_growth(self):
+        # The smallest unsigned dtype that holds q - 1; the table is only as
+        # deep as asked, and a shallower table is a leading slice.
+        g = np.array([[1, 2, 3], [4, 5, 6], [0, 6, 1]], dtype=np.int64)
+        for q, dtype in ((2, np.uint8), (251, np.uint8), (257, np.uint16)):
+            table = codes._ZeroTable(g % q, q)
+            assert table.low(1).dtype == dtype
+            assert table.targets(0, 1, 0, 2).dtype == dtype
+        table = codes._ZeroTable(g % 7, 7)
+        one = table.low(1).copy()
+        assert table._depth == 1
+        assert table.low(2).shape == (3, 49)
+        assert table._depth == 2
+        assert np.array_equal(table.low(1), one)
+        assert table.low(0).tolist() == [[0], [0], [0]]
 
 
 class TestThreadPolicy:
@@ -317,7 +354,7 @@ class TestThreadPolicy:
     def test_one_pool_per_call(self):
         expected = brute_codeword_weights(self.ROWS, 3)
         for chunk, threads in product((3, 12), (2, 3)):
-            chunk_size = mock.patch.object(codes, "_CHUNK", chunk)
+            chunk_size = mock.patch.multiple(codes, _CHUNK=chunk, _BATCH=4)
             with chunk_size, self.counted_pools() as pool:
                 profile = _profile_from_rows(self.ROWS, 3, threads)
             assert profile.distribution == expected
@@ -367,6 +404,43 @@ def _profile_from_rows(rows, q, threads=None):
     code.k = matrix.k
     code.field = field
     return weight_distribution(code, threads=threads)
+
+
+@st.composite
+def generator_matrices(draw):
+    """(q, rows) of a k x n matrix over GF(q); three shapes in four are rank
+    deficient.  q = 257 needs a uint16 table."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 257)))
+    k = draw(st.integers(1, {2: 7, 3: 5, 5: 4, 7: 3, 257: 2}[q]))
+    n = draw(st.integers(1, 8))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=k, max_size=k))
+    shape = draw(st.sampled_from(("random", "zero", "repeat", "combination")))
+    if k > 1 and shape == "zero":
+        rows[draw(st.integers(0, k - 1))] = [0] * n
+    elif k > 1 and shape == "repeat":
+        c = draw(st.integers(1, q - 1))
+        rows[1] = [(c * v) % q for v in rows[0]]
+    elif k > 2 and shape == "combination":
+        rows[2] = [(a + 2 * b) % q for a, b in zip(rows[0], rows[1])]
+    return q, rows
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    generator_matrices(),
+    st.sampled_from(((3, 4), (codes._CHUNK, codes._BATCH))),
+    st.sampled_from((1, 2)),
+)
+def test_table_kernel_matches_reference_walk(case, sizes, threads):
+    # Three-word tables and four-word batches split every lead into many
+    # prefixes and batches.
+    q, rows = case
+    chunk, batch = sizes
+    with mock.patch.multiple(codes, _CHUNK=chunk, _BATCH=batch):
+        profile = _profile_from_rows(rows, q, threads)
+    assert profile.distribution == monic_walk_weights(rows, q)
+    assert sum(profile.distribution.values()) == q ** len(rows)
 
 
 class TestNextToMinimal:

@@ -40,6 +40,8 @@ from oracles import (
     brute_max_candidate_zeros,
     brute_relative_footprint,
     brute_variety_count,
+    monic_rows,
+    monic_walk_search,
     pp_rank,
 )
 
@@ -71,7 +73,7 @@ def check_witness(problem, r, zeros, rows):
 
 
 @st.composite
-def small_problems(draw):
+def small_problems(draw, nonzero_l2=False):
     """Random X in GF(q)^s, L1 spanned by monomials, L2 in echelon form."""
     q = draw(st.sampled_from((2, 3, 5)))
     s = draw(st.integers(1, 2))
@@ -92,6 +94,8 @@ def small_problems(draw):
     k1 = problem.k1
     assume(k1 >= 2)
     k2 = draw(st.sampled_from((0, k1 - 2, draw(st.integers(0, k1 - 1)))))
+    if nonzero_l2:
+        k2 = max(k2, 1)
     pivots = sorted(draw(st.permutations(range(k1)))[:k2])
     rows = []
     for p in pivots:
@@ -121,14 +125,45 @@ def test_pruned_search_matches_exhaustive_walk(case):
 @SETTINGS
 @given(small_problems())
 def test_pruned_search_with_many_chunks_per_group(case):
-    # Three-row chunks split every lead group, so the stop inside a group
-    # and the chunk order come into play.  The witness may change with the
-    # chunk size on ties; the maximum may not.
+    # Tables of at most three words and batches of at most four split
+    # every lead group into prefixes of one to three candidates, so the
+    # stop inside a group and the prefix order come into play.  The
+    # witness may change with the prefix size on ties; the maximum may not.
     problem, r = case
-    with mock.patch.object(codes, "_CHUNK", 3):
+    with mock.patch.multiple(codes, _CHUNK=3, _BATCH=4):
         zeros, rows = searched(problem, r)
     assert zeros == brute_max_candidate_zeros(problem, r)
     check_witness(problem, r, zeros, rows)
+
+
+@SETTINGS
+@given(
+    small_problems(nonzero_l2=True),
+    st.sampled_from(((3, 4), (codes._CHUNK, codes._BATCH))),
+)
+def test_table_kernel_matches_reference_walk(case, sizes):
+    # The reference scores whole coefficient rows times E and the residue
+    # matrix.  The maximum is the same; an r = 1 witness is bit-identical,
+    # the first maximum in odometer order of its lead group, whatever the
+    # prefix size.  For r = 2 the visit order inside a prefix is a stable
+    # sort by zeros, so the witness may differ on ties.
+    problem, r = case
+    chunk, batch = sizes
+    with mock.patch.multiple(codes, _CHUNK=chunk, _BATCH=batch):
+        zeros, rows = searched(problem, r)
+    ref_zeros, ref_rows = monic_walk_search(problem, r, DEFAULT_BUDGET)
+    assert zeros == ref_zeros
+    check_witness(problem, r, zeros, rows)
+    if r == 1:
+        assert rows == [[int(v) for v in row] for row in ref_rows]
+        lead = rows[0].index(1)
+        l2 = [problem.space1.coordinates(b) for b in problem.space2.basis]
+        q, k1 = problem.q, problem.k1
+        for row in monic_rows(q, k1, lead, 0, q ** (k1 - lead - 1)).tolist():
+            word = [sum(c * e for c, e in zip(row, col)) % q for col in problem._E.T]
+            if word.count(0) == zeros and pp_rank(l2 + [row], q) == problem.k2 + 1:
+                assert row == rows[0]
+                break
 
 
 @SETTINGS
@@ -168,8 +203,10 @@ def test_sharp_gap_scores_every_group_above_the_maximum():
         if _footprint_survivors(problem, [i]) > zeros
     )
     assert rghw_degree(problem, 1, budget=needed, threads=1) == 8
-    with pytest.raises(BudgetExceededError):
+    # Whole groups are whole prefixes, so the refused charge is `needed`.
+    with pytest.raises(BudgetExceededError) as info:
         rghw_degree(problem, 1, budget=needed - 1, threads=1)
+    assert info.value.needed == needed
 
 
 @pytest.mark.parametrize(
@@ -181,12 +218,12 @@ def test_sharp_gap_scores_every_group_above_the_maximum():
     ],
 )
 def test_search_makes_no_thread_pool(name, values):
-    # With three-row chunks every group has many chunks; at threads=2 the
-    # search still walks them on the calling thread.
+    # With tables of at most three words every group has many prefixes; at
+    # threads=2 the search still walks them on the calling thread.
     data = resolve_problem(load_problem(name))
     problem = RghwProblem(data.points, data.space1, data.space2, data.order)
     error = AssertionError("the search made a thread pool")
-    with mock.patch.object(codes, "_CHUNK", 3), mock.patch.object(
+    with mock.patch.multiple(codes, _CHUNK=3, _BATCH=4), mock.patch.object(
         codes, "ThreadPoolExecutor", side_effect=error
     ):
         assert [rghw_degree(problem, r, threads=2) for r in data.r_values] == values

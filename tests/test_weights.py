@@ -345,10 +345,17 @@ class TestRghwDegree:
                     search(problem, 1, threads=threads)
 
     def test_budget_refusal(self):
+        # Charges land on prefix boundaries: r = 1 needs 27 candidates and
+        # r = 2 needs 108, and a refusal reports the charge that passed.
         problem = five_point_problem()
         with pytest.raises(BudgetExceededError) as info:
             rghw_degree(problem, 1, budget=5)
-        assert info.value.budget == 5
+        assert (info.value.needed, info.value.budget) == (27, 5)
+        for r, needed in ((1, 27), (2, 108)):
+            assert rghw_degree(problem, r, budget=needed) == r
+            with pytest.raises(BudgetExceededError) as info:
+                rghw_degree(problem, r, budget=needed - 1)
+            assert info.value.needed == needed
 
     def test_r_out_of_range(self):
         problem = five_point_problem()
