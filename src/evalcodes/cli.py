@@ -133,9 +133,9 @@ def _space_polynomials(spec, field, s):
             d = _integer(spec["total_degree"], "total_degree")
             if d < 0:
                 raise ValueError("total_degree must be non-negative")
-            monos = [
-                m for m in product(range(d + 1), repeat=s) if sum(m) <= d
-            ]
+            # t^q = t on K, so exponents above q - 1 add nothing on X.
+            top = min(d, field.q - 1)
+            monos = [m for m in product(range(top + 1), repeat=s) if sum(m) <= d]
         elif keys == {"squarefree_degree"}:
             d = _integer(spec["squarefree_degree"], "squarefree_degree")
             if not 0 <= d <= s:
@@ -432,16 +432,18 @@ def cmd_toric_table(args):
     rows = []
     points = None  # the torus, built for the first row that is not refused
     for d in range(1, args.s + 1):
-        space = toric_space(HypersimplexSpec(field, args.s, d))
-        row = {"d": d, "n": (args.q - 1) ** args.s, "k": space.dim}  # n = |(K*)^s|
+        spec = HypersimplexSpec(field, args.s, d)
+        row = {"d": d, "n": (args.q - 1) ** args.s, "k": spec.dim}  # n = |(K*)^s|
         row["min_distance_formula"] = toric_min_distance_formula(args.q, args.s, d)
         row.update(min_distance=None, next_to_minimal=None, refusal=None)
         try:
-            # Refused from k alone, before the costly evaluation of the code.
-            enumeration_size(args.q, space.dim, args.budget)
+            # Refused from k alone, before the space and the code are built.
+            enumeration_size(args.q, spec.dim, args.budget)
             points = points or torus_points(field, args.s)
             profile = weight_distribution(
-                evaluate_space(space, points), budget=args.budget, threads=args.threads
+                evaluate_space(toric_space(spec), points),
+                budget=args.budget,
+                threads=args.threads,
             )
             row["min_distance"] = profile.minimum_distance
             # The second-weight convention is only defined for q >= 3.

@@ -1,8 +1,8 @@
 """Evaluation codes and weight statistics.
 
 An evaluation code is the image of a polynomial space under evaluation at a
-point set.  Generator matrices live over GF(q) as int64 arrays with
-entries in [0, q), which needs (q - 1)^2 < 2^63 (see
+point set; `EvaluationCode` holds its generator matrix over GF(q) as an
+int64 array with entries in [0, q), which needs (q - 1)^2 < 2^63 (see
 `field.check_int64_products`).  One table kernel counts zeros for both the
 weight distribution and the RGHW search.  A monic coefficient row (first
 nonzero entry 1) splits after its lead into a high prefix h and l low
@@ -37,18 +37,25 @@ _CHUNK = 1 << 13
 _BATCH = 1 << 15
 
 
-class GeneratorMatrix:
-    """A k x n matrix over GF(q) with entries stored as residues."""
+class EvaluationCode:
+    """A code given by its k x n generator matrix over GF(q).
 
-    def __init__(self, field, rows, n=None):
+    `rows` is stored as int64 residues in [0, q), which needs
+    (q - 1)^2 < 2^63.  An evaluation code also keeps the space and the
+    points it was evaluated from (None for a bare matrix).
+    """
+
+    def __init__(self, field, rows, n=None, space=None, points=None):
         check_int64_products(field.q, what="a generator matrix")
-        self.field = field
         a = np.asarray(rows, dtype=np.int64)
         if a.size == 0:
             a = a.reshape(0, n if n is not None else 0)
         if a.ndim != 2:
             raise DimensionMismatchError("generator matrix must be 2d")
+        self.field = field
         self.rows = a % field.q
+        self.space = space
+        self.points = points
         self._rank = None
 
     @property
@@ -64,41 +71,6 @@ class GeneratorMatrix:
         if self._rank is None:
             self._rank = rank_mod(self.rows, self.field.q)
         return self._rank
-
-    def tolist(self):
-        return [[int(v) for v in row] for row in self.rows]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneratorMatrix)
-            and self.field == other.field
-            and self.rows.shape == other.rows.shape
-            and bool(np.all(self.rows == other.rows))
-        )
-
-    def __repr__(self):
-        return f"GeneratorMatrix(q={self.field.q}, k={self.k}, n={self.n})"
-
-
-class EvaluationCode:
-    """Image of a polynomial space under evaluation at a point set."""
-
-    def __init__(self, space, points, matrix):
-        self.space = space
-        self.points = points
-        self.matrix = matrix
-
-    @property
-    def n(self):
-        return self.matrix.n
-
-    @property
-    def k(self):
-        return self.matrix.k
-
-    @property
-    def field(self):
-        return self.points.field
 
     def __repr__(self):
         return f"EvaluationCode(q={self.field.q}, n={self.n}, k={self.k})"
@@ -116,14 +88,14 @@ def evaluate_space(space, points):
         raise FieldMismatchError("space and points over different fields")
     if space.nvars != points.nvars:
         raise DimensionMismatchError("space and points in different arities")
-    matrix = GeneratorMatrix(
-        points.field, points.evaluate(space.basis), n=len(points)
+    code = EvaluationCode(
+        points.field, points.evaluate(space.basis), len(points), space, points
     )
-    if matrix.rank < space.dim:
+    if code.rank < space.dim:
         raise NonInjectiveEvaluationError(
             "evaluation is not injective on the space; standardize it first"
         )
-    return EvaluationCode(space, points, matrix)
+    return code
 
 
 def standardize(space, gb):
@@ -143,10 +115,7 @@ def standardize(space, gb):
 
 def support(rows):
     """Set of 1-based indices of the columns where some row is nonzero."""
-    if isinstance(rows, GeneratorMatrix):
-        a = rows.rows
-    else:
-        a = np.asarray(rows, dtype=np.int64)
+    a = np.asarray(rows, dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.shape[0] == 0:
@@ -294,8 +263,12 @@ class _ZeroTable:
 def enumeration_size(q, k, budget):
     """q^k, after the checks of a weight distribution in their order:
     ValueError when k * (q - 1)^2 >= 2^63, BudgetExceededError when q^k
-    exceeds the budget, then ValueError when q^k >= 2^63."""
+    exceeds the budget, then ValueError when q^k >= 2^63.  A k of at least
+    budget.bit_length() is refused without forming q^k, which may be too
+    large to build or to write out; the refusal names the count as q^k."""
     check_int64_products(q, max(k, 1), what="codeword enumeration")
+    if k >= budget.bit_length():  # q^k >= 2^k > budget
+        raise BudgetExceededError(f"{q}^{k}", budget, "codeword enumeration")
     total = q**k
     if total > budget:
         raise BudgetExceededError(total, budget, "codeword enumeration")
@@ -329,7 +302,7 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
         threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     elif threads < 1:
         raise ValueError("threads must be at least 1")
-    table = _ZeroTable(code.matrix.rows, q)
+    table = _ZeroTable(code.rows, q)
     # The deepest table, for lead 0, is built before any worker reads it.
     table.low(_low_digit_count(q, k - 1))
 

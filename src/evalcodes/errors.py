@@ -22,7 +22,11 @@ class NonInjectiveEvaluationError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured element budget."""
+    """An enumeration would exceed the configured element budget.
+
+    `needed` is the element count, or its text "q^k" when that power is too
+    large to form.
+    """
 
     def __init__(self, needed, budget, what="enumeration"):
         self.needed = needed

@@ -11,49 +11,12 @@ and the full weight hierarchy of the degree one hypersimplex code.
 """
 
 from itertools import combinations, product
+from math import comb
 
 from .codes import evaluate_space
 from .groebner import PointSet
 from .poly import GREVLEX, Polynomial, PolySpace
 from .weights import RghwProblem
-
-
-class ExponentProfile:
-    """Exponent vectors of the box prod [0, d_i), ranked by descending lex.
-
-    Supplies the ranking data behind the Cartesian weight formula: vectors
-    are compared left to right, larger first.
-    """
-
-    def __init__(self, sizes):
-        sizes = tuple(int(d) for d in sizes)
-        if not sizes or any(d < 1 for d in sizes):
-            raise ValueError("sizes must be positive")
-        self.sizes = sizes
-
-    @property
-    def box_size(self):
-        out = 1
-        for d in self.sizes:
-            out *= d
-        return out
-
-    @property
-    def max_degree(self):
-        return sum(d - 1 for d in self.sizes)
-
-    def window(self, lo, hi):
-        """Vectors with lo < total degree <= hi, in descending lex order."""
-        vecs = [
-            a
-            for a in product(*(range(d) for d in self.sizes))
-            if lo < sum(a) <= hi
-        ]
-        vecs.sort(reverse=True)
-        return vecs
-
-    def upto(self, d):
-        return self.window(-1, d)
 
 
 def cartesian_rghw_formula(sizes, d1, d2, r):
@@ -62,30 +25,35 @@ def cartesian_rghw_formula(sizes, d1, d2, r):
     sizes are the subset cardinalities d_1 <= ... <= d_s; the codes evaluate
     polynomials of per-variable degree < d_i and total degree at most d1
     (respectively d2; d2 = -1 means the zero subcode).  With a the r-th
-    vector of the window d2 < deg <= d1 in descending lex order and t its
+    vector of the window d2 < deg <= d1 of the box prod [0, d_i) in
+    descending lex order (compared left to right, larger first) and t its
     1-based rank among all vectors of degree <= d1,
 
         M_r = d_1...d_s - sum_i a_i d_{i+1}...d_s - t + r.
     """
-    profile = ExponentProfile(sizes)
-    sizes = profile.sizes
+    sizes = tuple(int(d) for d in sizes)
+    if not sizes or any(d < 1 for d in sizes):
+        raise ValueError("sizes must be positive")
     if any(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)):
         raise ValueError("sizes must be non-decreasing")
-    if not -1 <= d2 < d1 or d1 > profile.max_degree:
+    max_degree = sum(d - 1 for d in sizes)
+    if not -1 <= d2 < d1 or d1 > max_degree:
         raise ValueError(
-            f"need -1 <= d2 < d1 <= {profile.max_degree}, got d1={d1}, d2={d2}"
+            f"need -1 <= d2 < d1 <= {max_degree}, got d1={d1}, d2={d2}"
         )
-    window = profile.window(d2, d1)
+    box = product(*(range(d) for d in sizes))
+    upto = sorted((a for a in box if sum(a) <= d1), reverse=True)
+    window = [a for a in upto if sum(a) > d2]
     if not 1 <= r <= len(window):
         raise ValueError(f"r must be between 1 and {len(window)}, got {r}")
     a = window[r - 1]
-    t = profile.upto(d1).index(a) + 1
+    t = upto.index(a) + 1
     tail = 1
     weighted = 0
     for i in reversed(range(len(sizes))):
         weighted += a[i] * tail
         tail *= sizes[i]
-    return profile.box_size - weighted - t + r
+    return tail - weighted - t + r
 
 
 class CartesianSpec:
@@ -208,6 +176,12 @@ class HypersimplexSpec:
         self.field = field
         self.s = s
         self.d = d
+
+    @property
+    def dim(self):
+        """binom(s, d), the number of squarefree monomials of degree d; 1 at
+        q = 2, where the torus is one point and they collapse to the constant."""
+        return comb(self.s, self.d) if self.field.q > 2 else 1
 
 
 def toric_space(spec, order=GREVLEX):

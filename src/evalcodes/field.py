@@ -2,7 +2,8 @@
 
 Elements of GF(q) are plain int residues in [0, q), with no element type:
 arithmetic is integer arithmetic mod q, and `PrimeField` holds q and the
-inverse (Fermat's little theorem).  Only prime q is supported.
+inverse (Fermat's little theorem).  Only prime q is supported, below about
+3.3 * 10^24, where the Miller-Rabin test of `_is_prime` is exact.
 
 The numpy code paths hold residues in int64 and form sums of products of two
 residues, so they need terms * (q - 1)^2 < 2^63 for the number of products
@@ -75,18 +76,34 @@ def reduce_rows(rows, rref, pivots, q):
     return res
 
 
+# Miller-Rabin with the thirteen prime bases 2..41 is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  The bases
+# 2..37 alone are fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Primality of 0 <= n < _MR_LIMIT by Miller-Rabin on _MR_BASES."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, shift = n - 1, 0
+    while d % 2 == 0:
+        d, shift = d // 2, shift + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(shift - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -94,6 +111,8 @@ class PrimeField:
     """The field GF(q) for prime q."""
 
     def __init__(self, q):
+        if isinstance(q, int) and q >= _MR_LIMIT:
+            raise ValueError(f"field size must be below {_MR_LIMIT}, got {q}")
         if not isinstance(q, int) or not _is_prime(q):
             raise ValueError(f"field size must be a prime integer, got {q!r}")
         self.q = q

@@ -112,8 +112,8 @@ def _monomial_values(columns, mono, q):
 class GroebnerBasis:
     """A reduced Groebner basis, generators sorted by increasing lead.
 
-    standard_monomials is the footprint in increasing order when the
-    builder already knows it, else None.
+    standard_monomials is the footprint, a tuple in increasing order, when
+    the construction already yields it (`vanishing_ideal`), else None.
     """
 
     def __init__(self, field, nvars, order, generators, standard_monomials=None):
@@ -138,28 +138,6 @@ class GroebnerBasis:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"GroebnerBasis({self.order.name}, [{gens}])"
-
-
-class Footprint:
-    """Standard monomials of a zero dimensional ideal, in increasing order."""
-
-    def __init__(self, order, monomials):
-        self.order = order
-        self.monomials = tuple(monomials)
-        self._set = set(self.monomials)
-
-    def __len__(self):
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __contains__(self, mono):
-        return tuple(mono) in self._set
-
-    def count_upto(self, d):
-        """Number of standard monomials of total degree at most d."""
-        return sum(1 for m in self.monomials if total_degree(m) <= d)
 
 
 def vanishing_ideal(points, order=GREVLEX):
@@ -241,22 +219,24 @@ def initial_ideal(gb):
 
 
 def footprint(gb):
-    """Standard monomials of a zero dimensional ideal.
+    """Standard monomials of a zero dimensional ideal, a tuple in increasing
+    order.
 
     Requires a pure power of every variable among the basis leads (or a
     constant generator, making the footprint empty).
     """
     if gb.standard_monomials is not None:
-        return Footprint(gb.order, gb.standard_monomials)
+        return gb.standard_monomials
     return monomial_footprint(gb.leads(), gb.nvars, gb.order)
 
 
 def monomial_footprint(leads, nvars, order=GREVLEX):
-    """Footprint of the monomial ideal generated by the given monomials."""
+    """Footprint of the monomial ideal generated by the given monomials: the
+    monomials divisible by none of them, a tuple in increasing order."""
     leads = [tuple(m) for m in leads]
     zero = (0,) * nvars
     if zero in leads:
-        return Footprint(order, [])
+        return ()
     bounds = []
     for i in range(nvars):
         pures = [
@@ -269,12 +249,12 @@ def monomial_footprint(leads, nvars, order=GREVLEX):
                 f"no pure power of t{i + 1} among the lead monomials"
             )
         bounds.append(min(pures))
-    monos = []
-    for mono in product(*(range(b) for b in bounds)):
-        if not any(monomial_divides(lead, mono) for lead in leads):
-            monos.append(mono)
-    monos.sort(key=order.key)
-    return Footprint(order, monos)
+    monos = [
+        mono
+        for mono in product(*(range(b) for b in bounds))
+        if not any(monomial_divides(lead, mono) for lead in leads)
+    ]
+    return tuple(sorted(monos, key=order.key))
 
 
 def degree_zero_dim(gb):
@@ -286,7 +266,7 @@ def hilbert_affine(gb, d):
     """Affine Hilbert function: standard monomials of total degree <= d."""
     if d < 0:
         return 0
-    return footprint(gb).count_upto(d)
+    return sum(1 for m in footprint(gb) if total_degree(m) <= d)
 
 
 def box_degree(dvec, avec):

@@ -68,12 +68,12 @@ _ORDERS = {o.name: o for o in (LEX, GRLEX, GREVLEX)}
 
 
 def order_by_name(name):
-    try:
-        return _ORDERS[name]
-    except KeyError:
+    """The order named "lex", "grlex" or "grevlex"; ValueError otherwise."""
+    if not isinstance(name, str) or name not in _ORDERS:
         raise ValueError(
             f"unknown monomial order {name!r}; expected one of {sorted(_ORDERS)}"
-        ) from None
+        )
+    return _ORDERS[name]
 
 
 class Polynomial:

@@ -76,7 +76,7 @@ class RghwProblem:
         check_int64_products(q, self.space1.dim, what="the candidate search")
         self._lead_monos = self.space1.leads()
         self._code1 = evaluate_space(self.space1, points)
-        self._E = self._code1.matrix.rows
+        self._E = self._code1.rows
         if coords:
             self._A, self._A_piv = rref_mod(np.array(coords, dtype=np.int64), q)
         else:
@@ -107,7 +107,7 @@ class RghwProblem:
 
     @property
     def footprint_monomials(self):
-        return tuple(footprint(self.gb))
+        return footprint(self.gb)
 
     def _lead_divisibility(self):
         """Boolean k1 x |footprint| table: basis lead i divides monomial u."""
@@ -322,8 +322,8 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
     """
     q = code1.field.q
     k1 = code1.k
-    g1 = code1.matrix.rows
-    if code1.matrix.rank < k1:
+    g1 = code1.rows
+    if code1.rank < k1:
         raise ValueError("generator matrix of C1 must have full rank")
     if code2 is None or code2.k == 0:
         g2r = np.zeros((0, code1.n), dtype=np.int64)
@@ -331,7 +331,7 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
     else:
         if code2.field != code1.field or code2.n != code1.n:
             raise DimensionMismatchError("codes of different fields or lengths")
-        g2r, piv2 = rref_mod(code2.matrix.rows, q)
+        g2r, piv2 = rref_mod(code2.rows, q)
         stacked = np.vstack([g1, g2r])
         if rank_mod(stacked, q) != k1:
             raise ValueError("C2 is not a subcode of C1")

@@ -8,6 +8,8 @@ rank over the footprint, and `evaluate_at` the point-by-point reference for
 `PointSet.evaluate`.  `monic_rows` and the walks over it,
 `monic_walk_weights` and `monic_walk_search`, are the reference enumerator
 for the table kernel: whole coefficient rows times the generator matrix.
+`trial_division_is_prime` is the reference for the Miller-Rabin test of
+`PrimeField`.
 """
 
 import heapq
@@ -20,6 +22,18 @@ from evalcodes import BudgetExceededError, GroebnerBasis, ZeroPolynomialError, d
 from evalcodes.field import reduce_rows
 from evalcodes.poly import monomial_div, monomial_divides, monomial_mul, total_degree
 from evalcodes.weights import _footprint_survivors, _realized_positions
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to sqrt(n), for small n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def monomial_lcm(a, b):

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -11,6 +13,8 @@ from evalcodes import (
     PrimeField,
     cli,
     format_polynomial,
+    standardize,
+    vanishing_ideal,
 )
 from evalcodes.cli import (
     fixture_names,
@@ -18,6 +22,7 @@ from evalcodes.cli import (
     main,
     parse_polynomial,
     polynomial_from_pairs,
+    resolve_problem,
 )
 
 SEED = 20260823
@@ -285,6 +290,10 @@ class TestWeightsCommand:
         assert payload["refusal"] is not None
 
 
+def _no_building(*args):
+    raise AssertionError("a refused row's space or code was built")
+
+
 class TestToricTableCommand:
     def test_reference_table(self, capsys):
         code, out, _ = run(capsys, "toric-table", "3", "4", "--json")
@@ -325,23 +334,60 @@ class TestToricTableCommand:
 
     def test_budget_refuses_rows_before_building_codes(self, capsys, monkeypatch):
         # 3^k > 1 for every row, so every row is refused from its dimension
-        # alone, before any polynomial is evaluated at the 1024 torus points.
-        def no_evaluation(*args):
-            raise AssertionError("a refused row's code was evaluated")
-
-        monkeypatch.setattr(PointSet, "evaluate", no_evaluation)
+        # alone, before its space is built or any polynomial is evaluated at
+        # the 1024 torus points.  k >= budget.bit_length(), so the refusal
+        # writes the count as the power 3^k.
+        monkeypatch.setattr(PointSet, "evaluate", _no_building)
+        monkeypatch.setattr(cli, "toric_space", _no_building)
         code, out, _ = run(capsys, "toric-table", "3", "10", "--budget", "1", "--json")
         assert code == 2
         rows = json.loads(out)["rows"]
         assert [row["n"] for row in rows] == [1024] * 10
         assert [row["k"] for row in rows] == [math.comb(10, d) for d in range(1, 11)]
         for row in rows:
-            refusal = BudgetExceededError(3 ** row["k"], 1, "codeword enumeration")
+            refusal = BudgetExceededError(f"3^{row['k']}", 1, "codeword enumeration")
             assert row["refusal"] == str(refusal)
             assert row["min_distance"] is None and row["next_to_minimal"] is None
 
+    def test_refusals_of_huge_rows_are_written_as_powers(self, capsys, monkeypatch):
+        # The d = 4 row needs 3^91390 words, too many digits to write out,
+        # and the d = 20 row would first list C(40, 20) monomials.
+        monkeypatch.setattr(cli, "toric_space", _no_building)
+        code, out, _ = run(capsys, "toric-table", "3", "40", "--budget", "1", "--json")
+        assert code == 2
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 40 and all(row["refusal"] for row in rows)
+        assert "needs 3^91390 elements" in rows[3]["refusal"]
+        assert rows[19]["k"] == math.comb(40, 20)
+
+    def test_binary_field_rows_have_dimension_one(self, capsys):
+        code, out, _ = run(capsys, "toric-table", "2", "5", "--budget", "1", "--json")
+        assert code == 2
+        rows = json.loads(out)["rows"]
+        assert [row["k"] for row in rows] == [1] * 5
+        assert all("needs 2^1 elements" in row["refusal"] for row in rows)
+
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize("order", [["grevlex"], {"name": "lex"}, 1, "Lex"])
+    def test_malformed_order_exits_one(self, capsys, tmp_path, order):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_five_point_file(order=order)))
+        code, out, err = run(capsys, "vanishing-ideal", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unknown monomial order")
+        assert "Traceback" not in err
+
+    def test_field_too_large_for_int64_exits_one_at_once(self, capsys, tmp_path):
+        # 2^61 - 1 is prime; its primality is settled at once and the
+        # vanishing ideal refuses it on the int64 limit.
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_five_point_file(q=2**61 - 1)))
+        code, _, err = run(capsys, "vanishing-ideal", str(path))
+        assert code == 1
+        assert err.startswith("error: the vanishing ideal needs") and "2^63" in err
+
     def test_unknown_command_exits_one(self, capsys):
         assert main(["bogus"]) == 1
 
@@ -420,6 +466,37 @@ def _five_point_file(**changes):
     }
     data.update(changes)
     return data
+
+
+class TestTotalDegreeShorthand:
+    """Exponents are capped at min(d, q - 1), since t^q = t on K."""
+
+    def test_same_standardized_space_as_the_uncapped_list(self):
+        for q in (2, 3, 5):
+            field = PrimeField(q)
+            for s in (1, 2, 3):
+                # All of K^s: any function on a point set extends to it.
+                gb = vanishing_ideal(PointSet(field, product(range(q), repeat=s)))
+                for d in range(s * (q - 1) + 3):
+                    data = {"schema": 1, "q": q, "s": s, "points": [[0] * s]}
+                    data["L1"] = {"total_degree": d}
+                    capped = resolve_problem(data).space1
+                    uncapped = [
+                        Polynomial.monomial(field, m)
+                        for m in product(range(d + 1), repeat=s)
+                        if sum(m) <= d
+                    ]
+                    assert len(capped) <= len(uncapped)
+                    assert standardize(capped, gb) == standardize(uncapped, gb)
+
+    def test_huge_degree_answers_at_once(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_five_point_file(L1={"total_degree": 10**6}, L2=None)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "rghw", str(path), "--json")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["k1"] == 5
 
 
 class TestStrictIntegers:

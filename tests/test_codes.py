@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from evalcodes import (
     GREVLEX,
     BudgetExceededError,
+    DimensionMismatchError,
     EvaluationCode,
-    GeneratorMatrix,
     HypersimplexSpec,
     NonInjectiveEvaluationError,
     PointSet,
@@ -80,16 +80,25 @@ class TestRowReduction:
 
 
 class TestGeneratorMatrix:
+    """The generator matrix an EvaluationCode holds, given bare."""
+
     def test_shape_and_rank(self):
-        g = GeneratorMatrix(F3, [[1, 0, 2], [0, 0, 1]])
+        g = EvaluationCode(F3, [[1, 0, 5], [0, 0, -2]])
         assert g.k == 2
         assert g.n == 3
         assert g.rank == 2
-        assert g.tolist() == [[1, 0, 2], [0, 0, 1]]
+        assert g.rows.tolist() == [[1, 0, 2], [0, 0, 1]]
+        assert g.space is None and g.points is None
 
     def test_zero_row_count_rank(self):
-        g = GeneratorMatrix(F3, [[1, 1], [2, 2]])
+        g = EvaluationCode(F3, [[1, 1], [2, 2]])
         assert g.rank == 1
+
+    def test_empty_and_malformed(self):
+        empty = EvaluationCode(F3, [], n=4)
+        assert (empty.k, empty.n, empty.rank) == (0, 4, 0)
+        with pytest.raises(DimensionMismatchError):
+            EvaluationCode(F3, [1, 2, 0])
 
 
 class TestEvaluateSpace:
@@ -99,7 +108,8 @@ class TestEvaluateSpace:
         code = evaluate_space(space, pts)
         assert code.k == 1
         assert code.n == 5
-        assert code.matrix.tolist() == [[1, 1, 1, 1, 1]]
+        assert code.rows.tolist() == [[1, 1, 1, 1, 1]]
+        assert code.space is space and code.points is pts
 
     def test_hypersimplex_dimensions(self):
         assert toric_code(HypersimplexSpec(F3, 4, 1)).k == 4
@@ -176,7 +186,8 @@ class TestSupport:
     def test_examples(self):
         assert support([[1, 0, 2], [0, 0, 1]]) == {1, 3}
         assert support([[0, 0], [0, 0]]) == set()
-        assert support(GeneratorMatrix(F3, [[0, 2, 0]])) == {2}
+        assert support(EvaluationCode(F3, [[0, 2, 0]]).rows) == {2}
+        assert support([0, 0, 4]) == {3}
 
     def test_matches_span_union(self):
         rng = random.Random(SEED + 3)
@@ -244,6 +255,17 @@ class TestWeightDistribution:
             weight_distribution(code, budget=10)
         assert info.value.needed == 5**3
         assert info.value.budget == 10
+
+    def test_budget_refusal_from_k_alone(self):
+        # From k >= budget.bit_length() on, q^k >= 2^k exceeds the budget, so
+        # the refusal names the count as q^k without forming it.
+        assert codes.enumeration_size(2, 3, 8) == 8
+        assert codes.enumeration_size(2, 4, 16) == 16
+        with pytest.raises(BudgetExceededError, match=r"needs 2\^4 elements"):
+            codes.enumeration_size(2, 4, 15)
+        with pytest.raises(BudgetExceededError) as info:
+            codes.enumeration_size(3, 10**12, 10**7)
+        assert (info.value.needed, info.value.budget) == ("3^1000000000000", 10**7)
 
     def test_thread_count_does_not_change_results(self):
         code = toric_code(HypersimplexSpec(F3, 4, 2))
@@ -391,19 +413,7 @@ class TestThreadPolicy:
 
 def _profile_from_rows(rows, q, threads=None):
     """Run the enumeration path on a bare generator matrix."""
-    field = PrimeField(q)
-    n = len(rows[0])
-    matrix = GeneratorMatrix(field, rows, n=n)
-
-    class _Bare:
-        pass
-
-    code = _Bare()
-    code.matrix = matrix
-    code.n = n
-    code.k = matrix.k
-    code.field = field
-    return weight_distribution(code, threads=threads)
+    return weight_distribution(EvaluationCode(PrimeField(q), rows), threads=threads)
 
 
 @st.composite
@@ -469,16 +479,15 @@ class TestNextToMinimal:
 
 class TestInt64Limit:
     def test_generator_matrix_limit(self):
-        GeneratorMatrix(PrimeField(3037000493), [[1, 2]])
+        EvaluationCode(PrimeField(3037000493), [[1, 2]])
         with pytest.raises(ValueError, match=r"2\^63"):
-            GeneratorMatrix(PrimeField(3037000507), [[1, 2]])
+            EvaluationCode(PrimeField(3037000507), [[1, 2]])
 
     def test_enumeration_needs_k_products_below_the_limit(self):
         # A 2 x 2 generator matrix is fine over this field, but codeword
         # enumeration sums two products per coordinate.
         field = PrimeField(2147483659)
-        matrix = GeneratorMatrix(field, [[1, 0], [0, 1]])
-        code = EvaluationCode(None, PointSet(field, [(0,), (1,)]), matrix)
+        code = EvaluationCode(field, [[1, 0], [0, 1]])
         with pytest.raises(ValueError, match=r"2\^63"):
             weight_distribution(code)
 
@@ -487,9 +496,7 @@ class TestInt64Limit:
         # admits them gets a refusal naming the limit, raised before any
         # array is built; a smaller budget still refuses on the budget.
         field = PrimeField(3)
-        points = PointSet(field, list(product(range(3), repeat=4))[:41])
-        matrix = GeneratorMatrix(field, np.eye(41, dtype=np.int64))
-        code = EvaluationCode(None, points, matrix)
+        code = EvaluationCode(field, np.eye(41, dtype=np.int64))
         with pytest.raises(ValueError, match=r"q\^k < 2\^63"):
             weight_distribution(code, budget=3**41)
         with pytest.raises(BudgetExceededError):

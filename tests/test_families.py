@@ -1,8 +1,9 @@
+from itertools import product
+
 import pytest
 
 from evalcodes import (
     CartesianSpec,
-    ExponentProfile,
     HypersimplexSpec,
     Polynomial,
     PrimeField,
@@ -32,22 +33,6 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
-class TestExponentProfile:
-    def test_window_is_descending_lex(self):
-        profile = ExponentProfile((2, 3))
-        window = profile.window(0, 1)
-        assert window == [(1, 0), (0, 1)]
-        full = profile.upto(3)
-        assert full == sorted(full, reverse=True)
-        assert full[-1] == (0, 0)
-        assert full[0] == (1, 2)
-
-    def test_box_size_and_max_degree(self):
-        profile = ExponentProfile((2, 3))
-        assert profile.box_size == 6
-        assert profile.max_degree == 3
-
-
 class TestCartesianPointsAndCodes:
     def test_unit_square_degree_one(self):
         code = cartesian_code(CartesianSpec(F3, [[0, 1], [0, 1]], 1))
@@ -74,6 +59,33 @@ class TestCartesianFormula:
     def test_window_example(self):
         assert cartesian_rghw_formula((2, 2), 1, 0, 1) == 2
 
+    def test_window_is_descending_lex(self):
+        # Box (2, 3): the window 0 < deg <= 1 is (1, 0), (0, 1) in that
+        # order, giving 6 - 3 - 1 + 1 and 6 - 1 - 2 + 2; ascending order
+        # would put (0, 1) first, at rank 2, and give M_1 = 6 - 1 - 2 + 1.
+        values = [cartesian_rghw_formula((2, 3), 1, 0, r) for r in (1, 2)]
+        assert values == [3, 5]
+        problem = cartesian_problem(F3, [[0, 1], [0, 1, 2]], 1, 0)
+        assert values == [rghw_degree(problem, r) for r in (1, 2)]
+        with pytest.raises(ValueError, match="between 1 and 2"):
+            cartesian_rghw_formula((2, 3), 1, 0, 3)
+        # The whole box in descending lex, (1, 2) first and (0, 0) last:
+        # each r-th vector has rank t = r, so M_r = 6 - (3 a_1 + a_2), the
+        # weights 1..6 of the full code.
+        full = [cartesian_rghw_formula((2, 3), 3, -1, r) for r in range(1, 7)]
+        assert full == [1, 2, 3, 4, 5, 6]
+
+    def test_box_size_and_max_degree(self):
+        # Box (2, 3) holds 6 vectors of degree at most 3: M_6 of the full
+        # code is the box size, and d1 = 4 is refused.
+        assert cartesian_rghw_formula((2, 3), 3, -1, 6) == 6
+        with pytest.raises(ValueError, match="between 1 and 6"):
+            cartesian_rghw_formula((2, 3), 3, -1, 7)
+        with pytest.raises(ValueError, match="d1 <= 3"):
+            cartesian_rghw_formula((2, 3), 4, -1, 1)
+        with pytest.raises(ValueError, match="positive"):
+            cartesian_rghw_formula((0, 3), 1, -1, 1)
+
     def test_ghw_collapse_with_empty_second_code(self):
         # d2 = -1 makes the second space zero; the formula then gives the
         # generalized Hamming weights of the Cartesian code itself.
@@ -87,10 +99,10 @@ class TestCartesianFormula:
     def test_matches_search_small_sweep(self):
         for subsets in ([[0, 1], [0, 1]], [[0, 1], [0, 1, 2]]):
             sizes = tuple(len(sub) for sub in subsets)
-            profile = ExponentProfile(sizes)
-            for d1 in range(1, profile.max_degree + 1):
+            degrees = [sum(a) for a in product(*(range(d) for d in sizes))]
+            for d1 in range(1, max(degrees) + 1):
                 for d2 in range(-1, d1):
-                    max_r = len(profile.window(d2, d1))
+                    max_r = sum(1 for e in degrees if d2 < e <= d1)
                     for r in range(1, min(2, max_r) + 1):
                         formula = cartesian_rghw_formula(sizes, d1, d2, r)
                         problem = cartesian_problem(F3, subsets, d1, d2)
@@ -124,7 +136,7 @@ class TestSquarefreeCodes:
             prev = None
             for d in range(0, s + 1):
                 code = squarefree_code(F3, s, d)
-                rows = code.matrix.tolist()
+                rows = code.rows.tolist()
                 zeros = brute_max_zero_count(rows, 3)
                 if prev is not None:
                     assert zeros > prev
@@ -143,6 +155,14 @@ class TestToricCodes:
             code = toric_code(HypersimplexSpec(F2, 3, d))
             assert code.n == 1
             assert code.k == 1
+
+    def test_spec_dimension_without_building_the_code(self):
+        for field in (F2, F3, F5):
+            for s in (1, 2, 3, 4):
+                for d in range(1, s + 1):
+                    spec = HypersimplexSpec(field, s, d)
+                    assert spec.dim == toric_code(spec).k
+        assert HypersimplexSpec(F3, 40, 20).dim == 137846528820
 
     def test_min_distance_formula_examples(self):
         assert toric_min_distance_formula(3, 4, 2) == 4
@@ -182,7 +202,7 @@ class TestZeroBounds:
         for s in (2, 3, 4):
             for d in range(1, s):
                 code = toric_code(HypersimplexSpec(F3, s, d))
-                zeros = brute_max_zero_count(code.matrix.tolist(), 3)
+                zeros = brute_max_zero_count(code.rows.tolist(), 3)
                 assert zeros <= squarefree_zero_bound(3, s, d)
                 if 2 * d <= s:
                     assert zeros == squarefree_zero_bound(3, s, d)

@@ -1,7 +1,9 @@
 import pytest
 
 from evalcodes import PrimeField
-from evalcodes.field import check_int64_products
+from evalcodes.field import _MR_LIMIT, _is_prime, check_int64_products
+
+from oracles import trial_division_is_prime
 
 
 def test_rejects_composite_and_bad_sizes():
@@ -13,6 +15,27 @@ def test_rejects_composite_and_bad_sizes():
 def test_small_primes_accepted():
     for q in (2, 3, 5, 7, 11, 13):
         assert PrimeField(q).q == q
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n) != trial_division_is_prime(n)] == []
+
+
+def test_large_primes_settled_at_once():
+    for q in (3037000493, 2**61 - 1, 2**31 - 1):
+        assert PrimeField(q).q == q
+    # A strong pseudoprime to the bases 2..37, and products of large primes.
+    for n in (318665857834031151167461, (2**31 - 1) * 3037000493, 3037000493**2):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="prime integer"):
+            PrimeField(n)
+
+
+def test_sizes_beyond_the_exact_range_refused():
+    # The least strong pseudoprime to every base of the test, and beyond.
+    for q in (_MR_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match="must be below"):
+            PrimeField(q)
 
 
 def test_inverse_property_all_small_fields():

@@ -7,7 +7,7 @@ from evalcodes import (
     GREVLEX,
     LEX,
     BudgetExceededError,
-    GeneratorMatrix,
+    EvaluationCode,
     HypersimplexSpec,
     PointSet,
     Polynomial,
@@ -68,21 +68,6 @@ def torus_gap_problem():
     ]
     polys2 = [Polynomial.monomial(F5, (1, 2)), Polynomial.monomial(F5, (1, 1))]
     return RghwProblem(torus_points(F5, 2), polys1, polys2)
-
-
-def bare_code(rows, q, n=None):
-    field = PrimeField(q)
-    matrix = GeneratorMatrix(field, rows, n=n)
-
-    class _Bare:
-        pass
-
-    code = _Bare()
-    code.matrix = matrix
-    code.n = matrix.n
-    code.k = matrix.k
-    code.field = field
-    return code
 
 
 class TestGaussianBinomial:
@@ -207,11 +192,11 @@ class TestDefinitionOracle:
                 ]
                 if rank_mod(sub_rows, q) != k2:
                     continue
-                sub = bare_code(sub_rows, q)
+                sub = EvaluationCode(PrimeField(q), sub_rows)
             for r in range(1, k1 - k2 + 1):
-                got = rghw_definition_oracle(bare_code(rows, q), sub, r)
+                got = rghw_definition_oracle(EvaluationCode(PrimeField(q), rows), sub, r)
                 want = brute_min_support_subcode(
-                    rows, sub.matrix.tolist() if sub else [], q, r
+                    rows, sub.rows.tolist() if sub else [], q, r
                 )
                 assert got == want
             checked += 1
@@ -222,13 +207,13 @@ class TestDefinitionOracle:
         assert rghw_definition_oracle(code, None, 1) == d
 
     def test_rejects_non_subcode(self):
-        code1 = bare_code([[1, 0, 0], [0, 1, 0]], 3)
-        code2 = bare_code([[0, 0, 1]], 3)
+        code1 = EvaluationCode(F3, [[1, 0, 0], [0, 1, 0]])
+        code2 = EvaluationCode(F3, [[0, 0, 1]])
         with pytest.raises(ValueError):
             rghw_definition_oracle(code1, code2, 1)
 
     def test_budget_refusal(self):
-        code = bare_code([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 5)
+        code = EvaluationCode(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(BudgetExceededError):
             rghw_definition_oracle(code, None, 1, budget=2)
 
