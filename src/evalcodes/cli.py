@@ -16,8 +16,10 @@ files are JSON objects with a "schema": 1 marker:
     }
 
 Polynomials are strings like "t1^2*t2 + 2*t2 - 1" (factors joined by "*",
-terms by "+"/"-") or lists of [[e1, ..., es], coeff] term pairs.  Space
-shorthands: {"total_degree": d}, {"squarefree_degree": d},
+terms by "+"/"-") or lists of [[e1, ..., es], coeff] term pairs; an
+exponent e >= q is read as ((e - 1) mod (q - 1)) + 1, the same function on
+GF(q), and terms that then coincide are added.  Space shorthands:
+{"total_degree": d}, {"squarefree_degree": d},
 {"squarefree_max_degree": d}.  Integers in a problem file (q, s, degrees,
 coordinates, exponents, coefficients, r) must be JSON integers: floats and
 booleans are refused, never truncated.  Exit codes: 0 success, 1 input
@@ -31,7 +33,6 @@ import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
 from pathlib import Path
 
 from .codes import DEFAULT_BUDGET, evaluate_space, next_to_minimal, weight_distribution
@@ -46,7 +47,7 @@ from .families import (
 )
 from .field import PrimeField
 from .groebner import PointSet, footprint, initial_ideal, vanishing_ideal
-from .poly import Polynomial, format_polynomial, order_by_name
+from .poly import Polynomial, format_polynomial, monomials, order_by_name
 from .weights import RghwProblem, relative_footprint, rghw_degree
 
 _FACTOR_VAR = re.compile(r"t(\d+)(?:\^(\d+))?\Z")
@@ -65,6 +66,13 @@ def _integer_list(values, what):
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
     return [_integer(v, what) for v in values]
+
+
+def _term_monomial(exps, q):
+    """The exponent vector of a parsed term, each e >= q lowered to
+    ((e - 1) mod (q - 1)) + 1: x^e = x^e' for every x in GF(q) when e, e' >= 1
+    and e = e' mod (q - 1), so the lowered term takes the same values."""
+    return tuple(e if e < q else (e - 1) % (q - 1) + 1 for e in exps)
 
 
 def parse_polynomial(text, field, nvars):
@@ -100,7 +108,7 @@ def parse_polynomial(text, field, nvars):
                 coeff *= int(factor)
                 continue
             raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
-        mono = tuple(exps)
+        mono = _term_monomial(exps, field.q)
         terms[mono] = terms.get(mono, 0) + coeff
     return Polynomial(field, nvars, terms)
 
@@ -120,7 +128,7 @@ def polynomial_from_pairs(pairs, field, nvars):
             raise ValueError(
                 f"exponent vector {exps!r} has wrong length for s={nvars}"
             )
-        mono = tuple(_integer(e, "exponent") for e in exps)
+        mono = _term_monomial([_integer(e, "exponent") for e in exps], field.q)
         terms[mono] = terms.get(mono, 0) + _integer(coeff, "coefficient")
     return Polynomial(field, nvars, terms)
 
@@ -128,27 +136,19 @@ def polynomial_from_pairs(pairs, field, nvars):
 def _space_polynomials(spec, field, s):
     """Basis polynomials for a space specification (list or shorthand)."""
     if isinstance(spec, dict):
-        keys = set(spec)
-        if keys == {"total_degree"}:
-            d = _integer(spec["total_degree"], "total_degree")
-            if d < 0:
+        key, d = next(iter(spec.items())) if len(spec) == 1 else (None, None)
+        if key == "total_degree":
+            if _integer(d, key) < 0:
                 raise ValueError("total_degree must be non-negative")
             # t^q = t on K, so exponents above q - 1 add nothing on X.
-            top = min(d, field.q - 1)
-            monos = [m for m in product(range(top + 1), repeat=s) if sum(m) <= d]
-        elif keys == {"squarefree_degree"}:
-            d = _integer(spec["squarefree_degree"], "squarefree_degree")
-            if not 0 <= d <= s:
-                raise ValueError("squarefree_degree must lie in [0, s]")
-            monos = [m for m in product(range(2), repeat=s) if sum(m) == d]
-        elif keys == {"squarefree_max_degree"}:
-            d = _integer(spec["squarefree_max_degree"], "squarefree_max_degree")
-            if not 0 <= d <= s:
-                raise ValueError("squarefree_max_degree must lie in [0, s]")
-            monos = [m for m in product(range(2), repeat=s) if sum(m) <= d]
+            bounds, low = (field.q,) * s, 0
+        elif key in ("squarefree_degree", "squarefree_max_degree"):
+            if not 0 <= _integer(d, key) <= s:
+                raise ValueError(f"{key} must lie in [0, s]")
+            bounds, low = (2,) * s, d if key == "squarefree_degree" else 0
         else:
             raise ValueError(f"unknown space shorthand {spec!r}")
-        return [Polynomial.monomial(field, m) for m in monos]
+        return [Polynomial.monomial(field, m) for m in monomials(bounds, low, d)]
     if isinstance(spec, list):
         polys = []
         for item in spec:
@@ -437,8 +437,11 @@ def cmd_toric_table(args):
         row["min_distance_formula"] = toric_min_distance_formula(args.q, args.s, d)
         row.update(min_distance=None, next_to_minimal=None, refusal=None)
         try:
-            # Refused from k alone, before the space and the code are built.
+            # Refused from k alone, before the space and the code are built,
+            # then from the number of torus points, before they are listed.
             enumeration_size(args.q, spec.dim, args.budget)
+            if row["n"] > args.budget:
+                raise BudgetExceededError(row["n"], args.budget, "the torus")
             points = points or torus_points(field, args.s)
             profile = weight_distribution(
                 evaluate_space(toric_space(spec), points),
@@ -524,8 +527,8 @@ def build_parser():
                 "--threads",
                 type=positive_int,
                 default=None,
-                help="weight enumeration threads, at least 1 (default: the CPUs this"
-                " process may run on); the rghw search runs on one thread",
+                help="weight enumeration threads, at least 1, capped at the CPUs this"
+                " process may run on (the default); the rghw search runs on one thread",
             )
 
     p = sub.add_parser(

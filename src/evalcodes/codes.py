@@ -288,20 +288,21 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
     vector counts each vector once, also for rank deficient matrices.  The
     monic rows of each lead are counted by the table kernel in batches of
     about _BATCH words, several prefixes per broadcast.  The batches are
-    mapped over one pool of `threads` workers (None: the CPUs this process
-    may run on), or walked on the calling thread when threads == 1 or when
-    all (q^k - 1)/(q - 1) monic rows fit in one chunk.  Sums do not depend
-    on the thread count.  Raises as `enumeration_size`.
+    mapped over one pool of `threads` workers, capped at the CPUs this
+    process may run on (None: that many), or walked on the calling thread
+    when the pool would have one worker or all (q^k - 1)/(q - 1) monic rows
+    fit in one chunk.  Sums do not depend on the thread count.  Raises as
+    `enumeration_size`.
     """
     q = code.field.q
     k = code.k
     n = code.n
     total = enumeration_size(q, k, budget)
-    if threads is None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
-    elif threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = min(threads or cpus, cpus)
     table = _ZeroTable(code.rows, q)
     # The deepest table, for lead 0, is built before any worker reads it.
     table.low(_low_digit_count(q, k - 1))

@@ -10,12 +10,12 @@ hypersimplex codes, zero count bounds for squarefree forms on the torus,
 and the full weight hierarchy of the degree one hypersimplex code.
 """
 
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 from .codes import evaluate_space
 from .groebner import PointSet
-from .poly import GREVLEX, Polynomial, PolySpace
+from .poly import GREVLEX, Polynomial, PolySpace, monomials
 from .weights import RghwProblem
 
 
@@ -41,9 +41,8 @@ def cartesian_rghw_formula(sizes, d1, d2, r):
         raise ValueError(
             f"need -1 <= d2 < d1 <= {max_degree}, got d1={d1}, d2={d2}"
         )
-    box = product(*(range(d) for d in sizes))
-    upto = sorted((a for a in box if sum(a) <= d1), reverse=True)
-    window = [a for a in upto if sum(a) > d2]
+    upto = monomials(sizes, 0, d1)[::-1]
+    window = monomials(sizes, d2 + 1, d1)[::-1]
     if not 1 <= r <= len(window):
         raise ValueError(f"r must be between 1 and {len(window)}, got {r}")
     a = window[r - 1]
@@ -96,12 +95,7 @@ def cartesian_space(field, sizes, degree, order=GREVLEX):
     These are exactly the standard monomials of the Cartesian vanishing
     ideal up to the degree cap, so no standardization is needed.
     """
-    monos = [
-        m
-        for m in product(*(range(d) for d in sizes))
-        if sum(m) <= degree
-    ]
-    monos.sort(key=order.key, reverse=True)
+    monos = order.sorted(monomials(sizes, 0, degree), reverse=True)
     basis = [Polynomial.monomial(field, m) for m in monos]
     return PolySpace(field, len(sizes), order, basis)
 
@@ -134,14 +128,6 @@ def torus_points(field, s):
     return PointSet(field, list(product(nonzero, repeat=s)))
 
 
-def _squarefree_monomials(s, degrees):
-    monos = []
-    for d in degrees:
-        for pos in combinations(range(s), d):
-            monos.append(tuple(1 if i in pos else 0 for i in range(s)))
-    return monos
-
-
 def _torus_space(field, s, monos, order):
     """Span of squarefree monomials on the torus; collapses to <1> at q=2."""
     if field.q == 2:
@@ -161,9 +147,7 @@ def squarefree_code(field, s, d, order=GREVLEX):
     """
     if not 0 <= d <= s:
         raise ValueError(f"need 0 <= d <= s, got d={d}, s={s}")
-    space = _torus_space(
-        field, s, _squarefree_monomials(s, range(d + 1)), order
-    )
+    space = _torus_space(field, s, monomials((2,) * s, 0, d), order)
     return evaluate_space(space, torus_points(field, s))
 
 
@@ -186,7 +170,7 @@ class HypersimplexSpec:
 
 def toric_space(spec, order=GREVLEX):
     """Span of the squarefree monomials of degree exactly d on the torus."""
-    monos = _squarefree_monomials(spec.s, [spec.d])
+    monos = monomials((2,) * spec.s, spec.d, spec.d)
     return _torus_space(spec.field, spec.s, monos, order)
 
 
@@ -203,10 +187,15 @@ def toric_problem(field, s, d1, degrees2=None, order=GREVLEX):
     """RghwProblem on the torus with L1 the squarefree monomials of degree
     <= d1 and L2 spanned by the squarefree monomials of the given degrees."""
     points = torus_points(field, s)
-    space1 = _torus_space(field, s, _squarefree_monomials(s, range(d1 + 1)), order)
+    space1 = _torus_space(field, s, monomials((2,) * s, 0, d1), order)
     space2 = None
     if degrees2 is not None:
-        space2 = _torus_space(field, s, _squarefree_monomials(s, degrees2), order)
+        monos = []
+        for d in degrees2:
+            if d < 0:
+                raise ValueError(f"degrees2 must be non-negative, got {d}")
+            monos += monomials((2,) * s, d, d)
+        space2 = _torus_space(field, s, monos, order)
     return RghwProblem(points, space1, space2, order)
 
 

@@ -16,7 +16,6 @@ evaluation codes and `variety_in_X` both go through it.
 
 import heapq
 from collections import namedtuple
-from itertools import product
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .field import check_int64_products, rank_mod
-from .poly import GREVLEX, Polynomial, divide, monomial_divides, total_degree
+from .poly import GREVLEX, Polynomial, divide, monomial_divides, monomials, total_degree
 
 
 class PointSet:
@@ -251,7 +250,7 @@ def monomial_footprint(leads, nvars, order=GREVLEX):
         bounds.append(min(pures))
     monos = [
         mono
-        for mono in product(*(range(b) for b in bounds))
+        for mono in monomials(bounds, 0, sum(bounds))
         if not any(monomial_divides(lead, mono) for lead in leads)
     ]
     return tuple(sorted(monos, key=order.key))

@@ -31,6 +31,26 @@ def monomial_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def monomials(bounds, low, high):
+    """The exponent vectors e with 0 <= e_i < bounds[i] and low <= |e| <= high,
+    as a list in lexicographic order.
+
+    Built one coordinate at a time, keeping a prefix only when some
+    completion still lands in the window, so every layer is at most as long
+    as the output and the cost follows the output, not the box.
+    """
+    rest = sum(b - 1 for b in bounds)  # the most the coordinates left can add
+    layer = [((), 0)] if max(low, 0) <= min(high, rest) else []
+    for b in bounds:
+        rest -= b - 1
+        layer = [
+            (prefix + (e,), total + e)
+            for prefix, total in layer
+            for e in range(max(0, low - total - rest), min(b - 1, high - total) + 1)
+        ]
+    return [prefix for prefix, _ in layer]
+
+
 class MonomialOrder:
     """A monomial order given by a sort key; larger key means larger monomial."""
 

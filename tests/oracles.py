@@ -9,7 +9,8 @@ rank over the footprint, and `evaluate_at` the point-by-point reference for
 `monic_walk_weights` and `monic_walk_search`, are the reference enumerator
 for the table kernel: whole coefficient rows times the generator matrix.
 `trial_division_is_prime` is the reference for the Miller-Rabin test of
-`PrimeField`.
+`PrimeField`, and `box_monomials`, a walk over the whole exponent box, the
+reference for `poly.monomials`.
 """
 
 import heapq
@@ -34,6 +35,14 @@ def trial_division_is_prime(n):
             return False
         d += 1
     return True
+
+
+def box_monomials(bounds, low, high):
+    """Exponent vectors of the box prod [0, bounds[i]) with total degree in
+    [low, high], in the order of `itertools.product`: the whole box is
+    walked and filtered."""
+    box = product(*(range(b) for b in bounds))
+    return [m for m in box if low <= sum(m) <= high]
 
 
 def monomial_lcm(a, b):

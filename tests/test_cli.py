@@ -3,6 +3,7 @@ import math
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,11 @@ from evalcodes.cli import (
     resolve_problem,
 )
 
+from oracles import box_monomials
+
 SEED = 20260823
+DATA = Path(__file__).parent / "data"
+F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 
@@ -74,6 +79,67 @@ class TestPolynomialParsing:
             }
             f = Polynomial(F5, 2, terms)
             assert parse_polynomial(format_polynomial(f), F5, 2) == f
+
+
+class TestLargeExponents:
+    """An exponent e >= q is read as ((e - 1) mod (q - 1)) + 1: x^e = x^e'
+    on GF(q) when e, e' >= 1 and e = e' mod (q - 1)."""
+
+    def test_lowered_exponents_and_collisions(self):
+        assert parse_polynomial("t1^3", F3, 1) == Polynomial.monomial(F3, (1,))
+        assert parse_polynomial("t1^2*t1^2*t2^2", F3, 2) == Polynomial.monomial(
+            F3, (2, 2)
+        )
+        # t1^5 and t1 coincide on GF(5), so their coefficients add.
+        assert parse_polynomial("t1^5 + t1", F5, 1) == Polynomial(F5, 1, {(1,): 2})
+        assert parse_polynomial("t1^9 - t1", F5, 1).is_zero()
+        pairs = [[[7], 1], [[3], 2]]
+        assert polynomial_from_pairs(pairs, F5, 1) == Polynomial(F5, 1, {(3,): 3})
+        # Over GF(2) every positive exponent becomes 1; t^0 stays constant.
+        f = parse_polynomial("t1^6*t2^0 + t2^0", F2, 2)
+        assert f == Polynomial(F2, 2, {(1, 0): 1, (0, 0): 1})
+
+    def test_same_standardized_space_as_the_raw_exponents(self):
+        rng = random.Random(SEED)
+        for q in (2, 3, 5):
+            field = PrimeField(q)
+            for _ in range(12):
+                s = rng.randint(1, 3)
+                grid = list(product(range(q), repeat=s))
+                points = PointSet(field, rng.sample(grid, rng.randint(1, len(grid))))
+                gb = vanishing_ideal(points)
+                raw = []
+                for _ in range(rng.randint(1, 4)):
+                    terms = {}
+                    for _ in range(rng.randint(1, 4)):
+                        mono = tuple(rng.randint(0, 3 * q) for _ in range(s))
+                        terms[mono] = rng.randrange(q)
+                    raw.append(Polynomial(field, s, terms))
+                texts = [parse_polynomial(format_polynomial(f), field, s) for f in raw]
+                pairs = [
+                    polynomial_from_pairs([[list(m), c] for m, c in f.terms.items()], field, s)
+                    for f in raw
+                ]
+                for f in texts + pairs:
+                    assert all(e < q for m in f.terms for e in m)
+                assert standardize(texts, gb) == standardize(raw, gb)
+                assert standardize(pairs, gb) == standardize(raw, gb)
+
+    def test_huge_exponent_answers_at_once(self, capsys, tmp_path):
+        # 10^9 is even, so t1^(10^9) is read as t1^2 over GF(3).
+        path = tmp_path / "problem.json"
+        reduced = _five_point_file(L1=["t1^2 + t2", "t1*t2"], L2=None)
+        path.write_text(json.dumps(reduced))
+        expected = json.loads(run(capsys, "rghw", str(path), "--json")[1])["results"]
+        text = ["t1^1000000000 + t2", "t1*t2"]
+        pairs = [[[[10**9, 0], 1], [[0, 1], 1]], [[[1, 1], 1]]]
+        for L1 in (text, pairs):
+            path.write_text(json.dumps(_five_point_file(L1=L1, L2=None)))
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "rghw", str(path), "--json")
+            assert time.perf_counter() - start < 1
+            assert code == 0
+            assert json.loads(out)["results"] == expected
 
 
 class TestProblemLoading:
@@ -360,6 +426,33 @@ class TestToricTableCommand:
         assert "needs 3^91390 elements" in rows[3]["refusal"]
         assert rows[19]["k"] == math.comb(40, 20)
 
+    def test_torus_larger_than_the_budget_is_refused_before_it_is_listed(
+        self, capsys, monkeypatch
+    ):
+        # At the default budget the k = 1 row of s = 40 passes the dimension
+        # check, and its 2^40 torus points are refused from their count.
+        monkeypatch.setattr(cli, "torus_points", _no_building)
+        code, out, _ = run(capsys, "toric-table", "3", "40", "--json")
+        assert code == 2
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 40 and all(row["refusal"] for row in rows)
+        refusal = BudgetExceededError(2**40, 10**7, "the torus")
+        assert rows[39]["refusal"] == str(refusal)
+
+    def test_torus_budget_boundary(self, capsys):
+        # n = 16: at budget 15 the k = 1 row is refused from the torus, at
+        # 16 it is computed; every other row needs 3^k > 16 words.
+        for budget, distance in (("15", None), ("16", 16)):
+            argv = ["toric-table", "3", "4", "--budget", budget, "--json"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 2
+            rows = json.loads(out)["rows"]
+            assert all("codeword enumeration" in row["refusal"] for row in rows[:3])
+            assert rows[3]["min_distance"] == distance
+        assert "the torus needs 16 elements" in run(
+            capsys, "toric-table", "3", "4", "--budget", "15"
+        )[1]
+
     def test_binary_field_rows_have_dimension_one(self, capsys):
         code, out, _ = run(capsys, "toric-table", "2", "5", "--budget", "1", "--json")
         assert code == 2
@@ -497,6 +590,41 @@ class TestTotalDegreeShorthand:
         assert time.perf_counter() - start < 1
         assert code == 0
         assert json.loads(out)["k1"] == 5
+
+
+class TestSpaceShorthands:
+    """Each shorthand lists the monomials of its degree window in its box."""
+
+    def test_same_lists_as_the_box_walk(self):
+        # The walks the shorthands used to make: the box of exponents at
+        # most min(d, q - 1), or the squarefree box, filtered by degree.
+        for q in (2, 3, 5):
+            field = PrimeField(q)
+            for s in range(1, 5):
+                cases = [
+                    ({"total_degree": d}, (min(d, q - 1) + 1,) * s, 0, d)
+                    for d in range(s * (q - 1) + 3)
+                ]
+                for d in range(s + 1):
+                    cases.append(({"squarefree_degree": d}, (2,) * s, d, d))
+                    cases.append(({"squarefree_max_degree": d}, (2,) * s, 0, d))
+                for spec, bounds, low, high in cases:
+                    expected = [
+                        Polynomial.monomial(field, m)
+                        for m in box_monomials(bounds, low, high)
+                    ]
+                    assert cli._space_polynomials(spec, field, s) == expected
+
+    def test_wide_squarefree_spaces_answer_at_once(self, capsys):
+        # Boxes of 2^21 and 2^30 vectors hold 22 and 435 monomials.
+        start = time.perf_counter()
+        spec = {"squarefree_max_degree": 1}
+        assert len(cli._space_polynomials(spec, F3, 21)) == 22
+        path = DATA / "squarefree-f3-s30.json"
+        code, out, _ = run(capsys, "rghw", str(path), "--json")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert [e["rghw"] for e in json.loads(out)["results"]] == [1]
 
 
 class TestStrictIntegers:

@@ -373,11 +373,16 @@ class TestThreadPolicy:
         real = codes.ThreadPoolExecutor
         return mock.patch.object(codes, "ThreadPoolExecutor", wraps=real)
 
+    def cpus(self, count):
+        return mock.patch.object(
+            codes.os, "sched_getaffinity", return_value=set(range(count)), create=True
+        )
+
     def test_one_pool_per_call(self):
         expected = brute_codeword_weights(self.ROWS, 3)
         for chunk, threads in product((3, 12), (2, 3)):
             chunk_size = mock.patch.multiple(codes, _CHUNK=chunk, _BATCH=4)
-            with chunk_size, self.counted_pools() as pool:
+            with chunk_size, self.cpus(3), self.counted_pools() as pool:
                 profile = _profile_from_rows(self.ROWS, 3, threads)
             assert profile.distribution == expected
             assert pool.call_count == 1
@@ -409,6 +414,28 @@ class TestThreadPolicy:
             with no_affinity, mock.patch.object(codes.os, "cpu_count", return_value=2):
                 assert _profile_from_rows(self.ROWS, 3).distribution == expected
         assert pool.call_count == 1
+
+    def test_pool_is_capped_at_the_cpus(self):
+        # Every batch is submitted at once, so a pool of N workers could
+        # start N threads; it gets no more workers than allowed CPUs.
+        expected = brute_codeword_weights(self.ROWS, 3)
+        real = codes.ThreadPoolExecutor
+        workers = []
+
+        def recording_pool(max_workers):
+            workers.append(max_workers)
+            assert max_workers <= 2, "a pool larger than the allowed CPUs"
+            return real(max_workers=max_workers)
+
+        pools = mock.patch.object(codes, "ThreadPoolExecutor", recording_pool)
+        with mock.patch.object(codes, "_CHUNK", 3), self.cpus(2), pools:
+            for threads in (10**6, 3, 2, None):
+                profile = _profile_from_rows(self.ROWS, 3, threads)
+                assert profile.distribution == expected
+        assert workers == [2, 2, 2, 2]
+        with mock.patch.object(codes, "_CHUNK", 3), self.cpus(1), self.no_pool():
+            profile = _profile_from_rows(self.ROWS, 3, 10**6)
+            assert profile.distribution == expected
 
 
 def _profile_from_rows(rows, q, threads=None):

@@ -3,6 +3,9 @@ from itertools import product
 import pytest
 
 from evalcodes import (
+    GREVLEX,
+    GRLEX,
+    LEX,
     CartesianSpec,
     HypersimplexSpec,
     Polynomial,
@@ -11,6 +14,7 @@ from evalcodes import (
     cartesian_points,
     cartesian_problem,
     cartesian_rghw_formula,
+    cartesian_space,
     linear_form_zero_count,
     reducible_zero_bound,
     relative_footprint,
@@ -26,7 +30,7 @@ from evalcodes import (
     weight_distribution,
 )
 
-from oracles import brute_max_zero_count
+from oracles import box_monomials, brute_max_zero_count
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -53,6 +57,15 @@ class TestCartesianPointsAndCodes:
     def test_point_order_is_lexicographic(self):
         pts = cartesian_points(F3, [[0, 1], [1, 2]])
         assert pts.points == [(0, 1), (0, 2), (1, 1), (1, 2)]
+
+    def test_space_is_the_degree_window_of_the_box(self):
+        # Degree -1 is an empty window, hence the zero space.
+        for order in (LEX, GRLEX, GREVLEX):
+            for degree in range(-1, 6):
+                space = cartesian_space(F5, (2, 3, 3), degree, order)
+                expected = order.sorted(box_monomials((2, 3, 3), 0, degree))
+                assert space.leads() == expected[::-1]
+        assert cartesian_space(F5, (2, 3), -1).dim == 0
 
 
 class TestCartesianFormula:
@@ -130,6 +143,13 @@ class TestSquarefreeCodes:
         code1, _ = problem.codes()
         d = weight_distribution(code1).minimum_distance
         assert rghw_degree(problem, 1) == d
+
+    def test_toric_problem_second_space_degrees(self):
+        # L2 is spanned by the squarefree monomials of each listed degree;
+        # a negative degree is refused.
+        assert toric_problem(F3, 3, 2, degrees2=[0, 2]).k2 == 1 + 3
+        with pytest.raises(ValueError, match="non-negative"):
+            toric_problem(F3, 3, 2, degrees2=[0, -1])
 
     def test_max_zero_counts_grow_with_degree(self):
         for s in (2, 3):

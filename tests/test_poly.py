@@ -1,7 +1,10 @@
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evalcodes import (
     GREVLEX,
@@ -20,10 +23,11 @@ from evalcodes.poly import (
     PolySpace,
     monomial_divides,
     monomial_mul,
+    monomials,
     total_degree,
 )
 
-from oracles import monomial_lcm, pp_rref
+from oracles import box_monomials, monomial_lcm, pp_rref
 
 SEED = 20260823
 F3 = PrimeField(3)
@@ -46,6 +50,48 @@ def test_monomial_helpers():
     assert monomial_divides((1, 0), (2, 1))
     assert not monomial_divides((0, 2), (1, 1))
     assert monomial_lcm((2, 1), (1, 3)) == (2, 3)
+
+
+def test_monomials_examples():
+    assert monomials((2, 2, 2), 2, 2) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert monomials((3, 2), 0, 1) == [(0, 0), (0, 1), (1, 0)]
+    assert monomials((1, 4), 2, 9) == [(0, 2), (0, 3)]
+    assert monomials((), 0, 0) == [()]
+    # Empty windows: reversed, negative, above the box, or an empty box.
+    for bounds, low, high in [
+        ((3, 3), 3, 2),
+        ((3, 3), -4, -1),
+        ((3, 3), 5, 9),
+        ((2, 0, 2), 0, 4),
+        ((), 1, 3),
+    ]:
+        assert monomials(bounds, low, high) == []
+
+
+def test_monomials_cost_follows_the_output():
+    # Boxes of 2^60 and 3^40 vectors, which no walk over the box could finish.
+    start = time.perf_counter()
+    linear = monomials((2,) * 60, 0, 1)
+    quadratic = monomials((3,) * 40, 2, 2)
+    assert time.perf_counter() - start < 1
+    assert linear == [(0,) * 60] + [
+        tuple(int(j == 59 - i) for j in range(60)) for i in range(60)
+    ]
+    assert len(quadratic) == 40 + 40 * 39 // 2
+    assert quadratic == sorted(quadratic)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@example(bounds=[3, 3], low=4, high=2)
+@example(bounds=[5] * 6, low=-3, high=-1)
+@example(bounds=[], low=0, high=0)
+@given(
+    bounds=st.lists(st.integers(0, 5), max_size=6),
+    low=st.integers(-4, 28),
+    high=st.integers(-4, 28),
+)
+def test_monomials_match_box_walk(bounds, low, high):
+    assert monomials(bounds, low, high) == box_monomials(bounds, low, high)
 
 
 def test_order_examples():
