@@ -1,14 +1,19 @@
 """Groebner bases, vanishing ideals and footprint degree computations.
 
 The central objects are reduced Groebner bases of zero dimensional ideals.
-Vanishing ideals of finite point sets are built directly by the
-Buchberger-Moeller linear algebra method: standard monomials are collected
-in increasing order while candidate monomials whose evaluation vectors
-become dependent turn into generators, read off the coefficient tag that
-each evaluation row carries through the elimination.  The footprint (set
-of standard monomials) then carries all degree information: deg(S/I)
-equals its cardinality, and, being a basis of S/I, it turns
-deg S/(I + (F)) into |footprint| minus one rank over GF(q)
+Vanishing ideals of finite point sets are built directly.  A product set
+A_1 x ... x A_s (the tori and Cartesian grids) has the closed form
+prod_{a in A_i} (t_i - a), a universal Groebner basis whose footprint is
+the box prod [0, |A_i|) (Lopez, Renteria-Marquez and Villarreal, "Affine
+Cartesian codes", Des. Codes Cryptogr. 71, 2014).  Any other set goes
+through the Buchberger-Moeller linear algebra method: standard monomials
+are collected in increasing order while candidate monomials whose
+evaluation vectors become dependent turn into generators, read off the
+coefficient tag that each evaluation row carries through the elimination.
+Normal forms divide by heads (lead, inverse lead coefficient) built once
+per basis.  The footprint (set of standard monomials) then carries all
+degree information: deg(S/I) equals its cardinality, and, being a basis of
+S/I, it turns deg S/(I + (F)) into |footprint| minus one rank over GF(q)
 (`degree_with_F`).  No general Groebner basis algorithm is needed.
 `PointSet.evaluate` is the one evaluation of given polynomials at points;
 evaluation codes and `variety_in_X` both go through it.
@@ -26,7 +31,15 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .field import check_int64_products, rank_mod
-from .poly import GREVLEX, Polynomial, divide, monomial_divides, monomials, total_degree
+from .poly import (
+    GREVLEX,
+    Polynomial,
+    _divide,
+    _heads,
+    monomial_divides,
+    monomials,
+    total_degree,
+)
 
 
 class PointSet:
@@ -112,7 +125,9 @@ class GroebnerBasis:
     """A reduced Groebner basis, generators sorted by increasing lead.
 
     standard_monomials is the footprint, a tuple in increasing order, when
-    the construction already yields it (`vanishing_ideal`), else None.
+    the construction already yields it (`vanishing_ideal`), else None.  The
+    division heads of the generators are built here, once, for every
+    `normal_form` on the basis.
     """
 
     def __init__(self, field, nvars, order, generators, standard_monomials=None):
@@ -121,9 +136,10 @@ class GroebnerBasis:
         self.order = order
         self.generators = list(generators)
         self.standard_monomials = standard_monomials
+        self._heads = _heads(self.generators, order)
 
     def leads(self):
-        return [g.lead_monomial(self.order) for g in self.generators]
+        return [lead for lead, _, _ in self._heads]
 
     def __eq__(self, other):
         return (
@@ -142,6 +158,64 @@ class GroebnerBasis:
 def vanishing_ideal(points, order=GREVLEX):
     """Reduced Groebner basis of the ideal of all polynomials zero on X.
 
+    X lies in the product of its coordinate projections A_i, so it is that
+    product exactly when |X| = |A_1| * ... * |A_s|.  Then the answer is in
+    closed form: the monic f_i = prod_{a in A_i} (t_i - a) are a universal
+    Groebner basis of I(X), reduced in every order (the leads are
+    t_i^{|A_i|} and no tail term is divisible by a lead), and the footprint
+    is the box prod [0, |A_i|) (Lopez, Renteria-Marquez and Villarreal,
+    "Affine Cartesian codes", Des. Codes Cryptogr. 71, 2014).  Tori,
+    Cartesian grids and every set with s = 1 are such products.  Any other
+    set goes through the Buchberger-Moeller elimination of
+    `_buchberger_moeller`.  The reduced basis is unique, so both routes give
+    the same generators and footprint.  The footprint has exactly |X|
+    elements and is kept on the result.  Raises ValueError when
+    (q - 1)^2 >= 2^63, where the int64 elimination would wrap.
+    """
+    field = points.field
+    q = field.q
+    check_int64_products(q, what="the vanishing ideal")
+    factors = _product_factors(points)
+    if factors is None:
+        return _buchberger_moeller(points, order)
+    s = points.nvars
+    generators = []
+    for i, values in enumerate(factors):
+        coeffs = [1]  # of prod (t - a), lowest degree first
+        for a in values:
+            coeffs = [(c - a * d) % q for c, d in zip([0] + coeffs, coeffs + [0])]
+        terms = {
+            tuple(e if j == i else 0 for j in range(s)): c
+            for e, c in enumerate(coeffs)
+        }
+        generators.append(Polynomial(field, s, terms))
+    generators.sort(key=lambda g: order.key(g.lead_monomial(order)))
+    bounds = [len(values) for values in factors]
+    box = sorted(monomials(bounds, 0, sum(bounds) - s), key=order.key)
+    return GroebnerBasis(field, s, order, generators, tuple(box))
+
+
+def _product_factors(points):
+    """The coordinate projections of X, each sorted, when X is their product;
+    else None.
+
+    The product of their sizes is at least |X|, so the scan stops as soon as
+    it passes |X|, before the product grows with s.
+    """
+    size = 1
+    factors = []
+    for column in zip(*points.points):
+        values = sorted(set(column))
+        size *= len(values)
+        if size > len(points):
+            return None
+        factors.append(values)
+    return factors
+
+
+def _buchberger_moeller(points, order):
+    """Reduced Groebner basis of I(X) by Buchberger-Moeller elimination.
+
     Monomials are scanned in increasing order; a monomial whose evaluation
     vector lies in the span of the standard vectors found so far yields a
     generator, anything else becomes standard.  Evaluation vectors of border
@@ -150,13 +224,11 @@ def vanishing_ideal(points, order=GREVLEX):
     Buchberger): the row holds the m evaluations, then the coefficients on
     the standard monomials, then a 1 for the monomial itself.  Eliminating
     the tagged row against the stored rows reduces both at once, so when
-    the evaluations vanish the tag is the generator.  The footprint has
-    exactly |X| elements and is kept on the result.  Raises ValueError when
-    (q - 1)^2 >= 2^63, where the int64 elimination would wrap.
+    the evaluations vanish the tag is the generator.  The caller has checked
+    the int64 limit on q.
     """
     field = points.field
     q = field.q
-    check_int64_products(q, what="the vanishing ideal")
     s = points.nvars
     coords = np.array(points.points, dtype=np.int64)
 
@@ -208,8 +280,9 @@ def normal_form(f, gb):
     """Remainder of f on division by the reduced basis; canonical in S/I."""
     if not gb.generators:
         return f
-    _, r = divide(f, gb.generators, gb.order)
-    return r
+    f._check(gb.generators[0])
+    _, rem = _divide(f, gb._heads, gb.order)
+    return Polynomial(f.field, f.nvars, rem)
 
 
 def initial_ideal(gb):

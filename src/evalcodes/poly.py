@@ -279,19 +279,34 @@ def divide(f, divisors, order):
     if not divisors:
         raise ValueError("divisor list is empty")
     for g in divisors:
+        f._check(g)
+    quots, rem = _divide(f, _heads(divisors, order), order)
+    return (
+        [Polynomial(f.field, f.nvars, terms) for terms in quots],
+        Polynomial(f.field, f.nvars, rem),
+    )
+
+
+def _heads(divisors, order):
+    """(lead monomial, inverse lead coefficient, terms) of each divisor: what
+    every division step reads, built once per divisor list."""
+    heads = []
+    for g in divisors:
         if g.is_zero():
             raise ZeroPolynomialError("cannot divide by the zero polynomial")
-        f._check(g)
-    field = f.field
-    q = field.q
-    heads = [
-        (g.lead_monomial(order), field.inv(g.lead_coeff(order)), g.terms)
-        for g in divisors
-    ]
+        lead = g.lead_monomial(order)
+        heads.append((lead, g.field.inv(g.terms[lead]), g.terms))
+    return heads
+
+
+def _divide(f, heads, order):
+    """`divide` by divisors given as their `_heads`, quotients and remainder
+    as term dicts."""
+    q = f.field.q
     # One mutable dividend; its lead strictly decreases, so every quotient
     # and remainder monomial is written once.
     p = dict(f.terms)
-    quots = [{} for _ in divisors]
+    quots = [{} for _ in heads]
     rem = {}
     while p:
         pm = order.max(p)
@@ -312,10 +327,7 @@ def divide(f, divisors, order):
         else:
             rem[pm] = pc
             del p[pm]
-    return (
-        [Polynomial(field, f.nvars, terms) for terms in quots],
-        Polynomial(field, f.nvars, rem),
-    )
+    return quots, rem
 
 
 class PolySpace:

@@ -677,3 +677,19 @@ class TestStrictIntegers:
         code, out, _ = run(capsys, "rghw", str(path), "--json")
         assert code == 0
         assert [e["rghw"] for e in json.loads(out)["results"]] == [1, 2]
+
+
+FIXTURE_PAYLOADS = json.loads((DATA / "fixture-payloads.json").read_text())
+PAYLOAD_ARGS = {"vanishing-ideal": [], "rghw": ["--validate"], "weights": []}
+
+
+@pytest.mark.parametrize("key", sorted(FIXTURE_PAYLOADS))
+def test_fixture_payloads_unchanged(capsys, key):
+    # Every payload of the three fixtures in each order, as recorded before
+    # product point sets took the closed form; only the elapsed time varies.
+    command, fixture, order = key.split()
+    argv = [command, fixture, *PAYLOAD_ARGS[command], "--order", order, "--json"]
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    payload.pop("elapsed_seconds", None)
+    assert {"exit": code, "payload": payload} == FIXTURE_PAYLOADS[key]

@@ -33,6 +33,7 @@ from evalcodes import (
     vanishing_ideal,
     variety_in_X,
 )
+from evalcodes.groebner import _buchberger_moeller, _product_factors
 from evalcodes.poly import monomial_div, monomial_divides
 
 from oracles import brute_variety_count, buchberger, evaluate_at, monomial_lcm
@@ -259,9 +260,12 @@ def point_sets(draw):
 )
 @given(pts=point_sets())
 def test_vanishing_ideal_is_the_reduced_basis(order, pts):
+    assert_reduced_basis(vanishing_ideal(pts, order), pts, order)
+
+
+def assert_reduced_basis(gb, pts, order):
     # Monic generators of I(X), a Groebner basis, no tail term in in(I):
     # together the unique reduced basis, whose footprint has |X| elements.
-    gb = vanishing_ideal(pts, order)
     leads = gb.leads()
     for g in gb.generators:
         assert g.lead_coeff(order) == 1
@@ -274,6 +278,84 @@ def test_vanishing_ideal_is_the_reduced_basis(order, pts):
     fp = monomial_footprint(leads, pts.nvars, order)
     assert len(fp) == len(pts)
     assert gb.standard_monomials == fp
+
+
+@st.composite
+def product_sets(draw):
+    """A_1 x ... x A_s in shuffled order: q in {2, 3, 5, 7, 11, 31}, s <= 4
+    and |X| <= 36, each A_i a random subset of GF(q)."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 11, 31)))
+    s = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    axes = []
+    room = 36
+    for _ in range(s):
+        k = draw(st.integers(1, min(q, room)))
+        room //= k
+        axes.append(rng.sample(range(q), k))
+    pts = list(product(*axes))
+    rng.shuffle(pts)
+    return PointSet(PrimeField(q), pts)
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(pts=product_sets())
+def test_product_closed_form_is_the_eliminated_basis(order, pts):
+    assert _product_factors(pts) is not None
+    assert_eliminated_basis(pts, order)
+
+
+def assert_eliminated_basis(pts, order):
+    gb = vanishing_ideal(pts, order)
+    reference = _buchberger_moeller(pts, order)
+    assert gb.generators == reference.generators
+    assert gb.standard_monomials == reference.standard_monomials
+    assert_reduced_basis(gb, pts, order)
+
+
+GRID = [(a, b) for a in (0, 2, 3) for b in (1, 4)]
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize(
+    "pts, is_product",
+    [
+        (PointSet(F5, [(3, 1, 4)]), True),
+        (PointSet(PrimeField(7), [(6,), (0,), (3,), (4,)]), True),
+        (torus_points(PrimeField(2), 3), True),
+        (PointSet(F5, GRID[:2] + GRID[3:]), False),
+        (PointSet(F5, GRID + [(1, 1)]), False),
+    ],
+    ids=["single-point", "s1", "q2-torus", "grid-less-one", "grid-plus-one"],
+)
+def test_vanishing_ideal_edge_sets(order, pts, is_product):
+    # A point off the grid or missing from it sends the set to the
+    # elimination; either route must give the reduced basis.
+    assert (_product_factors(pts) is not None) == is_product
+    assert_eliminated_basis(pts, order)
+
+
+def test_closed_form_generators_verbatim():
+    # One point of GF(2)^3 is the q = 2 torus: its ideal is (t_i - 1).
+    gb = vanishing_ideal(torus_points(PrimeField(2), 3), LEX)
+    assert [format_polynomial(g) for g in gb.generators] == [
+        "t3 + 1",
+        "t2 + 1",
+        "t1 + 1",
+    ]
+    assert gb.standard_monomials == ((0, 0, 0),)
+    gb = vanishing_ideal(PointSet(F5, GRID), GREVLEX)
+    assert [format_polynomial(g) for g in gb.generators] == [
+        "t2^2 - 1",  # (t2 - 1)(t2 - 4)
+        "t1^3 + t1",  # t1 (t1 - 2)(t1 - 3)
+    ]
 
 
 class TestNormalForm:
