@@ -35,7 +35,9 @@ from .poly import (
     GREVLEX,
     Polynomial,
     _divide,
+    _exponent_array,
     _heads,
+    divisibility_table,
     monomial_divides,
     monomials,
     total_degree,
@@ -304,28 +306,21 @@ def footprint(gb):
 
 def monomial_footprint(leads, nvars, order=GREVLEX):
     """Footprint of the monomial ideal generated by the given monomials: the
-    monomials divisible by none of them, a tuple in increasing order."""
-    leads = [tuple(m) for m in leads]
-    zero = (0,) * nvars
-    if zero in leads:
-        return ()
+    monomials divisible by none of them, a tuple in increasing order.  A
+    lead of another length than nvars raises DimensionMismatchError."""
+    leads = _exponent_array(leads, nvars)
     bounds = []
     for i in range(nvars):
-        pures = [
-            m[i]
-            for m in leads
-            if m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i)
-        ]
-        if not pures:
+        # Powers of t_i alone; a constant lead gives 0 and the empty box.
+        pures = leads[~np.delete(leads, i, axis=1).any(axis=1), i]
+        if not pures.size:
             raise NotZeroDimensionalError(
                 f"no pure power of t{i + 1} among the lead monomials"
             )
-        bounds.append(min(pures))
-    monos = [
-        mono
-        for mono in monomials(bounds, 0, sum(bounds))
-        if not any(monomial_divides(lead, mono) for lead in leads)
-    ]
+        bounds.append(int(pures.min()))
+    box = monomials(bounds, 0, sum(bounds))
+    divided = divisibility_table(leads, box, nvars).any(axis=0)
+    monos = [mono for mono, hit in zip(box, divided) if not hit]
     return tuple(sorted(monos, key=order.key))
 
 
@@ -434,7 +429,5 @@ def degree_with_F(gb, F):
     rows = [[g.coeff(v) for v in images] for gs in images.values() for g in gs]
     exact = len(images) - (rank_mod(rows, gb.field.q) if rows else 0)
     in_F = [f.lead_monomial(gb.order) for f in nonzero]
-    fp_bound = sum(
-        1 for u in images if not any(monomial_divides(m, u) for m in in_F)
-    )
-    return exact, fp_bound
+    divided = divisibility_table(in_F, list(images), gb.nvars).any(axis=0)
+    return exact, int(np.count_nonzero(~divided))

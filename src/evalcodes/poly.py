@@ -7,6 +7,8 @@ dimensional subspace held as a fully reduced echelon basis with strictly
 decreasing lead monomials.
 """
 
+import numpy as np
+
 from .errors import DimensionMismatchError, FieldMismatchError, ZeroPolynomialError
 from .field import rref_mod
 
@@ -29,6 +31,28 @@ def monomial_div(a, b):
     if not monomial_divides(b, a):
         raise ValueError(f"{b} does not divide {a}")
     return tuple(x - y for x, y in zip(a, b))
+
+
+def divisibility_table(leads, monos, nvars):
+    """Boolean len(leads) x len(monos) table: lead i divides monomial j,
+    one numpy comparison per lead row.
+
+    Both are exponent vectors (tuples or array rows) of length nvars; any
+    other length raises DimensionMismatchError.
+    """
+    leads = _exponent_array(leads, nvars)
+    exps = _exponent_array(monos, nvars)
+    table = np.empty((len(leads), len(exps)), dtype=bool)
+    for row, lead in zip(table, leads):
+        row[:] = (exps >= lead).all(axis=1)
+    return table
+
+
+def _exponent_array(monos, nvars):
+    """The exponent vectors as a len(monos) x nvars int64 array."""
+    if any(len(m) != nvars for m in monos):
+        raise DimensionMismatchError(f"exponent vectors must have length {nvars}")
+    return np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
 
 
 def monomials(bounds, low, high):

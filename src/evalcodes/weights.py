@@ -8,16 +8,17 @@ monomials whose span meets L2 trivially.
 
 The search is a branch and bound over lead tuples.  For any F,
 |V_X(F)| = deg S/(I(X) + (F)) <= deg S/(in I(X) + (in F)), the number of
-standard monomials divisible by no lead of F; this footprint bound is known
-before a lead group is enumerated, and a group of partial sets is bounded by
-the best complete lead tuple through it.  Only leads realized by L1 outside
-L2 are tried, groups are visited best bound first, groups whose bound
-cannot beat the running maximum are skipped, and a group stops being scored
-once the maximum reaches its bound.  Surviving groups are scored prefix by
-prefix in coefficient space over the echelon basis of L1, by the table
-kernel of `codes`: zero counts and the L2 residue test are byte compares
-against tables of low-digit words, and only the candidates kept are
-rebuilt in full.  A definition level oracle enumerating subcodes directly
+standard monomials divisible by no lead of F, counted on one table from the
+divisibility kernel `poly.divisibility_table`.  A group of partial sets is
+bounded by the best complete lead tuple through it, which gives one tree of
+bounds over the leads realized by L1 outside L2; its root bound is the
+relative footprint bound RFP_r.  Groups are visited best bound first, those
+that cannot beat the running maximum are skipped, and a group stops being
+scored once the maximum reaches its bound.  Surviving groups are scored
+prefix by prefix in coefficient space over the echelon basis of L1, by the
+table kernel of `codes`: zero counts and the L2 residue test are byte
+compares against tables of low-digit words, and only the candidates kept
+are rebuilt in full.  A definition level oracle enumerating subcodes directly
 is provided for cross checking; it never touches lead monomials or bases.
 """
 
@@ -30,7 +31,7 @@ from .codes import _count_equal, _low_digit_count, _monic_row, _ZeroTable
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from .groebner import degree_with_F, footprint, vanishing_ideal
-from .poly import GREVLEX, Polynomial, monomial_divides
+from .poly import GREVLEX, Polynomial, divisibility_table
 
 
 def gaussian_binomial(n, k, q):
@@ -83,7 +84,10 @@ class RghwProblem:
             self._A = np.zeros((0, self.space1.dim), dtype=np.int64)
             self._A_piv = []
         self._code2 = None
-        self._divides = None
+        # k1 x |footprint|: basis lead i divides standard monomial u.
+        self._divides = divisibility_table(
+            self._lead_monos, footprint(self.gb), points.nvars
+        )
 
     @property
     def field(self):
@@ -104,20 +108,6 @@ class RghwProblem:
     @property
     def num_points(self):
         return len(self.points)
-
-    @property
-    def footprint_monomials(self):
-        return footprint(self.gb)
-
-    def _lead_divisibility(self):
-        """Boolean k1 x |footprint| table: basis lead i divides monomial u."""
-        if self._divides is None:
-            delta = self.footprint_monomials
-            self._divides = np.array(
-                [[monomial_divides(m, u) for u in delta] for m in self._lead_monos],
-                dtype=bool,
-            )
-        return self._divides
 
     def codes(self):
         """The evaluation code pair (C1, C2)."""
@@ -151,44 +141,16 @@ class RghwProblem:
         )
 
 
-def _search_max_zeros(problem, r, budget):
-    """Largest |V_X(F)| over admissible candidate sets, with a witness.
+def _bound_tree(problem, realized, r):
+    """The tree of lead groups over r of the realized positions.
 
-    Returns (max zeros, list of coefficient rows).  A branch and bound over
-    lead tuples, one level per member of F:
-
-    - only realized lead positions are tried (every admissible member lies
-      outside L2), and only those leaving enough realized positions after
-      them for the remaining members;
-    - a lead group is bounded by the footprint count of the best complete
-      lead tuple through it, which bounds |V_X| of every set in its subtree;
-    - groups are visited in decreasing bound, ties to the smaller group
-      (higher lead index), and a group whose bound is at most the running
-      maximum is skipped;
-    - a group stops being scored once the maximum reaches its bound, since
-      nothing left in it can exceed that.
-
-    Each group is walked on the calling thread with the table kernel
-    `codes._ZeroTable`, one prefix of q^l candidates at a time, in odometer
-    order.  Each prefix is charged to the budget before it is scored, so the
-    search refuses before it scores the prefix that would pass the budget.
-    Reduction modulo span(L2, chosen) is linear, so the admissibility test
-    of a candidate, a nonzero residue, is a byte compare against a table of
-    the residues of the low-digit rows.
+    groups(js) lists (bound, j), best first, for the member after leads
+    realized[js]; a bound is the footprint count of the best complete lead
+    tuple through the group.  groups(())[0][0] is the root bound.
     """
-    q = problem.q
-    k1 = problem.k1
-    e_matrix = problem._E
-    m = e_matrix.shape[1]
-    words = _ZeroTable(e_matrix, q)
-    realized = _realized_positions(problem)
-    counter = 0
-    best_zeros = -1
-    best_rows = None
     ordered = {}
 
     def groups(js):
-        """(bound, j) for the member after leads realized[js], best first."""
         if js not in ordered:
             level = len(js)
             start = js[-1] + 1 if js else 0
@@ -204,6 +166,37 @@ def _search_max_zeros(problem, r, budget):
             # group is smaller, comes first.
             ordered[js] = sorted(bounds, reverse=True)
         return ordered[js]
+
+    return groups
+
+
+def _search_max_zeros(problem, r, budget):
+    """Largest |V_X(F)| over admissible candidate sets, with a witness.
+
+    Returns (max zeros, list of coefficient rows).  A branch and bound that
+    walks `_bound_tree` over the realized leads, one level per member of F:
+    a group whose bound is at most the running maximum is skipped, and a
+    group stops being scored once the maximum reaches its bound, since
+    nothing left in it can exceed that.
+
+    Each group is walked on the calling thread with the table kernel
+    `codes._ZeroTable`, one prefix of q^l candidates at a time, in odometer
+    order.  Each prefix is charged to the budget before it is scored, so the
+    search refuses before it scores the prefix that would pass the budget.
+    Reduction modulo span(L2, chosen) is linear, so the admissibility test
+    of a candidate, a nonzero residue, is a byte compare against a table of
+    the residues of the low-digit rows.
+    """
+    q = problem.q
+    k1 = problem.k1
+    e_matrix = problem._E
+    m = e_matrix.shape[1]
+    words = _ZeroTable(e_matrix, q)
+    realized = _realized_positions(problem)
+    groups = _bound_tree(problem, realized, r)
+    counter = 0
+    best_zeros = -1
+    best_rows = None
 
     def extend(js, alive, red, pivots, chosen):
         nonlocal counter, best_zeros, best_rows
@@ -397,29 +390,19 @@ def lead_set_difference(problem):
 
 
 def _footprint_survivors(problem, positions):
-    """Standard monomials divisible by none of the leads at these positions.
-
-    This is deg S/(in I(X) + (in F)), the footprint bound on |V_X(F)| for
-    every F whose leads sit at the given basis positions.
-    """
-    divides = problem._lead_divisibility()[list(positions)]
-    return int(np.count_nonzero(~divides.any(axis=0)))
+    """Standard monomials divisible by no lead at these basis positions: the
+    footprint bound deg S/(in I(X) + (in F)) on |V_X(F)| for such F."""
+    return int(np.count_nonzero(~problem._divides[list(positions)].any(axis=0)))
 
 
 def relative_footprint(problem, r):
     """The r-th relative footprint bound RFP_r, a lower bound for M_r.
 
-    deg(S/I) minus the largest count of standard monomials surviving after
-    adjoining any r element subset of the realized lead monomials to the
-    initial ideal.
+    deg(S/I) minus the root bound of the search's `_bound_tree`: the largest
+    count of standard monomials that no lead of some r realized leads
+    divides, read off `poly.divisibility_table`.  r must lie in
+    [1, dim L1 - dim L2], as for `rghw_degree`.
     """
-    positions = _realized_positions(problem)
-    if not 1 <= r <= len(positions):
-        raise ValueError(
-            f"r must be between 1 and {len(positions)} realized leads, got {r}"
-        )
-    best = max(
-        _footprint_survivors(problem, subset)
-        for subset in combinations(positions, r)
-    )
-    return len(problem.footprint_monomials) - best
+    problem._check_r(r)
+    groups = _bound_tree(problem, _realized_positions(problem), r)
+    return len(footprint(problem.gb)) - groups(())[0][0]

@@ -419,6 +419,12 @@ class TestFootprint:
     def test_unit_ideal_footprint_empty(self):
         assert monomial_footprint([(0, 0)], 2, GREVLEX) == ()
 
+    def test_monomial_footprint_refuses_leads_of_another_length(self):
+        # (1, 1, 1) used to be read as (1, 1), and (2,) to raise IndexError.
+        for lead in ((1, 1, 1), (2,)):
+            with pytest.raises(DimensionMismatchError):
+                monomial_footprint([(2, 0), (0, 2), lead], 2, GREVLEX)
+
 
 class TestDegreeAndHilbert:
     def test_degree_examples(self):

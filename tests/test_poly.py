@@ -10,6 +10,7 @@ from evalcodes import (
     GREVLEX,
     GRLEX,
     LEX,
+    DimensionMismatchError,
     PointSet,
     Polynomial,
     PrimeField,
@@ -21,6 +22,7 @@ from evalcodes import (
 )
 from evalcodes.poly import (
     PolySpace,
+    divisibility_table,
     monomial_divides,
     monomial_mul,
     monomials,
@@ -92,6 +94,39 @@ def test_monomials_cost_follows_the_output():
 )
 def test_monomials_match_box_walk(bounds, low, high):
     assert monomials(bounds, low, high) == box_monomials(bounds, low, high)
+
+
+@st.composite
+def divisibility_cases(draw):
+    """(nvars, leads, monomials), the monomials drawing some leads again."""
+    nvars = draw(st.integers(1, 4))
+    vectors = st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=8)
+    leads = draw(vectors)
+    monos = draw(vectors)
+    if leads:
+        monos += draw(st.lists(st.sampled_from(leads), max_size=3))
+    return nvars, leads, monos
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@example(case=(2, [], [(0, 0), (1, 2)]))
+@example(case=(2, [(0, 0), (1, 2)], []))
+@example(case=(3, [], []))
+@example(case=(3, [(0, 0, 0), (1, 0, 2)], [(0, 0, 0), (1, 0, 2), (2, 0, 1)]))
+@given(case=divisibility_cases())
+def test_divisibility_table_matches_monomial_divides(case):
+    nvars, leads, monos = case
+    table = divisibility_table(leads, monos, nvars)
+    assert table.dtype == bool and table.shape == (len(leads), len(monos))
+    for i, lead in enumerate(leads):
+        for j, mono in enumerate(monos):
+            assert table[i, j] == monomial_divides(lead, mono)
+
+
+def test_divisibility_table_refuses_vectors_of_another_length():
+    for leads, monos in (([(1, 1, 1)], [(1, 1)]), ([(1, 1)], [(2,)])):
+        with pytest.raises(DimensionMismatchError):
+            divisibility_table(leads, monos, 2)
 
 
 def test_order_examples():

@@ -349,6 +349,23 @@ class TestRghwDegree:
         with pytest.raises(ValueError):
             rghw_degree(problem, 3)
 
+    def test_relative_footprint_refuses_the_r_the_search_refuses(self):
+        # All three leads t1, t2, 1 are realized by L1 \ L2 (t1 + t2 lies
+        # outside L2), but r is at most k1 - k2 = 2 for RFP_r as for M_r.
+        t1 = Polynomial(F3, 2, {(1, 0): 1})
+        t2 = Polynomial(F3, 2, {(0, 1): 1})
+        one = Polynomial(F3, 2, {(0, 0): 1})
+        grid = PointSet(F3, product(range(3), repeat=2))
+        problem = RghwProblem(grid, [t1, t2, one], [t1])
+        assert len(lead_set_difference(problem)) == 3
+        for r in (1, 2):
+            assert relative_footprint(problem, r) <= rghw_degree(problem, r)
+        for r in (3, 0):
+            with pytest.raises(ValueError, match="dim L1 - dim L2 = 2"):
+                rghw_degree(problem, r)
+            with pytest.raises(ValueError, match="dim L1 - dim L2 = 2"):
+                relative_footprint(problem, r)
+
 
 class TestGhw:
     def test_toric_values(self):
