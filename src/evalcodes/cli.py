@@ -27,6 +27,7 @@ error, 2 budget refusal.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -501,7 +502,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then shared by every call."""
     parser = _ArgumentParser(
         prog="evalcodes",
         description="Weight hierarchies of evaluation codes over prime fields.",

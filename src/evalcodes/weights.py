@@ -18,8 +18,9 @@ scored once the maximum reaches its bound.  Surviving groups are scored
 prefix by prefix in coefficient space over the echelon basis of L1, by the
 table kernel of `codes`: zero counts and the L2 residue test are byte
 compares against tables of low-digit words, and only the candidates kept
-are rebuilt in full.  A definition level oracle enumerating subcodes directly
-is provided for cross checking; it never touches lead monomials or bases.
+are rebuilt in full.  A definition level oracle for cross checking scores
+the reduced echelon coefficient matrices of every r dimensional subcode in
+numpy batches; it never touches lead monomials or bases.
 """
 
 from itertools import combinations, repeat
@@ -27,7 +28,8 @@ from itertools import combinations, repeat
 import numpy as np
 
 from .codes import DEFAULT_BUDGET, evaluate_space, standardize
-from .codes import _count_equal, _low_digit_count, _monic_row, _ZeroTable
+from .codes import _BATCH, _count_equal, _digits, _low_digit_count, _monic_row
+from .codes import _ZeroTable
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from .groebner import degree_with_F, footprint, vanishing_ideal
@@ -310,19 +312,27 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
     """M_r(C1, C2) straight from the definition.
 
     Enumerates every r dimensional subcode of C1 through reduced echelon
-    coefficient matrices, keeps those meeting C2 only in zero, and takes
-    the smallest support size.  Independent of monomial orders and bases.
+    coefficient matrices, pivot pattern by pivot pattern, keeps those
+    meeting C2 only in zero, and takes the smallest support size.  The free
+    entries of a pattern are the base-q digits of a fill index, and a range
+    of fills is scored at once in batches of at most _BATCH word entries:
+    one product gives the words, one `reduce_rows` their residues modulo
+    C2, and one elimination in row order by cross-multiplication finds the
+    subcodes whose residue rows are dependent, which meet C2.  Independent
+    of monomial orders and bases.  Raises ValueError when
+    k1 * (q - 1)^2 >= 2^63, where the words would wrap in int64.
     """
     q = code1.field.q
     k1 = code1.k
+    n = code1.n
     g1 = code1.rows
     if code1.rank < k1:
         raise ValueError("generator matrix of C1 must have full rank")
     if code2 is None or code2.k == 0:
-        g2r = np.zeros((0, code1.n), dtype=np.int64)
+        g2r = np.zeros((0, n), dtype=np.int64)
         piv2 = []
     else:
-        if code2.field != code1.field or code2.n != code1.n:
+        if code2.field != code1.field or code2.n != n:
             raise DimensionMismatchError("codes of different fields or lengths")
         g2r, piv2 = rref_mod(code2.rows, q)
         stacked = np.vstack([g1, g2r])
@@ -331,31 +341,35 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
     k2 = g2r.shape[0]
     if not 1 <= r <= k1 - k2:
         raise ValueError(f"r must be between 1 and {k1 - k2}, got {r}")
+    check_int64_products(q, k1, what="the definition oracle")
     total = gaussian_binomial(k1, r, q)
     if total > budget:
         raise BudgetExceededError(total, budget, "subcode enumeration")
-    best = None
+    step = max(1, _BATCH // (r * n))
+    best = n
     for pivs in combinations(range(k1), r):
         free = [
-            (t, j)
-            for t in range(r)
-            for j in range(pivs[t] + 1, k1)
-            if j not in pivs
+            (t, j) for t in range(r) for j in range(pivs[t] + 1, k1) if j not in pivs
         ]
-        for fill in range(q ** len(free)):
-            rows = np.zeros((r, k1), dtype=np.int64)
-            for t, p in enumerate(pivs):
-                rows[t, p] = 1
-            for fi, (t, j) in enumerate(free):
-                rows[t, j] = (fill // q ** (len(free) - 1 - fi)) % q
+        free_t, free_j = np.array(free, dtype=np.int64).reshape(-1, 2).T
+        fills = q ** len(free)
+        for lo in range(0, fills, step):
+            rows = np.zeros((min(step, fills - lo), r, k1), dtype=np.int64)
+            rows[:, range(r), pivs] = 1
+            rows[:, free_t, free_j] = _digits(q, len(free), lo, lo + len(rows))
             words = (rows @ g1) % q
-            if k2:
-                residues = reduce_rows(words, g2r, piv2, q)
-                if rank_mod(residues, q) < r:
-                    continue
-            supp = int(np.any(words != 0, axis=0).sum())
-            if best is None or supp < best:
-                best = supp
+            res = reduce_rows(words.reshape(-1, n), g2r, piv2, q).reshape(words.shape)
+            for t in range(r - 1):
+                row = res[:, t]
+                col = np.argmax(row != 0, axis=1)[:, None, None]
+                head = np.take_along_axis(row[:, None], col, axis=2)
+                rest = res[:, t + 1 :]
+                factor = np.take_along_axis(rest, col, axis=2)
+                res[:, t + 1 :] = (head * rest - factor * row[:, None]) % q
+            # A residue row eliminated to zero: the subcode meets C2.
+            ok = res.any(axis=2).all(axis=1)
+            supports = np.any(words != 0, axis=1).sum(axis=1)[ok]
+            best = min(best, int(supports.min(initial=n)))
     return best
 
 

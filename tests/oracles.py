@@ -8,6 +8,8 @@ rank over the footprint, and `evaluate_at` the point-by-point reference for
 `PointSet.evaluate`.  `monic_rows` and the walks over it,
 `monic_walk_weights` and `monic_walk_search`, are the reference enumerator
 for the table kernel: whole coefficient rows times the generator matrix.
+`loop_definition_oracle`, one subcode per Python iteration, is the
+reference for the batched `rghw_definition_oracle`.
 `trial_division_is_prime` is the reference for the Miller-Rabin test of
 `PrimeField`, and `box_monomials`, a walk over the whole exponent box, the
 reference for `poly.monomials`.
@@ -20,9 +22,11 @@ from itertools import combinations, product
 import numpy as np
 
 from evalcodes import BudgetExceededError, GroebnerBasis, ZeroPolynomialError, divide
-from evalcodes.field import reduce_rows
+from evalcodes.errors import DimensionMismatchError
+from evalcodes.field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from evalcodes.poly import monomial_div, monomial_divides, monomial_mul, total_degree
 from evalcodes.weights import _footprint_survivors, _realized_positions
+from evalcodes.weights import gaussian_binomial
 
 
 def trial_division_is_prime(n):
@@ -294,6 +298,57 @@ def brute_min_support_subcode(rows1, rows2, q, r):
         size = len({j for row in tup for j, value in enumerate(row) if value})
         if best is None or size < best:
             best = size
+    return best
+
+
+def loop_definition_oracle(code1, code2, r, budget):
+    """M_r(C1, C2) from the definition, one subcode per iteration: the
+    reference for the batched `rghw_definition_oracle`.
+
+    The same checks in the same order, then every reduced echelon
+    coefficient matrix of rank r, pivot pattern by pivot pattern; a subcode
+    whose words reduced modulo C2 have rank below r meets C2 and is skipped.
+    """
+    q = code1.field.q
+    k1 = code1.k
+    g1 = code1.rows
+    if code1.rank < k1:
+        raise ValueError("generator matrix of C1 must have full rank")
+    if code2 is None or code2.k == 0:
+        g2r = np.zeros((0, code1.n), dtype=np.int64)
+        piv2 = []
+    else:
+        if code2.field != code1.field or code2.n != code1.n:
+            raise DimensionMismatchError("codes of different fields or lengths")
+        g2r, piv2 = rref_mod(code2.rows, q)
+        if rank_mod(np.vstack([g1, g2r]), q) != k1:
+            raise ValueError("C2 is not a subcode of C1")
+    k2 = g2r.shape[0]
+    if not 1 <= r <= k1 - k2:
+        raise ValueError(f"r must be between 1 and {k1 - k2}, got {r}")
+    check_int64_products(q, k1)
+    total = gaussian_binomial(k1, r, q)
+    if total > budget:
+        raise BudgetExceededError(total, budget, "subcode enumeration")
+    best = None
+    for pivs in combinations(range(k1), r):
+        free = [
+            (t, j) for t in range(r) for j in range(pivs[t] + 1, k1) if j not in pivs
+        ]
+        for fill in range(q ** len(free)):
+            rows = np.zeros((r, k1), dtype=np.int64)
+            for t, p in enumerate(pivs):
+                rows[t, p] = 1
+            for fi, (t, j) in enumerate(free):
+                rows[t, j] = (fill // q ** (len(free) - 1 - fi)) % q
+            words = (rows @ g1) % q
+            if k2:
+                residues = reduce_rows(words, g2r, piv2, q)
+                if rank_mod(residues, q) < r:
+                    continue
+            supp = int(np.any(words != 0, axis=0).sum())
+            if best is None or supp < best:
+                best = supp
     return best
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from evalcodes import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     PointSet,
     Polynomial,
@@ -18,6 +19,7 @@ from evalcodes import (
     vanishing_ideal,
 )
 from evalcodes.cli import (
+    build_parser,
     fixture_names,
     load_problem,
     main,
@@ -513,6 +515,29 @@ class TestArgumentHandling:
             assert code == 1
             assert out == ""
             assert f"--threads: must be at least 1, got {threads}" in err
+
+
+    def test_repeated_calls_carry_nothing_over(self, capsys):
+        # One parser serves every call in the process; each call still
+        # starts from the defaults.
+        assert build_parser() is build_parser()
+        argv = ["rghw", "five-points-f3", "--json"]
+        code, out, _ = run(capsys, *argv, "--validate", "--budget", "100")
+        assert code == 2
+        assert json.loads(out)["budget"] == 100
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["budget"] == DEFAULT_BUDGET
+        assert build_parser().parse_args(argv).validate is False
+        code, out, _ = run(capsys, *argv, "--order", "lex")
+        assert json.loads(out)["order"] == "lex"
+        code, out, _ = run(capsys, *argv)
+        assert json.loads(out)["order"] == "grevlex"
+        code, out, err = run(capsys, *argv, "--budget", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: evalcodes rghw")
+        assert run(capsys, *argv)[0] == 0
 
 
 class TestCertification:

@@ -1,9 +1,14 @@
 import random
 from itertools import product
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalcodes import (
+    DEFAULT_BUDGET,
     GREVLEX,
     LEX,
     BudgetExceededError,
@@ -25,6 +30,8 @@ from evalcodes import (
     torus_points,
     weight_distribution,
 )
+from evalcodes import weights
+from evalcodes.cli import load_problem, resolve_problem
 from evalcodes.field import rank_mod
 
 from oracles import (
@@ -32,6 +39,7 @@ from oracles import (
     brute_min_support_subcode,
     brute_subspace_count,
     enumerate_candidates,
+    loop_definition_oracle,
 )
 
 SEED = 20260823
@@ -216,6 +224,94 @@ class TestDefinitionOracle:
         code = EvaluationCode(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(BudgetExceededError):
             rghw_definition_oracle(code, None, 1, budget=2)
+
+
+def fixture_codes(name):
+    """(C1, C2, r values) of a shipped fixture."""
+    resolved = resolve_problem(load_problem(name), None)
+    problem = RghwProblem(
+        resolved.points, resolved.space1, resolved.space2, resolved.order
+    )
+    return (*problem.codes(), resolved.r_values)
+
+
+def unitriangular_rows(draw, q, k, n):
+    """A random sparse k x n matrix over GF(q) of rank k: upper unitriangular
+    on k randomly placed columns, about half zeros elsewhere.  Sparse rows
+    give small supports, so C2 often holds the best subcodes' words."""
+    entries = st.one_of(st.just(0), st.integers(0, q - 1))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    cols = draw(st.permutations(range(n)))[:k]
+    for i in range(k):
+        for j in range(i + 1):
+            rows[i][cols[j]] = int(i == j)
+    return rows
+
+
+@st.composite
+def nested_codes(draw):
+    """(C1, C2) over GF(q), q in {2, 3, 5, 7}: C1 of full rank k1 <= 5 and
+    C2 spanned by k2 < k1 independent combinations of its rows."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    field = PrimeField(q)
+    k1 = draw(st.integers(1, 5))
+    code1 = EvaluationCode(
+        field, unitriangular_rows(draw, q, k1, draw(st.integers(k1, 8)))
+    )
+    k2 = draw(st.integers(0, k1 - 1))
+    combos = np.array(unitriangular_rows(draw, q, k2, k1), dtype=np.int64)
+    code2 = EvaluationCode(field, (combos @ code1.rows) % q) if k2 else None
+    return code1, code2
+
+
+def oracle_outcome(oracle, code1, code2, r, budget):
+    try:
+        return oracle(code1, code2, r, budget)
+    except BudgetExceededError:
+        return "refused"
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(nested_codes(), st.sampled_from((None, 1, 2, 3)))
+def test_batched_oracle_matches_loop_reference(codes, step):
+    # Subcode counts above the budget are refused by both, before any work.
+    # A step of 1, 2 or 3 fills per batch ends patterns on short batches.
+    code1, code2 = codes
+    k2 = code2.k if code2 else 0
+    for r in range(1, code1.k - k2 + 1):
+        want = oracle_outcome(loop_definition_oracle, code1, code2, r, 3000)
+        batch = step * r * code1.n if step else weights._BATCH
+        with mock.patch.object(weights, "_BATCH", batch):
+            got = oracle_outcome(rghw_definition_oracle, code1, code2, r, 3000)
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "name", ["five-points-f3", "hypersimplex-f3-s4", "torus-f5-sharp-gap"]
+)
+def test_batched_oracle_matches_loop_reference_on_fixtures(name):
+    code1, code2, r_values = fixture_codes(name)
+    for r in r_values:
+        want = loop_definition_oracle(code1, code2, r, DEFAULT_BUDGET)
+        assert rghw_definition_oracle(code1, code2, r) == want
+
+
+@pytest.mark.parametrize("name", ["five-points-f3", "hypersimplex-f3-s4", None])
+def test_batched_oracle_across_batch_boundaries(name):
+    # One fill per batch, and two fills per batch, which divides no q^f of
+    # these odd q: every pattern then ends on a short batch.  In the code
+    # without a name the only words of weight 2 are multiples of g0 + 2 g1,
+    # the last fill of its pattern, alone in the short batch.
+    if name:
+        code1, code2, _ = fixture_codes(name)
+    else:
+        code1, code2 = EvaluationCode(F3, [[1, 1, 1, 1, 0], [0, 1, 1, 1, 1]]), None
+    k2 = code2.k if code2 else 0
+    for r in range(1, code1.k - k2 + 1):
+        want = loop_definition_oracle(code1, code2, r, DEFAULT_BUDGET)
+        for batch in (1, 2 * r * code1.n):
+            with mock.patch.object(weights, "_BATCH", batch):
+                assert rghw_definition_oracle(code1, code2, r) == want
 
 
 class TestRghwDegree:
@@ -485,3 +581,10 @@ class TestInt64Limit:
             self.line_problem(2147483659, 1)
         with pytest.raises(ValueError, match=r"2\^63"):
             self.line_problem(2147483647, 2)
+
+    def test_definition_oracle_refuses_before_the_budget(self):
+        # One product of residues fits, the sum of two does not.  A run that
+        # cannot be computed is refused as such, not as work over budget.
+        code = EvaluationCode(PrimeField(3037000493), [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match=r"2\^63"):
+            rghw_definition_oracle(code, None, 1, budget=1)
