@@ -8,8 +8,9 @@ inverse (Fermat's little theorem).  Only prime q is supported, below about
 The numpy code paths hold residues in int64 and form sums of products of two
 residues, so they need terms * (q - 1)^2 < 2^63 for the number of products
 summed; `check_int64_products` refuses fields outside that limit instead of
-letting the arithmetic wrap silently.  `rref_mod` is the one GF(q) row
-reduction: polynomial spaces, generator matrices and the RGHW search all
+letting the arithmetic wrap silently; `matmul_mod` reduces between chunks
+of products and needs only (q - 1)^2 < 2^63.  `rref_mod` is the one GF(q)
+row reduction: polynomial spaces, generator matrices and the RGHW search all
 eliminate through it and `reduce_rows`.
 """
 
@@ -29,6 +30,23 @@ def check_int64_products(q, terms=1, what="int64 arithmetic"):
         raise ValueError(
             f"{what} needs {terms} * (q - 1)^2 < 2^63; q = {q} is too large"
         )
+
+
+def matmul_mod(a, b, q):
+    """(a @ b) mod q for int64 residue arrays a and b.
+
+    Reduces mod q after every chunk of floor((2^63 - 1 - q) / (q - 1)^2)
+    products, so a residue plus one chunk fits in int64.  The chunk is at
+    least 1 whenever (q - 1)^2 < 2^63, and exactly 1 at q = 3037000493.
+    """
+    chunk = (2**63 - 1 - q) // (q - 1) ** 2
+    inner = a.shape[-1]
+    if inner <= chunk:
+        return (a @ b) % q
+    acc = 0
+    for lo in range(0, inner, chunk):
+        acc = (acc + a[..., lo : lo + chunk] @ b[lo : lo + chunk]) % q
+    return acc
 
 
 def rref_mod(rows, q):

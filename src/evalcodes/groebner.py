@@ -10,6 +10,10 @@ through the Buchberger-Moeller linear algebra method: standard monomials
 are collected in increasing order while candidate monomials whose
 evaluation vectors become dependent turn into generators, read off the
 coefficient tag that each evaluation row carries through the elimination.
+The inverse of the stored rows' unit triangular pivot block is kept, so a
+candidate is reduced by two products through `field.matmul_mod`, whose
+reduction after every floor((2^63 - 1 - q) / (q - 1)^2) products admits
+every q with (q - 1)^2 < 2^63.
 Normal forms divide by heads (lead, inverse lead coefficient) built once
 per basis.  The footprint (set of standard monomials) then carries all
 degree information: deg(S/I) equals its cardinality, and, being a basis of
@@ -30,7 +34,7 @@ from .errors import (
     NotZeroDimensionalError,
     ZeroPolynomialError,
 )
-from .field import check_int64_products, rank_mod
+from .field import check_int64_products, matmul_mod, rank_mod
 from .poly import (
     GREVLEX,
     Polynomial,
@@ -226,8 +230,15 @@ def _buchberger_moeller(points, order):
     Buchberger): the row holds the m evaluations, then the coefficients on
     the standard monomials, then a 1 for the monomial itself.  Eliminating
     the tagged row against the stored rows reduces both at once, so when
-    the evaluations vanish the tag is the generator.  The caller has checked
-    the int64 limit on q.
+    the evaluations vanish the tag is the generator; generators come out in
+    the heap's increasing order.  The stored rows fill an m x (2m + 1) array
+    R (kept in transpose, so that the products read contiguous rows); row i
+    is 1 at its pivot and 0 at earlier pivots, so R[:k, piv] is unit upper
+    triangular, with inverse U.  A candidate v reduces to the unique residue
+    zero at every pivot, the one row-by-row elimination gives, by
+    c = v[piv] @ U and [v | e_k] - c @ R[:k]; a new row with pivot p extends
+    U to [[U, -U u], [0, 1]], u = R[:k, p].  Products go through
+    `matmul_mod`, so the caller's check (q - 1)^2 < 2^63 is the only limit.
     """
     field = points.field
     q = field.q
@@ -235,8 +246,10 @@ def _buchberger_moeller(points, order):
     coords = np.array(points.points, dtype=np.int64)
 
     m = len(points)
+    Rt = np.zeros((2 * m + 1, m), dtype=np.int64)
+    Ut = np.zeros((m, m), dtype=np.int64)
+    piv = np.zeros(m, dtype=np.int64)
     standard = []
-    rows = []
     generators = []
     lead_set = []
 
@@ -248,24 +261,26 @@ def _buchberger_moeller(points, order):
         _, mono, vec = heapq.heappop(heap)
         if any(monomial_divides(lead, mono) for lead in lead_set):
             continue
-        res = np.zeros(2 * m + 1, dtype=np.int64)
+        k = len(standard)
+        res = np.zeros(m + k + 1, dtype=np.int64)
         res[:m] = vec
-        res[m + len(standard)] = 1
-        for pivot, row in rows:
-            c = int(res[pivot])
-            if c:
-                res = (res - c * row) % q
-        nonzero = np.nonzero(res[:m])[0]
+        res[m + k] = 1
+        if k:
+            c = matmul_mod(Ut[:k, :k], vec[piv[:k]], q)
+            res = (res - matmul_mod(Rt[: m + k + 1, :k], c, q)) % q
+        nonzero = np.flatnonzero(res[:m])
         if nonzero.size == 0:
-            tag = res[m : m + len(standard)]
             terms = {mono: 1}
-            for idx in np.nonzero(tag)[0]:
-                terms[standard[idx]] = int(tag[idx])
+            for idx in np.flatnonzero(res[m : m + k]):
+                terms[standard[idx]] = int(res[m + idx])
             generators.append(Polynomial(field, s, terms))
             lead_set.append(mono)
         else:
-            pivot = int(nonzero[0])
-            rows.append((pivot, (res * field.inv(int(res[pivot]))) % q))
+            p = int(nonzero[0])
+            Ut[k, :k] = -matmul_mod(Rt[p, :k], Ut[:k, :k], q) % q
+            Ut[k, k] = 1
+            Rt[: m + k + 1, k] = res * field.inv(int(res[p])) % q
+            piv[k] = p
             standard.append(mono)
             for i in range(s):
                 nxt = tuple(e + (1 if j == i else 0) for j, e in enumerate(mono))
@@ -274,7 +289,6 @@ def _buchberger_moeller(points, order):
                     heapq.heappush(
                         heap, (order.key(nxt), nxt, (vec * coords[:, i]) % q)
                     )
-    generators.sort(key=lambda g: order.key(g.lead_monomial(order)))
     return GroebnerBasis(field, s, order, generators, tuple(standard))
 
 

@@ -328,12 +328,14 @@ def _divide(f, heads, order):
     as term dicts."""
     q = f.field.q
     # One mutable dividend; its lead strictly decreases, so every quotient
-    # and remainder monomial is written once.
+    # and remainder monomial is written once.  Each monomial is keyed once,
+    # when it enters the dividend.
     p = dict(f.terms)
+    keys = {mono: order.key(mono) for mono in p}
     quots = [{} for _ in heads]
     rem = {}
     while p:
-        pm = order.max(p)
+        pm = max(p, key=keys.__getitem__)
         pc = p[pm]
         for (gm, ginv, gterms), quot in zip(heads, quots):
             if monomial_divides(gm, pm):
@@ -344,6 +346,8 @@ def _divide(f, heads, order):
                     mt = monomial_mul(m, t)
                     value = (p.get(mt, 0) - c * v) % q
                     if value:
+                        if mt not in keys:
+                            keys[mt] = order.key(mt)
                         p[mt] = value
                     else:
                         del p[mt]

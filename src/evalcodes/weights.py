@@ -316,8 +316,9 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
     meeting C2 only in zero, and takes the smallest support size.  The free
     entries of a pattern are the base-q digits of a fill index, and a range
     of fills is scored at once in batches of at most _BATCH word entries:
-    one product gives the words, one `reduce_rows` their residues modulo
-    C2, and one elimination in row order by cross-multiplication finds the
+    one product gives the words, one more their residues modulo C2 (the
+    generators of C1 are reduced modulo C2 once, by `reduce_rows`), and one
+    elimination in row order by cross-multiplication finds the
     subcodes whose residue rows are dependent, which meet C2.  Independent
     of monomial orders and bases.  Raises ValueError when
     k1 * (q - 1)^2 >= 2^63, where the words would wrap in int64.
@@ -345,6 +346,9 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
     total = gaussian_binomial(k1, r, q)
     if total > budget:
         raise BudgetExceededError(total, budget, "subcode enumeration")
+    # Reduction modulo C2 is linear: reduce the generators once, then the
+    # residues of a batch are its coefficient rows times them.
+    g1r = reduce_rows(g1, g2r, piv2, q)
     step = max(1, _BATCH // (r * n))
     best = n
     for pivs in combinations(range(k1), r):
@@ -358,7 +362,7 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
             rows[:, range(r), pivs] = 1
             rows[:, free_t, free_j] = _digits(q, len(free), lo, lo + len(rows))
             words = (rows @ g1) % q
-            res = reduce_rows(words.reshape(-1, n), g2r, piv2, q).reshape(words.shape)
+            res = (rows @ g1r) % q
             for t in range(r - 1):
                 row = res[:, t]
                 col = np.argmax(row != 0, axis=1)[:, None, None]

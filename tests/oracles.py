@@ -10,6 +10,8 @@ rank over the footprint, and `evaluate_at` the point-by-point reference for
 for the table kernel: whole coefficient rows times the generator matrix.
 `loop_definition_oracle`, one subcode per Python iteration, is the
 reference for the batched `rghw_definition_oracle`.
+`loop_buchberger_moeller`, one stored row at a time, is the reference for
+the array elimination of `groebner._buchberger_moeller`.
 `trial_division_is_prime` is the reference for the Miller-Rabin test of
 `PrimeField`, and `box_monomials`, a walk over the whole exponent box, the
 reference for `poly.monomials`.
@@ -21,7 +23,13 @@ from itertools import combinations, product
 
 import numpy as np
 
-from evalcodes import BudgetExceededError, GroebnerBasis, ZeroPolynomialError, divide
+from evalcodes import (
+    BudgetExceededError,
+    GroebnerBasis,
+    Polynomial,
+    ZeroPolynomialError,
+    divide,
+)
 from evalcodes.errors import DimensionMismatchError
 from evalcodes.field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from evalcodes.poly import monomial_div, monomial_divides, monomial_mul, total_degree
@@ -552,3 +560,64 @@ def _interreduce(basis, order):
                 changed = True
     minimal.sort(key=lambda g: order.key(g.lead_monomial(order)))
     return minimal
+
+
+def loop_buchberger_moeller(points, order):
+    """Reduced Groebner basis of I(X) by Buchberger-Moeller elimination, one
+    stored row per Python iteration: the reference for the array
+    elimination of `groebner._buchberger_moeller`.
+
+    Monomials are popped in increasing order from a heap seeded with 1; each
+    evaluation row carries its tag (coefficients on the standard monomials,
+    then a 1 for the monomial itself) and is reduced against the stored
+    rows in turn.  A row whose evaluations vanish yields a generator read
+    off the tag, any other row is stored normalized at its first nonzero
+    evaluation and its monomial becomes standard.
+    """
+    field = points.field
+    q = field.q
+    s = points.nvars
+    coords = np.array(points.points, dtype=np.int64)
+
+    m = len(points)
+    standard = []
+    rows = []
+    generators = []
+    lead_set = []
+
+    seen = set()
+    start = (0,) * s
+    heap = [(order.key(start), start, np.ones(m, dtype=np.int64))]
+    seen.add(start)
+    while heap:
+        _, mono, vec = heapq.heappop(heap)
+        if any(monomial_divides(lead, mono) for lead in lead_set):
+            continue
+        res = np.zeros(2 * m + 1, dtype=np.int64)
+        res[:m] = vec
+        res[m + len(standard)] = 1
+        for pivot, row in rows:
+            c = int(res[pivot])
+            if c:
+                res = (res - c * row) % q
+        nonzero = np.nonzero(res[:m])[0]
+        if nonzero.size == 0:
+            tag = res[m : m + len(standard)]
+            terms = {mono: 1}
+            for idx in np.nonzero(tag)[0]:
+                terms[standard[idx]] = int(tag[idx])
+            generators.append(Polynomial(field, s, terms))
+            lead_set.append(mono)
+        else:
+            pivot = int(nonzero[0])
+            rows.append((pivot, (res * field.inv(int(res[pivot]))) % q))
+            standard.append(mono)
+            for i in range(s):
+                nxt = tuple(e + (1 if j == i else 0) for j, e in enumerate(mono))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(
+                        heap, (order.key(nxt), nxt, (vec * coords[:, i]) % q)
+                    )
+    generators.sort(key=lambda g: order.key(g.lead_monomial(order)))
+    return GroebnerBasis(field, s, order, generators, tuple(standard))

@@ -1,7 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 
 from evalcodes import PrimeField
-from evalcodes.field import _MR_LIMIT, _is_prime, check_int64_products
+from evalcodes.field import _MR_LIMIT, _is_prime, check_int64_products, matmul_mod
 
 from oracles import trial_division_is_prime
 
@@ -76,3 +79,23 @@ class TestInt64Limit:
             check_int64_products(2147483659, 2)
         with pytest.raises(ValueError, match=r"2\^63"):
             check_int64_products(2147483647, 3)
+
+
+@pytest.mark.parametrize("q", [2, 31, 2147483647, 3037000493])
+def test_matmul_mod_agrees_with_python_ints(q):
+    # Chunks of 2 and 1 products at the two large primes; all-(q - 1)
+    # operands are the largest sums a chunk can meet.
+    rng = random.Random(q)
+    for rows, inner, cols in [(3, 7, 4), (1, 1, 1), (5, 12, 2)]:
+        a = [[rng.randrange(q) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randrange(q) for _ in range(cols)] for _ in range(inner)]
+        for x, y in [(a, b), ([[q - 1] * inner] * rows, [[q - 1] * cols] * inner)]:
+            want = [
+                [sum(x[i][t] * y[t][j] for t in range(inner)) % q for j in range(cols)]
+                for i in range(rows)
+            ]
+            xa, ya = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
+            assert matmul_mod(xa, ya, q).tolist() == want
+            # Vector times matrix and matrix times vector.
+            assert matmul_mod(xa[0], ya, q).tolist() == want[0]
+            assert matmul_mod(xa, ya[:, 0], q).tolist() == [row[0] for row in want]

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from evalcodes import (
@@ -36,7 +36,13 @@ from evalcodes import (
 from evalcodes.groebner import _buchberger_moeller, _product_factors
 from evalcodes.poly import monomial_div, monomial_divides
 
-from oracles import brute_variety_count, buchberger, evaluate_at, monomial_lcm
+from oracles import (
+    brute_variety_count,
+    buchberger,
+    evaluate_at,
+    loop_buchberger_moeller,
+    monomial_lcm,
+)
 
 SEED = 20260823
 F3 = PrimeField(3)
@@ -314,10 +320,58 @@ def test_product_closed_form_is_the_eliminated_basis(order, pts):
 
 def assert_eliminated_basis(pts, order):
     gb = vanishing_ideal(pts, order)
-    reference = _buchberger_moeller(pts, order)
+    reference = loop_buchberger_moeller(pts, order)
     assert gb.generators == reference.generators
     assert gb.standard_monomials == reference.standard_monomials
     assert_reduced_basis(gb, pts, order)
+
+
+@st.composite
+def general_sets(draw):
+    """X with q in {2, 3, 5, 7, 31}, s <= 3 and 2 <= |X| <= 60, not the
+    product of its coordinate projections when s > 1."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 31)))
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(2, min(60, q**s)))
+    ranks = draw(st.randoms(use_true_random=False)).sample(range(q**s), m)
+    pts = PointSet(PrimeField(q), [[r // q**i % q for i in range(s)] for r in ranks])
+    assume(s == 1 or _product_factors(pts) is None)
+    return pts
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(pts=general_sets())
+def test_elimination_matches_the_loop(order, pts):
+    # The elimination itself, so that s = 1 sets, which vanishing_ideal
+    # answers in closed form, exercise it too.
+    gb = _buchberger_moeller(pts, order)
+    reference = loop_buchberger_moeller(pts, order)
+    assert gb.generators == reference.generators
+    assert gb.standard_monomials == reference.standard_monomials
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("q", [2, 2147483647, 3037000493])
+def test_elimination_at_extreme_fields(order, q):
+    # q = 2 takes a single product everywhere; the two large primes sum two
+    # and one product between reductions in `matmul_mod`.
+    rng = random.Random(SEED + q)
+    if q == 2:
+        ranks = rng.sample(range(16), 11)
+        pts = [[r >> i & 1 for i in range(4)] for r in ranks]
+    else:
+        pts = {(rng.randrange(q), rng.randrange(q)) for _ in range(14)}
+        pts = sorted(pts) + [(q - 1, q - 1), (0, q - 1), (q - 1, 0)]
+    pts = PointSet(PrimeField(q), pts)
+    assert _product_factors(pts) is None
+    assert_eliminated_basis(pts, order)
 
 
 GRID = [(a, b) for a in (0, 2, 3) for b in (1, 4)]
