@@ -37,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 
 from .codes import DEFAULT_BUDGET, evaluate_space, next_to_minimal, weight_distribution
-from .codes import enumeration_size, standardize
+from .codes import WeightProfile, enumeration_size, standardize
 from .errors import BudgetExceededError
 from .families import (
     HypersimplexSpec,
@@ -438,17 +438,23 @@ def cmd_toric_table(args):
         row["min_distance_formula"] = toric_min_distance_formula(args.q, args.s, d)
         row.update(min_distance=None, next_to_minimal=None, refusal=None)
         try:
-            # Refused from k alone, before the space and the code are built,
-            # then from the number of torus points, before they are listed.
-            enumeration_size(args.q, spec.dim, args.budget)
-            if row["n"] > args.budget:
-                raise BudgetExceededError(row["n"], args.budget, "the torus")
-            points = points or torus_points(field, args.s)
-            profile = weight_distribution(
-                evaluate_space(toric_space(spec), points),
-                budget=args.budget,
-                threads=args.threads,
-            )
+            if d == args.s:
+                # The one monomial t1...ts is nonzero on the whole torus: the
+                # repetition code, with nothing to list or count.
+                repetition = {0: 1, row["n"]: args.q - 1}
+                profile = WeightProfile(row["n"], args.q, 1, repetition)
+            else:
+                # Refused from k alone, before the space and the code are
+                # built.  Then n = (q - 1)^s < q^k: the torus fits the budget.
+                # For q >= 3, k = C(s, d) <= n / 2, so the walk is over the
+                # code, not its dual, and budgeted as q^k.
+                enumeration_size(args.q, spec.dim, args.budget)
+                points = points or torus_points(field, args.s)
+                profile = weight_distribution(
+                    evaluate_space(toric_space(spec), points),
+                    budget=args.budget,
+                    threads=args.threads,
+                )
             row["min_distance"] = profile.minimum_distance
             # The second-weight convention is only defined for q >= 3.
             row["next_to_minimal"] = next_to_minimal(profile) if args.q >= 3 else None
@@ -530,8 +536,9 @@ def build_parser():
                 "--threads",
                 type=positive_int,
                 default=None,
-                help="weight enumeration threads, at least 1, capped at the CPUs this"
-                " process may run on (the default); the rghw search runs on one thread",
+                help="accepted and ignored, at least 1: weight enumeration (budgeted"
+                " as q^min(rank, n - rank) words, over the code or its dual) and the"
+                " rghw search run on the calling thread",
             )
 
     p = sub.add_parser(

@@ -10,11 +10,12 @@ digits with q^l <= _CHUNK.  Its word is a_h + B_i mod q, where a_h comes
 from the lead and the prefix, and the table of low-digit words B, a
 `_ZeroTable`, is shared by every lead.  The word is zero exactly where
 B_i == -a_h mod q, so a zero count is n byte compares.  Weight
-enumeration walks monic rows, budgeted as q^k words.
+enumeration walks the monic rows of the smaller of C and its dual, after
+one row reduction of the generator matrix gives the rank rho: a basis of C
+when rho <= n - rho, else the parity-check matrix, whose distribution the
+MacWilliams identity turns into that of C.  It is budgeted as
+q^min(rho, n - rho) words and runs on the calling thread.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     FieldMismatchError,
     NonInjectiveEvaluationError,
 )
-from .field import check_int64_products, rank_mod
+from .field import check_int64_products, rref_mod
 from .groebner import normal_form
 from .poly import echelonize
 
@@ -56,7 +57,7 @@ class EvaluationCode:
         self.rows = a % field.q
         self.space = space
         self.points = points
-        self._rank = None
+        self._reduced = None
 
     @property
     def k(self):
@@ -67,10 +68,16 @@ class EvaluationCode:
         return self.rows.shape[1]
 
     @property
+    def reduced(self):
+        """(reduced echelon rows, pivot columns) of the generator matrix,
+        from one `rref_mod`, kept for the rank and the weight distribution."""
+        if self._reduced is None:
+            self._reduced = rref_mod(self.rows, self.field.q)
+        return self._reduced
+
+    @property
     def rank(self):
-        if self._rank is None:
-            self._rank = rank_mod(self.rows, self.field.q)
-        return self._rank
+        return self.reduced[0].shape[0]
 
     def __repr__(self):
         return f"EvaluationCode(q={self.field.q}, n={self.n}, k={self.k})"
@@ -211,29 +218,33 @@ class _ZeroTable:
     zero exactly where B_i equals `targets(...)`, which is -a_h mod q.  The
     table is stored one row per column of the matrix, so compares and sums
     run along contiguous rows of q^l entries, in the smallest unsigned
-    dtype that holds q - 1.
+    dtype that holds q - 1, and grown in the smallest one that holds
+    2(q - 1).
     """
 
     def __init__(self, matrix, q):
         self.matrix = matrix
         self.q = q
         self.dtype = np.min_scalar_type(q - 1)
+        self._wide = np.min_scalar_type(2 * (q - 1))
         self._table = np.zeros((matrix.shape[1], 1), dtype=self.dtype)
         self._depth = 0
 
     def low(self, depth):
         """The ncols x q^depth table whose column i is (digits of i) @ the
         last `depth` rows of the matrix, mod q.  Grown one more significant
-        digit at a time, with int64 additions narrowed afterwards, and only
-        as deep as asked; a shallower table is a leading slice of the
-        columns of a deeper one."""
+        digit at a time, and only as deep as asked; a shallower table is a
+        leading slice of the columns of a deeper one.  A sum s of two
+        residues is reduced as min(s, s - q): below q the unsigned
+        difference wraps above s."""
         q = self.q
         k, ncols = self.matrix.shape
         while self._depth < depth:
             row = self.matrix[k - 1 - self._depth]
-            multiples = np.outer(row, np.arange(q, dtype=np.int64)) % q
-            grown = (multiples[:, :, None] + self._table[:, None, :]) % q
-            self._table = grown.reshape(ncols, -1).astype(self.dtype)
+            multiples = (np.outer(row, np.arange(q)) % q).astype(self._wide)
+            grown = np.add(multiples[:, :, None], self._table[:, None, :])
+            np.minimum(grown, grown - self._wide.type(q), out=grown)
+            self._table = grown.reshape(ncols, -1).astype(self.dtype, copy=False)
             self._depth += 1
         return self._table[:, : q**depth]
 
@@ -261,11 +272,12 @@ class _ZeroTable:
 
 
 def enumeration_size(q, k, budget):
-    """q^k, after the checks of a weight distribution in their order:
-    ValueError when k * (q - 1)^2 >= 2^63, BudgetExceededError when q^k
-    exceeds the budget, then ValueError when q^k >= 2^63.  A k of at least
-    budget.bit_length() is refused without forming q^k, which may be too
-    large to build or to write out; the refusal names the count as q^k."""
+    """q^k, after the checks of a weight distribution in their order, for
+    the dimension k of the side it walks: ValueError when
+    k * (q - 1)^2 >= 2^63, BudgetExceededError when q^k exceeds the budget,
+    then ValueError when q^k >= 2^63.  A k of at least budget.bit_length()
+    is refused without forming q^k, which may be too large to build or to
+    write out; the refusal names the count as q^k."""
     check_int64_products(q, max(k, 1), what="codeword enumeration")
     if k >= budget.bit_length():  # q^k >= 2^k > budget
         raise BudgetExceededError(f"{q}^{k}", budget, "codeword enumeration")
@@ -280,48 +292,91 @@ def enumeration_size(q, k, budget):
     return total
 
 
-def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
-    """Exact weight distribution over all q^k coefficient vectors.
+def parity_check_matrix(code):
+    """The (n - rho) x n parity-check matrix H of the code, from its reduced
+    rows R with pivot columns P and free columns N: H[:, N] = I and
+    H[:, P] = -R[:, N]^T, so R H^T = 0 and the rows of H span C^perp."""
+    reduced, pivots = code.reduced
+    q, n = code.field.q, code.n
+    free = np.setdiff1d(np.arange(n), pivots)
+    h = np.zeros((len(free), n), dtype=np.int64)
+    h[np.arange(len(free)), free] = 1
+    h[:, pivots] = (-reduced[:, free].T) % q
+    return h
+
+
+def _monic_walk(rows, q):
+    """Codewords per weight, a list of n + 1 ints, over all q^k coefficient
+    vectors of the k x n matrix `rows`.
 
     Each nonzero vector is a nonzero multiple of exactly one monic vector,
     of the same weight, so the monic histogram times q - 1 plus the zero
-    vector counts each vector once, also for rank deficient matrices.  The
-    monic rows of each lead are counted by the table kernel in batches of
-    about _BATCH words, several prefixes per broadcast.  The batches are
-    mapped over one pool of `threads` workers, capped at the CPUs this
-    process may run on (None: that many), or walked on the calling thread
-    when the pool would have one worker or all (q^k - 1)/(q - 1) monic rows
-    fit in one chunk.  Sums do not depend on the thread count.  Raises as
-    `enumeration_size`.
+    vector counts each vector once.  The monic rows of each lead are
+    counted by the table kernel in batches of about _BATCH words, several
+    prefixes per broadcast.
     """
+    k, n = rows.shape
+    table = _ZeroTable(rows, q)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for lead in range(k):
+        for depth, lo, hi in table.batches(lead):
+            zeros = _count_equal(table.low(depth), table.targets(lead, depth, lo, hi))
+            hist += np.bincount(zeros.ravel(), minlength=n + 1)
+    hist = hist[::-1] * (q - 1)  # weight n - zeros
+    hist[0] += 1
+    return [int(c) for c in hist]
+
+
+def _macwilliams(dual, q, dual_dim):
+    """A_j = q^-dual_dim sum_i B_i K_j(i) for the dual counts B_i, in Python
+    ints, with the Krawtchouk values K_j(i) of length n = len(dual) - 1 from
+    (j + 1) K_{j+1} = ((n - j)(q - 1) + j - q i) K_j - (q - 1)(n - j + 1) K_{j-1},
+    K_0 = 1 (MacWilliams and Sloane, ch. 5).  Raises RuntimeError when a
+    sum is not a multiple of q^dual_dim, which exact counts always are."""
+    n = len(dual) - 1
+    sums = [0] * (n + 1)
+    for i, count in enumerate(dual):
+        if not count:
+            continue
+        before, k_j = 0, 1
+        for j in range(n + 1):
+            sums[j] += count * k_j
+            term = ((n - j) * (q - 1) + j - q * i) * k_j
+            before, k_j = k_j, (term - (q - 1) * (n - j + 1) * before) // (j + 1)
+    size = q**dual_dim
+    if any(total % size for total in sums):
+        raise RuntimeError("internal inconsistency: MacWilliams sums not exact")
+    return [total // size for total in sums]
+
+
+def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
+    """Exact weight distribution over all q^k coefficient vectors.
+
+    One row reduction gives the rank rho.  When rho <= n - rho the monic
+    walk runs over the reduced rows, a basis of C; otherwise over the
+    parity-check matrix, a basis of the dual, and the MacWilliams identity
+    gives the counts of C.  Each codeword is the image of q^(k - rho)
+    coefficient vectors, so the counts are scaled by that, also for rank
+    deficient matrices.  The walk is budgeted as q^min(rho, n - rho) words
+    and raises as `enumeration_size` on that dimension.  It runs on the
+    calling thread: `threads` must be None or at least 1, and is otherwise
+    ignored.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
     q = code.field.q
     k = code.k
     n = code.n
-    total = enumeration_size(q, k, budget)
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be at least 1")
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    threads = min(threads or cpus, cpus)
-    table = _ZeroTable(code.rows, q)
-    # The deepest table, for lead 0, is built before any worker reads it.
-    table.low(_low_digit_count(q, k - 1))
-
-    def zeros_hist(batch):
-        lead, depth, lo, hi = batch
-        zeros = _count_equal(table.low(depth), table.targets(lead, depth, lo, hi))
-        return np.bincount(zeros.ravel(), minlength=n + 1)
-
-    batches = ((lead, *batch) for lead in range(k) for batch in table.batches(lead))
-    hist = np.zeros(n + 1, dtype=np.int64)
-    if threads == 1 or (total - 1) // (q - 1) <= _CHUNK:
-        hist = sum(map(zeros_hist, batches), hist)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hist = sum(pool.map(zeros_hist, batches), hist)
-    hist = hist[::-1] * (q - 1)  # weight n - zeros
-    hist[0] += 1
-    distribution = {w: int(c) for w, c in enumerate(hist) if c}
+    reduced, _ = code.reduced
+    rho = reduced.shape[0]
+    dual = rho > n - rho
+    rows = parity_check_matrix(code) if dual else reduced
+    enumeration_size(q, rows.shape[0], budget)
+    counts = _monic_walk(rows, q)
+    if dual:
+        counts = _macwilliams(counts, q, n - rho)
+    scale = q ** (k - rho)
+    distribution = {w: c * scale for w, c in enumerate(counts) if c}
     return WeightProfile(n, q, k, distribution)
 
 

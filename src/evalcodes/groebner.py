@@ -131,18 +131,20 @@ class GroebnerBasis:
     """A reduced Groebner basis, generators sorted by increasing lead.
 
     standard_monomials is the footprint, a tuple in increasing order, when
-    the construction already yields it (`vanishing_ideal`), else None.  The
-    division heads of the generators are built here, once, for every
-    `normal_form` on the basis.
+    the construction already yields it (`vanishing_ideal`), else None; so
+    are `leads`, the generators' lead monomials.  The division heads of the
+    generators are built here, once, for every `normal_form` on the basis.
     """
 
-    def __init__(self, field, nvars, order, generators, standard_monomials=None):
+    def __init__(
+        self, field, nvars, order, generators, standard_monomials=None, leads=None
+    ):
         self.field = field
         self.nvars = nvars
         self.order = order
         self.generators = list(generators)
         self.standard_monomials = standard_monomials
-        self._heads = _heads(self.generators, order)
+        self._heads = _heads(self.generators, order, leads)
 
     def leads(self):
         return [lead for lead, _, _ in self._heads]
@@ -185,7 +187,7 @@ def vanishing_ideal(points, order=GREVLEX):
     if factors is None:
         return _buchberger_moeller(points, order)
     s = points.nvars
-    generators = []
+    heads = []  # (lead t_i^{|A_i|}, f_i)
     for i, values in enumerate(factors):
         coeffs = [1]  # of prod (t - a), lowest degree first
         for a in values:
@@ -194,11 +196,14 @@ def vanishing_ideal(points, order=GREVLEX):
             tuple(e if j == i else 0 for j in range(s)): c
             for e, c in enumerate(coeffs)
         }
-        generators.append(Polynomial(field, s, terms))
-    generators.sort(key=lambda g: order.key(g.lead_monomial(order)))
+        lead = tuple(len(values) if j == i else 0 for j in range(s))
+        heads.append((lead, Polynomial(field, s, terms)))
+    heads.sort(key=lambda head: order.key(head[0]))
     bounds = [len(values) for values in factors]
     box = sorted(monomials(bounds, 0, sum(bounds) - s), key=order.key)
-    return GroebnerBasis(field, s, order, generators, tuple(box))
+    leads = [lead for lead, _ in heads]
+    generators = [g for _, g in heads]
+    return GroebnerBasis(field, s, order, generators, tuple(box), leads)
 
 
 def _product_factors(points):
@@ -289,7 +294,7 @@ def _buchberger_moeller(points, order):
                     heapq.heappush(
                         heap, (order.key(nxt), nxt, (vec * coords[:, i]) % q)
                     )
-    return GroebnerBasis(field, s, order, generators, tuple(standard))
+    return GroebnerBasis(field, s, order, generators, tuple(standard), lead_set)
 
 
 def normal_form(f, gb):

@@ -311,14 +311,16 @@ def divide(f, divisors, order):
     )
 
 
-def _heads(divisors, order):
+def _heads(divisors, order, leads=None):
     """(lead monomial, inverse lead coefficient, terms) of each divisor: what
-    every division step reads, built once per divisor list."""
+    every division step reads, built once per divisor list.  `leads`, the
+    divisors' lead monomials when the caller already has them, saves keying
+    every term to find them."""
     heads = []
-    for g in divisors:
+    for i, g in enumerate(divisors):
         if g.is_zero():
             raise ZeroPolynomialError("cannot divide by the zero polynomial")
-        lead = g.lead_monomial(order)
+        lead = g.lead_monomial(order) if leads is None else leads[i]
         heads.append((lead, g.field.inv(g.terms[lead]), g.terms))
     return heads
 

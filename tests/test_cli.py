@@ -401,10 +401,11 @@ class TestToricTableCommand:
         assert "prime" in err
 
     def test_budget_refuses_rows_before_building_codes(self, capsys, monkeypatch):
-        # 3^k > 1 for every row, so every row is refused from its dimension
-        # alone, before its space is built or any polynomial is evaluated at
-        # the 1024 torus points.  k >= budget.bit_length(), so the refusal
-        # writes the count as the power 3^k.
+        # 3^k > 1 for every row below d = s, so each is refused from its
+        # dimension alone, before its space is built or any polynomial is
+        # evaluated at the 1024 torus points.  k >= budget.bit_length(), so
+        # the refusal writes the count as the power 3^k.  The d = s row is
+        # the repetition code, answered in closed form.
         monkeypatch.setattr(PointSet, "evaluate", _no_building)
         monkeypatch.setattr(cli, "toric_space", _no_building)
         code, out, _ = run(capsys, "toric-table", "3", "10", "--budget", "1", "--json")
@@ -412,10 +413,12 @@ class TestToricTableCommand:
         rows = json.loads(out)["rows"]
         assert [row["n"] for row in rows] == [1024] * 10
         assert [row["k"] for row in rows] == [math.comb(10, d) for d in range(1, 11)]
-        for row in rows:
+        for row in rows[:9]:
             refusal = BudgetExceededError(f"3^{row['k']}", 1, "codeword enumeration")
             assert row["refusal"] == str(refusal)
             assert row["min_distance"] is None and row["next_to_minimal"] is None
+        assert rows[9]["refusal"] is None
+        assert rows[9]["min_distance"] == rows[9]["next_to_minimal"] == 1024
 
     def test_refusals_of_huge_rows_are_written_as_powers(self, capsys, monkeypatch):
         # The d = 4 row needs 3^91390 words, too many digits to write out,
@@ -424,43 +427,50 @@ class TestToricTableCommand:
         code, out, _ = run(capsys, "toric-table", "3", "40", "--budget", "1", "--json")
         assert code == 2
         rows = json.loads(out)["rows"]
-        assert len(rows) == 40 and all(row["refusal"] for row in rows)
+        assert len(rows) == 40 and all(row["refusal"] for row in rows[:39])
         assert "needs 3^91390 elements" in rows[3]["refusal"]
         assert rows[19]["k"] == math.comb(40, 20)
 
-    def test_torus_larger_than_the_budget_is_refused_before_it_is_listed(
-        self, capsys, monkeypatch
-    ):
-        # At the default budget the k = 1 row of s = 40 passes the dimension
-        # check, and its 2^40 torus points are refused from their count.
+    def test_repetition_row_is_answered_without_the_torus(self, capsys, monkeypatch):
+        # The d = s row of s = 40 is the repetition code of length 2^40: it
+        # is answered in closed form at every budget, and its torus points
+        # are neither listed nor counted against the budget.
         monkeypatch.setattr(cli, "torus_points", _no_building)
-        code, out, _ = run(capsys, "toric-table", "3", "40", "--json")
-        assert code == 2
-        rows = json.loads(out)["rows"]
-        assert len(rows) == 40 and all(row["refusal"] for row in rows)
-        refusal = BudgetExceededError(2**40, 10**7, "the torus")
-        assert rows[39]["refusal"] == str(refusal)
+        monkeypatch.setattr(cli, "toric_space", _no_building)
+        for budget in (["--budget", "1"], []):
+            code, out, _ = run(capsys, "toric-table", "3", "40", "--json", *budget)
+            assert code == 2
+            rows = json.loads(out)["rows"]
+            assert len(rows) == 40 and all(row["refusal"] for row in rows[:39])
+            assert rows[39]["refusal"] is None
+            assert rows[39]["min_distance"] == rows[39]["min_distance_formula"] == 2**40
+            assert rows[39]["next_to_minimal"] == 2**40
 
     def test_torus_budget_boundary(self, capsys):
-        # n = 16: at budget 15 the k = 1 row is refused from the torus, at
-        # 16 it is computed; every other row needs 3^k > 16 words.
-        for budget, distance in (("15", None), ("16", 16)):
+        # n = 16: the rows of dimension 4 need 3^4 = 81 words, refused at
+        # budget 80 and computed at 81; the d = 2 row needs 3^6 words, and
+        # the k = 1 row is answered at every budget.
+        for budget, distance in (("80", None), ("81", 8)):
             argv = ["toric-table", "3", "4", "--budget", budget, "--json"]
             code, out, _ = run(capsys, *argv)
             assert code == 2
             rows = json.loads(out)["rows"]
-            assert all("codeword enumeration" in row["refusal"] for row in rows[:3])
-            assert rows[3]["min_distance"] == distance
-        assert "the torus needs 16 elements" in run(
-            capsys, "toric-table", "3", "4", "--budget", "15"
+            assert "needs 729 elements" in rows[1]["refusal"]
+            assert rows[0]["min_distance"] == rows[2]["min_distance"] == distance
+            assert rows[3]["min_distance"] == 16
+        assert "needs 81 elements" in run(
+            capsys, "toric-table", "3", "4", "--budget", "80"
         )[1]
 
     def test_binary_field_rows_have_dimension_one(self, capsys):
+        # The torus of GF(2) is one point; every row is the repetition code
+        # of length 1, and only the d = s row comes in closed form.
         code, out, _ = run(capsys, "toric-table", "2", "5", "--budget", "1", "--json")
         assert code == 2
         rows = json.loads(out)["rows"]
         assert [row["k"] for row in rows] == [1] * 5
-        assert all("needs 2^1 elements" in row["refusal"] for row in rows)
+        assert all("needs 2^1 elements" in row["refusal"] for row in rows[:4])
+        assert rows[4]["refusal"] is None and rows[4]["min_distance"] == 1
 
 
 class TestArgumentHandling:

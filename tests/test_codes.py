@@ -1,10 +1,9 @@
 import random
-from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evalcodes import (
@@ -284,10 +283,9 @@ class TestWeightDistribution:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_monic_walk_counts_every_coefficient_vector(self, q):
         # Three-word tables and four-word batches split every lead group
-        # into several prefixes and batches, so the first batch and the
-        # thread batches come into play.  Three shapes in four are rank
+        # into several prefixes and batches.  Three shapes in four are rank
         # deficient (a zero row, a repeated row or a combination of rows),
-        # where codewords repeat.
+        # where codewords repeat; a rank above n / 2 takes the dual route.
         rng = random.Random(SEED + q)
         for k in range(1, 6):
             for shape in ("random", "zero", "repeat", "combination"):
@@ -361,81 +359,26 @@ class TestTableKernel:
 
 
 class TestThreadPolicy:
-    # The weight distribution maps its chunks over at most one pool per
-    # call; a walk that fits in one chunk, or one thread, makes none.
+    # The weight distribution runs on the calling thread; `threads` is
+    # checked (test_thread_count_below_one_refused) and otherwise ignored.
     ROWS = [[1, 2, 0, 1, 1], [0, 1, 1, 2, 0], [2, 2, 1, 0, 1]]  # 13 monic rows
 
-    def no_pool(self):
-        error = AssertionError("a thread pool was made")
-        return mock.patch.object(codes, "ThreadPoolExecutor", side_effect=error)
+    def no_thread(self):
+        error = AssertionError("a thread was started")
+        return mock.patch("threading.Thread", side_effect=error)
 
-    def counted_pools(self):
-        real = codes.ThreadPoolExecutor
-        return mock.patch.object(codes, "ThreadPoolExecutor", wraps=real)
-
-    def cpus(self, count):
-        return mock.patch.object(
-            codes.os, "sched_getaffinity", return_value=set(range(count)), create=True
-        )
-
-    def test_one_pool_per_call(self):
-        expected = brute_codeword_weights(self.ROWS, 3)
-        for chunk, threads in product((3, 12), (2, 3)):
-            chunk_size = mock.patch.multiple(codes, _CHUNK=chunk, _BATCH=4)
-            with chunk_size, self.cpus(3), self.counted_pools() as pool:
-                profile = _profile_from_rows(self.ROWS, 3, threads)
-            assert profile.distribution == expected
-            assert pool.call_count == 1
-
-    def test_no_pool_at_one_thread_or_for_one_chunk(self):
-        expected = brute_codeword_weights(self.ROWS, 3)
-        with self.no_pool():
-            with mock.patch.object(codes, "_CHUNK", 3):
-                assert _profile_from_rows(self.ROWS, 3, 1).distribution == expected
-            with mock.patch.object(codes, "_CHUNK", 13):
-                for threads in (2, 3, None):
-                    profile = _profile_from_rows(self.ROWS, 3, threads)
+    def test_starts_no_thread(self):
+        # Three-word tables and four-word batches give several batches per
+        # lead; the direct route (rank 3 of 10) and the dual route (rank 3
+        # of 5) both walk them on the calling thread.
+        direct_rows = [row + row for row in self.ROWS]
+        for rows in (direct_rows, self.ROWS):
+            expected = brute_codeword_weights(rows, 3)
+            chunk_size = mock.patch.multiple(codes, _CHUNK=3, _BATCH=4)
+            with chunk_size, self.no_thread():
+                for threads in (None, 1, 2, 3, 7):
+                    profile = _profile_from_rows(rows, 3, threads)
                     assert profile.distribution == expected
-
-    def test_default_follows_cpu_affinity(self):
-        # One allowed CPU means one worker, whatever os.cpu_count() says;
-        # without sched_getaffinity the default falls back to os.cpu_count().
-        expected = brute_codeword_weights(self.ROWS, 3)
-        affinity = mock.patch.object(
-            codes.os, "sched_getaffinity", return_value={0}, create=True
-        )
-        no_affinity = mock.patch.object(codes.os, "sched_getaffinity", None, create=True)
-        with mock.patch.object(codes, "_CHUNK", 3), self.no_pool():
-            with affinity, mock.patch.object(codes.os, "cpu_count", return_value=8):
-                assert _profile_from_rows(self.ROWS, 3).distribution == expected
-            with no_affinity, mock.patch.object(codes.os, "cpu_count", return_value=1):
-                assert _profile_from_rows(self.ROWS, 3).distribution == expected
-        with mock.patch.object(codes, "_CHUNK", 3), self.counted_pools() as pool:
-            with no_affinity, mock.patch.object(codes.os, "cpu_count", return_value=2):
-                assert _profile_from_rows(self.ROWS, 3).distribution == expected
-        assert pool.call_count == 1
-
-    def test_pool_is_capped_at_the_cpus(self):
-        # Every batch is submitted at once, so a pool of N workers could
-        # start N threads; it gets no more workers than allowed CPUs.
-        expected = brute_codeword_weights(self.ROWS, 3)
-        real = codes.ThreadPoolExecutor
-        workers = []
-
-        def recording_pool(max_workers):
-            workers.append(max_workers)
-            assert max_workers <= 2, "a pool larger than the allowed CPUs"
-            return real(max_workers=max_workers)
-
-        pools = mock.patch.object(codes, "ThreadPoolExecutor", recording_pool)
-        with mock.patch.object(codes, "_CHUNK", 3), self.cpus(2), pools:
-            for threads in (10**6, 3, 2, None):
-                profile = _profile_from_rows(self.ROWS, 3, threads)
-                assert profile.distribution == expected
-        assert workers == [2, 2, 2, 2]
-        with mock.patch.object(codes, "_CHUNK", 3), self.cpus(1), self.no_pool():
-            profile = _profile_from_rows(self.ROWS, 3, 10**6)
-            assert profile.distribution == expected
 
 
 def _profile_from_rows(rows, q, threads=None):
@@ -480,6 +423,75 @@ def test_table_kernel_matches_reference_walk(case, sizes, threads):
     assert sum(profile.distribution.values()) == q ** len(rows)
 
 
+@st.composite
+def dual_route_matrices(draw):
+    """(q, rows, n) of a k x n matrix over GF(q) whose code and dual are both
+    small enough to walk: the zero matrix (rank 0), a matrix holding I_n
+    (rank n), one with a repeated row, or a random one."""
+    q = draw(st.sampled_from((2, 3, 5, 131, 257)))
+    n = draw(st.integers(1, {2: 8, 3: 6, 5: 5, 131: 3, 257: 3}[q]))
+    k = draw(st.integers(0, n + 1))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=k, max_size=k))
+    shape = draw(st.sampled_from(("random", "zero", "full", "repeat")))
+    if shape == "zero":
+        rows = [[0] * n for _ in rows]
+    elif shape == "full":
+        rows = np.eye(n, dtype=np.int64).tolist() + rows
+    elif shape == "repeat" and k > 1:
+        rows[-1] = rows[0]
+    return q, rows, n
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(dual_route_matrices())
+@example((131, [[1, 2, 3], [4, 5, 6]], 3))  # rank 2 of 3, dual side
+@example((257, [[1, 2, 3]], 3))  # rank 1 of 3, direct side
+@example((257, [[1, 0, 5], [0, 1, 7], [1, 1, 12]], 3))  # rank deficient, dual
+def test_direct_and_dual_routes_agree(case):
+    # Both sides walked through the table kernel: the reduced rows of C,
+    # and the parity-check matrix turned into the counts of C by the
+    # MacWilliams identity.  weight_distribution takes the smaller side and
+    # scales by q^(k - rho).
+    q, rows, n = case
+    code = EvaluationCode(PrimeField(q), rows, n=n)
+    reduced, _ = code.reduced
+    rho = reduced.shape[0]
+    assume(q ** max(rho, n - rho) <= 10**5)
+    h = codes.parity_check_matrix(code)
+    assert h.shape == (n - rho, n)
+    assert not ((reduced @ h.T) % q).any()
+    direct = codes._monic_walk(reduced, q)
+    dual = codes._macwilliams(codes._monic_walk(h, q), q, n - rho)
+    assert direct == dual
+    assert sum(direct) == q**rho
+    scale = q ** (len(rows) - rho)
+    profile = weight_distribution(code)
+    assert profile.distribution == {w: c * scale for w, c in enumerate(direct) if c}
+    assert profile.total() == q ** len(rows)
+
+
+@pytest.mark.parametrize("q", [131, 251, 257])
+def test_wide_fields_match_reference_walk(q):
+    # The table is stored as uint8 and grown in uint16 at q = 131 and 251,
+    # both in uint16 at q = 257.  Two-digit walks on the direct side (rank
+    # 2 of 5, also with a repeated row) and on the dual side (rank 3 of 5).
+    rng = random.Random(SEED + q)
+    for k, n in ((2, 5), (3, 4), (3, 5)):
+        rows = random_rows(rng, q, k, n)
+        if k == 3 and n == 4:
+            rows[2] = rows[0]
+        profile = _profile_from_rows(rows, q)
+        assert profile.distribution == monic_walk_weights(rows, q)
+
+
+def test_macwilliams_refuses_an_inexact_sum():
+    # Dual counts that no code has: half the words of a one-dimensional
+    # binary code of length 2 are missing.
+    with pytest.raises(RuntimeError, match="not exact"):
+        codes._macwilliams([1, 0, 0], 2, 1)
+
+
 class TestNextToMinimal:
     def test_table_values(self):
         assert next_to_minimal(toric_code(HypersimplexSpec(F3, 4, 2))) == 6
@@ -511,10 +523,11 @@ class TestInt64Limit:
             EvaluationCode(PrimeField(3037000507), [[1, 2]])
 
     def test_enumeration_needs_k_products_below_the_limit(self):
-        # A 2 x 2 generator matrix is fine over this field, but codeword
-        # enumeration sums two products per coordinate.
+        # A 2 x 4 generator matrix is fine over this field, but codeword
+        # enumeration sums two products per coordinate.  [I | I] has rank
+        # 2 and a dual of dimension 2, so either side needs that.
         field = PrimeField(2147483659)
-        code = EvaluationCode(field, [[1, 0], [0, 1]])
+        code = EvaluationCode(field, np.hstack([np.eye(2, dtype=np.int64)] * 2))
         with pytest.raises(ValueError, match=r"2\^63"):
             weight_distribution(code)
 
@@ -522,8 +535,9 @@ class TestInt64Limit:
         # 3^41 >= 2^63 codewords cannot be indexed in int64.  A budget that
         # admits them gets a refusal naming the limit, raised before any
         # array is built; a smaller budget still refuses on the budget.
+        # [I | I] has rank 41 and a dual of dimension 41.
         field = PrimeField(3)
-        code = EvaluationCode(field, np.eye(41, dtype=np.int64))
+        code = EvaluationCode(field, np.hstack([np.eye(41, dtype=np.int64)] * 2))
         with pytest.raises(ValueError, match=r"q\^k < 2\^63"):
             weight_distribution(code, budget=3**41)
         with pytest.raises(BudgetExceededError):

@@ -322,6 +322,7 @@ def assert_eliminated_basis(pts, order):
     gb = vanishing_ideal(pts, order)
     reference = loop_buchberger_moeller(pts, order)
     assert gb.generators == reference.generators
+    assert gb.leads() == reference.leads()  # passed in, against recomputed
     assert gb.standard_monomials == reference.standard_monomials
     assert_reduced_basis(gb, pts, order)
 
@@ -354,6 +355,7 @@ def test_elimination_matches_the_loop(order, pts):
     gb = _buchberger_moeller(pts, order)
     reference = loop_buchberger_moeller(pts, order)
     assert gb.generators == reference.generators
+    assert gb.leads() == reference.leads()  # passed in, against recomputed
     assert gb.standard_monomials == reference.standard_monomials
 
 

@@ -11,7 +11,8 @@ change of coordinates x -> a*x + b (every a_i nonzero) applied to X, with
 every generator f replaced by f(a^-1 (t - b)), gives the same codes, so it
 may not change M_r either.  Independently of all of these, the search, the
 definition oracle and the Groebner degree must agree on every drawn problem
-for r <= 2.
+for r <= 2.  Apart from the code pairs, Wei duality ties the weight hierarchy
+of a code to that of its dual.
 """
 
 from itertools import product
@@ -23,13 +24,16 @@ from evalcodes import (
     GREVLEX,
     GRLEX,
     LEX,
+    EvaluationCode,
     PointSet,
     Polynomial,
     PrimeField,
     RghwProblem,
     echelonize,
+    rghw_definition_oracle,
     rghw_degree,
 )
+from evalcodes.codes import parity_check_matrix
 
 SETTINGS = settings(
     derandomize=True,
@@ -192,3 +196,30 @@ def test_invariant_under_affine_change_of_coordinates(case, data):
     assert (moved.k1, moved.k2) == (problem.k1, problem.k2)
     for r in range(1, min(2, problem.k1 - problem.k2) + 1):
         assert rghw_degree(moved, r) == rghw_degree(problem, r)
+
+
+@st.composite
+def small_codes(draw):
+    """A bare k x n generator matrix over GF(2) or GF(3), k <= n <= 6."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=k, max_size=k))
+    return EvaluationCode(PrimeField(q), rows)
+
+
+@SETTINGS
+@given(small_codes())
+def test_wei_duality(code):
+    # Wei (IEEE Trans. Inf. Theory 37, 1991): the weight hierarchy
+    # {d_r(C)} and {n + 1 - d_r(C^perp)} partition {1, ..., n}.  C is
+    # given by its reduced rows and C^perp by the parity-check matrix the
+    # dual route of the weight distribution walks; d_r is M_r with C2 = 0.
+    n, field = code.n, code.field
+    reduced = EvaluationCode(field, code.reduced[0], n=n)
+    dual = EvaluationCode(field, parity_check_matrix(code), n=n)
+    hierarchy = [rghw_definition_oracle(reduced, None, r) for r in range(1, reduced.k + 1)]
+    dual_hierarchy = [rghw_definition_oracle(dual, None, r) for r in range(1, dual.k + 1)]
+    complement = [n + 1 - d for d in dual_hierarchy]
+    assert sorted(hierarchy + complement) == list(range(1, n + 1))
