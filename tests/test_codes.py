@@ -367,6 +367,35 @@ class TestThreadPolicy:
         error = AssertionError("a thread was started")
         return mock.patch("threading.Thread", side_effect=error)
 
+    def counted_pools(self):
+        import concurrent.futures
+
+        real = concurrent.futures.ThreadPoolExecutor
+        return mock.patch("concurrent.futures.ThreadPoolExecutor", wraps=real)
+
+    def test_one_pool_per_call(self):
+        # The bound of at most one pool per call is met with none, however
+        # the walk is chunked and whatever thread count is asked for; a pool
+        # bound at import would still have to start a thread.
+        expected = brute_codeword_weights(self.ROWS, 3)
+        for chunk in (3, 12):
+            for threads in (2, 3):
+                chunk_size = mock.patch.multiple(codes, _CHUNK=chunk, _BATCH=4)
+                with chunk_size, self.no_thread(), self.counted_pools() as pool:
+                    profile = _profile_from_rows(self.ROWS, 3, threads)
+                assert profile.distribution == expected
+                assert pool.call_count == 0
+
+    def test_no_pool_at_one_thread_or_for_one_chunk(self):
+        expected = brute_codeword_weights(self.ROWS, 3)
+        with self.no_thread():
+            with mock.patch.object(codes, "_CHUNK", 3):
+                assert _profile_from_rows(self.ROWS, 3, 1).distribution == expected
+            with mock.patch.object(codes, "_CHUNK", 13):
+                for threads in (2, 3, None):
+                    profile = _profile_from_rows(self.ROWS, 3, threads)
+                    assert profile.distribution == expected
+
     def test_starts_no_thread(self):
         # Three-word tables and four-word batches give several batches per
         # lead; the direct route (rank 3 of 10) and the dual route (rank 3
