@@ -445,10 +445,12 @@ def cmd_toric_table(args):
                 profile = WeightProfile(row["n"], args.q, 1, repetition)
             else:
                 # Refused from k alone, before the space and the code are
-                # built.  Then n = (q - 1)^s < q^k: the torus fits the budget.
-                # For q >= 3, k = C(s, d) <= n / 2, so the walk is over the
-                # code, not its dual, and budgeted as q^k.
-                enumeration_size(args.q, spec.dim, args.budget)
+                # built, on the side `weight_distribution` walks: q^k for
+                # q >= 3, where k = C(s, d) <= n / 2 and n = (q - 1)^s < q^k
+                # (the torus fits the budget), and the dual's q^0 at q = 2,
+                # where n = k = 1.
+                side = min(spec.dim, row["n"] - spec.dim)
+                enumeration_size(args.q, side, args.budget)
                 points = points or torus_points(field, args.s)
                 profile = weight_distribution(
                     evaluate_space(toric_space(spec), points),

@@ -15,16 +15,20 @@ candidate is reduced by two products through `field.matmul_mod`, whose
 reduction after every floor((2^63 - 1 - q) / (q - 1)^2) products admits
 every q with (q - 1)^2 < 2^63.
 Normal forms divide by heads (lead, inverse lead coefficient) built once
-per basis.  The footprint (set of standard monomials) then carries all
-degree information: deg(S/I) equals its cardinality, and, being a basis of
-S/I, it turns deg S/(I + (F)) into |footprint| minus one rank over GF(q)
+per basis.  The footprint Delta (set of standard monomials) then carries
+all degree information: deg(S/I) equals its cardinality, and, being a
+basis of S/I, it gives the multiplication matrices M_1..M_s of S/I, built
+from the basis alone (each basis lead on the border of Delta read off its
+generator, every other border monomial from a smaller one by one product)
+and kept on the basis, as in FGLM (Faugere, Gianni, Lazard and Mora, J. Symbolic
+Comput. 16, 1993).  deg S/(I + (F)) is then |Delta| minus one rank over
+GF(q) of the coordinates of NF(u f), each M_i times its parent's
 (`degree_with_F`).  No general Groebner basis algorithm is needed.
 `PointSet.evaluate` is the one evaluation of given polynomials at points;
 evaluation codes and `variety_in_X` both go through it.
 """
 
 import heapq
-from collections import namedtuple
 
 import numpy as np
 
@@ -44,7 +48,6 @@ from .poly import (
     divisibility_table,
     monomial_divides,
     monomials,
-    total_degree,
 )
 
 
@@ -133,7 +136,9 @@ class GroebnerBasis:
     standard_monomials is the footprint, a tuple in increasing order, when
     the construction already yields it (`vanishing_ideal`), else None; so
     are `leads`, the generators' lead monomials.  The division heads of the
-    generators are built here, once, for every `normal_form` on the basis.
+    generators are built here, once, for every `normal_form` on the basis;
+    the multiplication matrices of `degree_with_F` are built on first use
+    and kept.
     """
 
     def __init__(
@@ -145,6 +150,7 @@ class GroebnerBasis:
         self.generators = list(generators)
         self.standard_monomials = standard_monomials
         self._heads = _heads(self.generators, order, leads)
+        self._multiplication = None
 
     def leads(self):
         return [lead for lead, _, _ in self._heads]
@@ -343,35 +349,6 @@ def monomial_footprint(leads, nvars, order=GREVLEX):
     return tuple(sorted(monos, key=order.key))
 
 
-def degree_zero_dim(gb):
-    """deg(S/I) for a zero dimensional ideal: the footprint cardinality."""
-    return len(footprint(gb))
-
-
-def hilbert_affine(gb, d):
-    """Affine Hilbert function: standard monomials of total degree <= d."""
-    if d < 0:
-        return 0
-    return sum(1 for m in footprint(gb) if total_degree(m) <= d)
-
-
-def box_degree(dvec, avec):
-    """deg of S modulo pure powers t_i^{d_i} plus one extra monomial t^a.
-
-    Closed form d1*...*ds - (d1-a1)*...*(ds-as), valid for 0 <= a_i < d_i.
-    """
-    if len(dvec) != len(avec):
-        raise DimensionMismatchError("exponent vectors of unequal length")
-    box = 1
-    gap = 1
-    for d, a in zip(dvec, avec):
-        if d < 1 or not 0 <= a < d:
-            raise ValueError(f"need 0 <= a < d, got a={a}, d={d}")
-        box *= d
-        gap *= d - a
-    return box - gap
-
-
 def _check_F(F):
     if not F:
         raise ValueError("the polynomial list F is empty")
@@ -391,31 +368,66 @@ def variety_in_X(F, points):
     return [p for p, hit in zip(points, vanishes) if hit]
 
 
-EmptinessCriteria = namedtuple(
-    "EmptinessCriteria", ["colon_trivial", "variety_empty", "ideal_is_unit"]
-)
+def _multiplication_matrices(gb):
+    """The matrices M_1..M_s of multiplication by t_j on S/I over the
+    footprint Delta, an s x |Delta| x |Delta| int64 array: column i of M_j
+    holds the coordinates of NF(t_j u_i).
 
-
-def emptiness_criteria(F, points, order=GREVLEX):
-    """Three equivalent tests for V_X(F) being empty.
-
-    colon_trivial: the colon ideal (I(X) : (F)) equals I(X), computed as the
-    vanishing ideal of the points where some member of F survives.
-    variety_empty: direct point count.
-    ideal_is_unit: I(X) + (F) is the whole ring, that is, the degree of
-    S/(I(X) + (F)) from `degree_with_F` is 0.
+    Read from the basis alone, once per basis, and kept on it.  A product
+    t_j u inside Delta is a unit column; the others form the border, walked
+    in increasing order.  A border monomial that is a basis lead is minus
+    its generator's tail over the lead coefficient, read off the basis; the
+    tail terms outside Delta, which only a basis that is not reduced has,
+    go through one `normal_form`.  Any other border monomial, b, lies in
+    the initial ideal without being a lead, so some b / t_j is in the border
+    too, and NF(b) = sum_v c_v NF(t_j v) over the support of NF(b / t_j):
+    every t_j v there is smaller than b, so that is one product with the
+    columns of M_j filled so far.  Raises ValueError when
+    (q - 1)^2 >= 2^63.
     """
-    _check_F(F)
-    hits = set(map(tuple, variety_in_X(F, points)))
-    gb = vanishing_ideal(points, order)
-    survivors = [p for p in points if tuple(p) not in hits]
-    if survivors:
-        colon = vanishing_ideal(PointSet(points.field, survivors), order)
-        colon_trivial = colon.generators == gb.generators
-    else:
-        colon_trivial = False
-    ideal_is_unit = degree_with_F(gb, F)[0] == 0
-    return EmptinessCriteria(colon_trivial, len(hits) == 0, ideal_is_unit)
+    if gb._multiplication is not None:
+        return gb._multiplication
+    q = gb.field.q
+    check_int64_products(q, what="the multiplication matrices")
+    delta = footprint(gb)
+    s = gb.nvars
+    index = {u: i for i, u in enumerate(delta)}
+    mults = np.zeros((s, len(delta), len(delta)), dtype=np.int64)
+    border = {}  # b -> the (j, i) with t_j u_i = b
+    for i, u in enumerate(delta):
+        for j in range(s):
+            b = u[:j] + (u[j] + 1,) + u[j + 1 :]
+            if b in index:
+                mults[j, index[b], i] = 1
+            else:
+                border.setdefault(b, []).append((j, i))
+    heads = {lead: (inv, terms) for lead, inv, terms in gb._heads}
+    forms = {}  # coordinates of NF(b) for the border walked so far
+    for b in sorted(border, key=gb.order.key):
+        if b in heads:
+            inv, terms = heads[b]
+            col = np.zeros(len(delta), dtype=np.int64)
+            rest = {}
+            for mono, c in terms.items():
+                if mono in index:
+                    col[index[mono]] = -c * inv % q
+                elif mono != b:
+                    rest[mono] = -c * inv
+            if rest:
+                nf = normal_form(Polynomial(gb.field, s, rest), gb)
+                for mono, c in nf.terms.items():
+                    col[index[mono]] = (col[index[mono]] + c) % q
+        else:
+            for j in range(s):
+                lower = b[:j] + (b[j] - 1,) + b[j + 1 :]
+                if b[j] and lower in border:
+                    break
+            col = matmul_mod(mults[j], forms[lower], q)
+        forms[b] = col
+        for j, i in border[b]:
+            mults[j, :, i] = col
+    gb._multiplication = mults
+    return mults
 
 
 def degree_with_F(gb, F):
@@ -424,29 +436,39 @@ def degree_with_F(gb, F):
     Returns (deg(S/(I,F)), deg(S/(in I, in F))).  The footprint Delta of I
     is a basis of S/I, so the normal forms of u*f for u in Delta and f in F
     span the image of (F) in S/I, and the first degree is |Delta| minus the
-    rank of their coordinate rows over Delta.  For I = I(X) it equals the
+    rank of their coordinate rows over Delta.  Those coordinates come from
+    the multiplication matrices of `_multiplication_matrices`, built once
+    per basis: Delta is an order ideal walked in increasing order, so u / t_i
+    is done for the first t_i dividing u, and the coordinates of NF(u f),
+    for all of F at once, are M_i times those of NF((u / t_i) f).  Only
+    NF(f) itself takes a division.  For I = I(X) the first degree equals the
     number of common zeros of F inside X; the points are never consulted.
     The second, an upper bound for the first, counts the u in Delta that no
     lead monomial of F divides.  gb must be zero dimensional
     (NotZeroDimensionalError otherwise), F must share its field and variable
-    count (FieldMismatchError, DimensionMismatchError), and the rank is
-    subject to the int64 limit of `rank_mod`.
+    count (FieldMismatchError, DimensionMismatchError), and fields with
+    (q - 1)^2 >= 2^63 are refused with ValueError.
     """
     _check_F(F)
     nonzero = [f for f in F if not f.is_zero()]
+    delta = footprint(gb)
+    q = gb.field.q
+    index = {u: i for i, u in enumerate(delta)}
+    start = np.zeros((len(delta), len(nonzero)), dtype=np.int64)
+    for col, f in enumerate(nonzero):
+        for mono, c in normal_form(f, gb).terms.items():
+            start[index[mono], col] = c
+    mults = _multiplication_matrices(gb)
     images = {}
-    for u in footprint(gb):
-        if not any(u):
-            images[u] = [normal_form(f, gb) for f in nonzero]
-            continue
-        # Delta is an order ideal walked in increasing order, so u / t_i is
-        # done for the first t_i dividing u, and NF(t_i NF(f u / t_i)) = NF(f u).
-        i = next(i for i, e in enumerate(u) if e)
-        step = tuple(int(j == i) for j in range(gb.nvars))
-        parent = tuple(e - d for e, d in zip(u, step))
-        images[u] = [normal_form(g.term_mul(step), gb) for g in images[parent]]
-    rows = [[g.coeff(v) for v in images] for gs in images.values() for g in gs]
-    exact = len(images) - (rank_mod(rows, gb.field.q) if rows else 0)
+    for u in delta:
+        if any(u):
+            i = next(i for i, e in enumerate(u) if e)
+            parent = u[:i] + (u[i] - 1,) + u[i + 1 :]
+            images[u] = matmul_mod(mults[i], images[parent], q)
+        else:
+            images[u] = start
+    rows = [v.T for v in images.values()]
+    exact = len(delta) - (rank_mod(np.concatenate(rows), q) if rows else 0)
     in_F = [f.lead_monomial(gb.order) for f in nonzero]
-    divided = divisibility_table(in_F, list(images), gb.nvars).any(axis=0)
+    divided = divisibility_table(in_F, delta, gb.nvars).any(axis=0)
     return exact, int(np.count_nonzero(~divided))

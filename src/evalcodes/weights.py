@@ -12,15 +12,17 @@ standard monomials divisible by no lead of F, counted on one table from the
 divisibility kernel `poly.divisibility_table`.  A group of partial sets is
 bounded by the best complete lead tuple through it, which gives one tree of
 bounds over the leads realized by L1 outside L2; its root bound is the
-relative footprint bound RFP_r.  Groups are visited best bound first, those
-that cannot beat the running maximum are skipped, and a group stops being
-scored once the maximum reaches its bound.  Surviving groups are scored
-prefix by prefix in coefficient space over the echelon basis of L1, by the
-table kernel of `codes`: zero counts and the L2 residue test are byte
-compares against tables of low-digit words, and only the candidates kept
-are rebuilt in full.  A definition level oracle for cross checking scores
-the reduced echelon coefficient matrices of every r dimensional subcode in
-numpy batches; it never touches lead monomials or bases.
+relative footprint bound RFP_r.  The tree is built once per (problem, r)
+and shared by the search and `relative_footprint`.  Groups are visited
+best bound first, those that cannot beat the running maximum are skipped,
+and a group stops being scored once the maximum reaches its bound.
+Surviving groups are scored prefix by prefix in coefficient space over the
+echelon basis of L1, by the table kernel of `codes`: zero counts and the
+L2 residue test are byte compares against tables of low-digit words, and
+only the candidates kept are rebuilt in full.  A definition level oracle
+for cross checking scores the reduced echelon coefficient matrices of
+every r dimensional subcode in numpy batches; it never touches lead
+monomials or bases.
 """
 
 from itertools import combinations, repeat
@@ -86,6 +88,7 @@ class RghwProblem:
             self._A = np.zeros((0, self.space1.dim), dtype=np.int64)
             self._A_piv = []
         self._code2 = None
+        self._trees = {}  # r -> (realized positions, groups of _bound_tree)
         # k1 x |footprint|: basis lead i divides standard monomial u.
         self._divides = divisibility_table(
             self._lead_monos, footprint(self.gb), points.nvars
@@ -143,13 +146,19 @@ class RghwProblem:
         )
 
 
-def _bound_tree(problem, realized, r):
-    """The tree of lead groups over r of the realized positions.
+def _bound_tree(problem, r):
+    """(realized, groups): the tree of lead groups over r of the realized
+    positions, one per (problem, r), kept on the problem and shared by the
+    search and `relative_footprint`.
 
     groups(js) lists (bound, j), best first, for the member after leads
     realized[js]; a bound is the footprint count of the best complete lead
-    tuple through the group.  groups(())[0][0] is the root bound.
+    tuple through the group.  groups(())[0][0] is the root bound.  Groups
+    are computed on first use and kept.
     """
+    if r in problem._trees:
+        return problem._trees[r]
+    realized = _realized_positions(problem)
     ordered = {}
 
     def groups(js):
@@ -169,7 +178,8 @@ def _bound_tree(problem, realized, r):
             ordered[js] = sorted(bounds, reverse=True)
         return ordered[js]
 
-    return groups
+    problem._trees[r] = realized, groups
+    return realized, groups
 
 
 def _search_max_zeros(problem, r, budget):
@@ -194,8 +204,7 @@ def _search_max_zeros(problem, r, budget):
     e_matrix = problem._E
     m = e_matrix.shape[1]
     words = _ZeroTable(e_matrix, q)
-    realized = _realized_positions(problem)
-    groups = _bound_tree(problem, realized, r)
+    realized, groups = _bound_tree(problem, r)
     counter = 0
     best_zeros = -1
     best_rows = None
@@ -265,9 +274,11 @@ def rghw_degree(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False)
     Computed as deg(S/I(X)) minus the largest candidate zero count, with
     zeros counted by direct evaluation.  With validate=True the zero count
     of the maximizing candidate set is recomputed as deg S/(I(X) + (F)) by
-    `degree_with_F`, a rank over the footprint that never evaluates at the
-    points, and the definition oracle is replayed when it fits the budget; any
-    disagreement raises instead of being silently resolved.  The search
+    `degree_with_F`, a rank over the footprint from the multiplication
+    matrices of I(X), built once per basis and kept on `problem.gb`, that
+    never evaluates at the points, and the definition oracle is replayed
+    when it fits the budget; any disagreement raises instead of being
+    silently resolved.  The search
     runs on the calling thread; `threads` must be None or at least 1.
     """
     problem._check_r(r)
@@ -422,5 +433,5 @@ def relative_footprint(problem, r):
     [1, dim L1 - dim L2], as for `rghw_degree`.
     """
     problem._check_r(r)
-    groups = _bound_tree(problem, _realized_positions(problem), r)
+    _, groups = _bound_tree(problem, r)
     return len(footprint(problem.gb)) - groups(())[0][0]

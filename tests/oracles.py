@@ -14,7 +14,11 @@ reference for the batched `rghw_definition_oracle`.
 the array elimination of `groebner._buchberger_moeller`.
 `trial_division_is_prime` is the reference for the Miller-Rabin test of
 `PrimeField`, and `box_monomials`, a walk over the whole exponent box, the
-reference for `poly.monomials`.
+reference for `poly.monomials`.  `division_degree_with_F`, one division
+per standard monomial and member of F, is the reference for the
+multiplication-matrix walk of `degree_with_F`.  `degree_zero_dim`,
+`hilbert_affine`, `box_degree` and `emptiness_criteria` are degree and
+emptiness statements of the footprint method, kept as checks on it.
 """
 
 import heapq
@@ -24,15 +28,24 @@ from itertools import combinations, product
 import numpy as np
 
 from evalcodes import (
+    GREVLEX,
     BudgetExceededError,
     GroebnerBasis,
+    PointSet,
     Polynomial,
     ZeroPolynomialError,
+    degree_with_F,
     divide,
+    footprint,
+    normal_form,
+    vanishing_ideal,
+    variety_in_X,
 )
 from evalcodes.errors import DimensionMismatchError
 from evalcodes.field import check_int64_products, rank_mod, reduce_rows, rref_mod
-from evalcodes.poly import monomial_div, monomial_divides, monomial_mul, total_degree
+from evalcodes.groebner import _check_F
+from evalcodes.poly import divisibility_table, monomial_div, monomial_divides
+from evalcodes.poly import monomial_mul, total_degree
 from evalcodes.weights import _footprint_survivors, _realized_positions
 from evalcodes.weights import gaussian_binomial
 
@@ -621,3 +634,85 @@ def loop_buchberger_moeller(points, order):
                     )
     generators.sort(key=lambda g: order.key(g.lead_monomial(order)))
     return GroebnerBasis(field, s, order, generators, tuple(standard))
+
+
+def division_degree_with_F(gb, F):
+    """(deg S/(I + (F)), footprint bound) by one division per standard
+    monomial and member of F: the reference for `degree_with_F`.
+
+    The footprint is walked from 1 in increasing order; each NF(u f) is
+    NF(t_i NF((u / t_i) f)) from its parent, for the first t_i dividing u,
+    and the degree is |footprint| minus the rank of their coordinate rows.
+    """
+    _check_F(F)
+    nonzero = [f for f in F if not f.is_zero()]
+    images = {}
+    for u in footprint(gb):
+        if not any(u):
+            images[u] = [normal_form(f, gb) for f in nonzero]
+            continue
+        i = next(i for i, e in enumerate(u) if e)
+        step = tuple(int(j == i) for j in range(gb.nvars))
+        parent = tuple(e - d for e, d in zip(u, step))
+        images[u] = [normal_form(g.term_mul(step), gb) for g in images[parent]]
+    rows = [[g.coeff(v) for v in images] for gs in images.values() for g in gs]
+    exact = len(images) - (rank_mod(rows, gb.field.q) if rows else 0)
+    in_F = [f.lead_monomial(gb.order) for f in nonzero]
+    divided = divisibility_table(in_F, list(images), gb.nvars).any(axis=0)
+    return exact, int(np.count_nonzero(~divided))
+
+
+def degree_zero_dim(gb):
+    """deg(S/I) for a zero dimensional ideal: the footprint cardinality."""
+    return len(footprint(gb))
+
+
+def hilbert_affine(gb, d):
+    """Affine Hilbert function: standard monomials of total degree <= d."""
+    if d < 0:
+        return 0
+    return sum(1 for m in footprint(gb) if total_degree(m) <= d)
+
+
+def box_degree(dvec, avec):
+    """deg of S modulo pure powers t_i^{d_i} plus one extra monomial t^a.
+
+    Closed form d1*...*ds - (d1-a1)*...*(ds-as), valid for 0 <= a_i < d_i.
+    """
+    if len(dvec) != len(avec):
+        raise DimensionMismatchError("exponent vectors of unequal length")
+    box = 1
+    gap = 1
+    for d, a in zip(dvec, avec):
+        if d < 1 or not 0 <= a < d:
+            raise ValueError(f"need 0 <= a < d, got a={a}, d={d}")
+        box *= d
+        gap *= d - a
+    return box - gap
+
+
+EmptinessCriteria = namedtuple(
+    "EmptinessCriteria", ["colon_trivial", "variety_empty", "ideal_is_unit"]
+)
+
+
+def emptiness_criteria(F, points, order=GREVLEX):
+    """Three equivalent tests for V_X(F) being empty.
+
+    colon_trivial: the colon ideal (I(X) : (F)) equals I(X), computed as the
+    vanishing ideal of the points where some member of F survives.
+    variety_empty: direct point count.
+    ideal_is_unit: I(X) + (F) is the whole ring, that is, the degree of
+    S/(I(X) + (F)) from `degree_with_F` is 0.
+    """
+    _check_F(F)
+    hits = set(map(tuple, variety_in_X(F, points)))
+    gb = vanishing_ideal(points, order)
+    survivors = [p for p in points if tuple(p) not in hits]
+    if survivors:
+        colon = vanishing_ideal(PointSet(points.field, survivors), order)
+        colon_trivial = colon.generators == gb.generators
+    else:
+        colon_trivial = False
+    ideal_is_unit = degree_with_F(gb, F)[0] == 0
+    return EmptinessCriteria(colon_trivial, len(hits) == 0, ideal_is_unit)

@@ -17,6 +17,7 @@ from evalcodes import (
     format_polynomial,
     standardize,
     vanishing_ideal,
+    weights,
 )
 from evalcodes.cli import (
     build_parser,
@@ -464,13 +465,14 @@ class TestToricTableCommand:
 
     def test_binary_field_rows_have_dimension_one(self, capsys):
         # The torus of GF(2) is one point; every row is the repetition code
-        # of length 1, and only the d = s row comes in closed form.
+        # of length 1, whose dual has dimension 0: one word to walk, within
+        # a budget of 1.  Only the d = s row comes in closed form.
         code, out, _ = run(capsys, "toric-table", "2", "5", "--budget", "1", "--json")
-        assert code == 2
+        assert code == 0
         rows = json.loads(out)["rows"]
         assert [row["k"] for row in rows] == [1] * 5
-        assert all("needs 2^1 elements" in row["refusal"] for row in rows[:4])
-        assert rows[4]["refusal"] is None and rows[4]["min_distance"] == 1
+        assert all(row["refusal"] is None for row in rows)
+        assert [row["min_distance"] for row in rows] == [1] * 5
 
 
 class TestArgumentHandling:
@@ -712,6 +714,30 @@ class TestStrictIntegers:
         code, out, _ = run(capsys, "rghw", str(path), "--json")
         assert code == 0
         assert [e["rghw"] for e in json.loads(out)["results"]] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "fixture", ["five-points-f3", "hypersimplex-f3-s4", "torus-f5-sharp-gap"]
+)
+def test_rghw_builds_one_bound_tree_per_r(capsys, monkeypatch, fixture):
+    # relative_footprint and the search read the same tree for each r, so
+    # its C(|realized|, r) leaves are each scored once per run.
+    leaves = []
+    real = weights._footprint_survivors
+
+    def counted(problem, positions):
+        leaves.append((problem, len(positions)))
+        return real(problem, positions)
+
+    monkeypatch.setattr(weights, "_footprint_survivors", counted)
+    code, out, _ = run(capsys, "rghw", fixture, "--validate", "--json")
+    assert code == 0
+    r_values = [e["r"] for e in json.loads(out)["results"]]
+    assert len({id(problem) for problem, _ in leaves}) == 1
+    realized = weights._realized_positions(leaves[0][0])
+    per_r = {r: sum(1 for _, size in leaves if size == r) for r in r_values}
+    assert per_r == {r: math.comb(len(realized), r) for r in r_values}
+    assert len(leaves) == sum(per_r.values())
 
 
 FIXTURE_PAYLOADS = json.loads((DATA / "fixture-payloads.json").read_text())

@@ -18,14 +18,10 @@ from evalcodes import (
     Polynomial,
     PrimeField,
     ZeroPolynomialError,
-    box_degree,
     degree_with_F,
-    degree_zero_dim,
     divide,
-    emptiness_criteria,
     footprint,
     format_polynomial,
-    hilbert_affine,
     initial_ideal,
     monomial_footprint,
     normal_form,
@@ -33,13 +29,23 @@ from evalcodes import (
     vanishing_ideal,
     variety_in_X,
 )
-from evalcodes.groebner import _buchberger_moeller, _product_factors
+from evalcodes import groebner
+from evalcodes.groebner import (
+    _buchberger_moeller,
+    _multiplication_matrices,
+    _product_factors,
+)
 from evalcodes.poly import monomial_div, monomial_divides
 
 from oracles import (
+    box_degree,
     brute_variety_count,
     buchberger,
+    degree_zero_dim,
+    division_degree_with_F,
+    emptiness_criteria,
     evaluate_at,
+    hilbert_affine,
     loop_buchberger_moeller,
     monomial_lcm,
 )
@@ -655,6 +661,159 @@ def test_degree_with_F_matches_point_count_and_buchberger(case):
     assert exact <= bound <= len(pts)
     in_F = [f.lead_monomial(gb.order) for f in F if not f.is_zero()]
     assert bound == len(monomial_footprint(gb.leads() + in_F, gb.nvars, gb.order))
+
+
+@st.composite
+def bases_with_F(draw):
+    """(X or None, basis, F) over q in {2, 3, 5, 7} with s <= 3, in one of
+    the three orders: the closed-form basis of a product set (|X| <= 36), a
+    Buchberger-Moeller basis of a set that is not one, or the unit ideal
+    (X None, empty footprint).  F holds 1 to 3 polynomials, some of them
+    members of the ideal."""
+    field = PrimeField(draw(st.sampled_from((2, 3, 5, 7))))
+    order = draw(st.sampled_from((LEX, GRLEX, GREVLEX)))
+    kind = draw(st.sampled_from(("product", "general", "general", "unit")))
+    s = draw(st.integers(2 if kind == "general" else 1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    pts = None
+    if kind == "unit":
+        gb = GroebnerBasis(field, s, order, [Polynomial.constant(field, s, 1)])
+    else:
+        if kind == "product":
+            axes, room = [], 36
+            for _ in range(s):
+                k = rng.randint(1, min(field.q, room))
+                room //= k
+                axes.append(rng.sample(range(field.q), k))
+            points = list(product(*axes))
+        else:
+            grid = list(product(range(field.q), repeat=s))
+            points = rng.sample(grid, rng.randint(3, min(len(grid), 14)))
+        pts = PointSet(field, points)
+        gb = vanishing_ideal(pts, order)
+        assume(kind == "product" or _product_factors(pts) is None)
+    monos = list(product(range(3), repeat=s))
+    terms = st.dictionaries(
+        st.sampled_from(monos), st.integers(1, field.q - 1), min_size=1, max_size=3
+    )
+    F = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = Polynomial(field, s, draw(terms))
+        if draw(st.booleans()):  # a member of the ideal
+            f = f * draw(st.sampled_from(gb.generators))
+        F.append(f)
+    return pts, gb, F
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bases_with_F())
+def test_multiplication_walk_matches_the_division_walk(case):
+    pts, gb, F = case
+    exact, bound = degree_with_F(gb, F)
+    assert (exact, bound) == division_degree_with_F(gb, F)
+    assert exact == (0 if pts is None else brute_variety_count(pts.points, F))
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("q", [2147483647, 3037000493])
+@pytest.mark.parametrize("is_product", [True, False])
+def test_multiplication_walk_at_large_fields(order, q, is_product):
+    # Products of two residues are summed two at a time, then one at a
+    # time, in `matmul_mod`.
+    field = PrimeField(q)
+    rng = random.Random(SEED + q)
+    if is_product:
+        axes = [rng.sample(range(q), 3), rng.sample(range(q), 4)]
+        pts = PointSet(field, list(product(*axes)))
+    else:
+        pts = PointSet(field, [(rng.randrange(q), rng.randrange(q)) for _ in range(12)])
+    gb = vanishing_ideal(pts, order)
+    assert (_product_factors(pts) is not None) == is_product
+    (x0, y0), (x1, y1) = pts.points[:2]
+    line = parse(
+        field, 2, {(1, 0): y1 - y0, (0, 1): x0 - x1, (0, 0): x1 * y0 - x0 * y1}
+    )
+    member = line * gb.generators[-1]
+    square = parse(field, 2, {(2, 0): rng.randrange(q), (0, 1): 1, (0, 0): -x0})
+    for F in ([line], [line, member], [square, line]):
+        got = degree_with_F(gb, F)
+        assert got == division_degree_with_F(gb, F)
+        assert got[0] == brute_variety_count(pts.points, F)
+
+
+def structural_sets(rng):
+    """A torus, a product grid, five points and a general set in GF(7)^3."""
+    return [
+        torus_points(F5, 2),
+        PointSet(F5, GRID),
+        PointSet(F3, FIVE_POINTS),
+        PointSet(PrimeField(7), rng.sample(list(product(range(7), repeat=3)), 30)),
+    ]
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+def test_multiplication_matrices_commute_and_multiply_values(order):
+    # M_i M_j = M_j M_i, as multiplications on S/I; and for I(X), whose
+    # standard monomials evaluate to a basis of functions on X, the
+    # coordinates of NF(t_j u) evaluate to x_j times the values of u.
+    for pts in structural_sets(random.Random(SEED + 5)):
+        q = pts.field.q
+        gb = vanishing_ideal(pts, order)
+        mults = _multiplication_matrices(gb)
+        delta = footprint(gb)
+        assert mults.shape == (pts.nvars, len(delta), len(delta))
+        for i in range(pts.nvars):
+            for j in range(i):
+                assert np.array_equal(
+                    mults[i] @ mults[j] % q, mults[j] @ mults[i] % q
+                )
+        values = pts.evaluate([Polynomial.monomial(pts.field, u) for u in delta])
+        coords = np.array(pts.points, dtype=np.int64).T
+        for j in range(pts.nvars):
+            assert np.array_equal(mults[j].T @ values % q, values * coords[j] % q)
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+def test_multiplication_matrices_of_a_basis_that_is_not_reduced(order):
+    # Adding the smallest generator to the largest keeps the ideal and every
+    # lead, but puts a lead into a tail: that tail term takes a division.
+    grid = list(product(range(7), repeat=2))
+    pts = PointSet(PrimeField(7), random.Random(SEED + 6).sample(grid, 17))
+    gb = vanishing_ideal(pts, order)
+    gens = gb.generators
+    loose = GroebnerBasis(pts.field, 2, order, gens[:-1] + [gens[-1] + gens[0]])
+    assert loose.leads() == gb.leads() and loose.generators != gb.generators
+    assert np.array_equal(_multiplication_matrices(loose), _multiplication_matrices(gb))
+    f = parse(pts.field, 2, {(1, 1): 1, (0, 1): 3, (0, 0): 2})
+    assert degree_with_F(loose, [f]) == degree_with_F(gb, [f])
+    assert degree_with_F(loose, [f]) == division_degree_with_F(loose, [f])
+
+
+def test_multiplication_matrices_built_once_per_basis(monkeypatch):
+    # On the 3 x 2 grid, three of the five border monomials are not leads
+    # and take a product each; a second degree_with_F on the same basis only
+    # walks the footprint, one product per standard monomial but 1.
+    gb = vanishing_ideal(PointSet(F5, GRID))
+    f = parse(F5, 2, {(1, 0): 1, (0, 1): 1})
+    calls = []
+    real = groebner.matmul_mod
+    monkeypatch.setattr(
+        groebner, "matmul_mod", lambda a, b, q: calls.append(1) or real(a, b, q)
+    )
+    first = degree_with_F(gb, [f])
+    mults = gb._multiplication
+    assert len(calls) == len(GRID) - 1 + 3
+    calls.clear()
+    assert degree_with_F(gb, [f, f * f]) == division_degree_with_F(gb, [f, f * f])
+    assert degree_with_F(gb, [f]) == first
+    assert gb._multiplication is mults
+    assert len(calls) == 2 * (len(GRID) - 1)
 
 
 class TestInt64Limit:
