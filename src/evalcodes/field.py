@@ -38,15 +38,25 @@ def matmul_mod(a, b, q):
     Reduces mod q after every chunk of floor((2^63 - 1 - q) / (q - 1)^2)
     products, so a residue plus one chunk fits in int64.  The chunk is at
     least 1 whenever (q - 1)^2 < 2^63, and exactly 1 at q = 3037000493.
+    A matrix times a vector is summed by `np.einsum`, which is faster there
+    than the int64 `@`; every other shape goes through `@`.
     """
+    if a.ndim == 2 and b.ndim == 1:
+        product = _matvec
+    else:
+        product = np.matmul
     chunk = (2**63 - 1 - q) // (q - 1) ** 2
     inner = a.shape[-1]
     if inner <= chunk:
-        return (a @ b) % q
+        return product(a, b) % q
     acc = 0
     for lo in range(0, inner, chunk):
-        acc = (acc + a[..., lo : lo + chunk] @ b[lo : lo + chunk]) % q
+        acc = (acc + product(a[..., lo : lo + chunk], b[lo : lo + chunk])) % q
     return acc
+
+
+def _matvec(a, b):
+    return np.einsum("ij,j->i", a, b)
 
 
 def rref_mod(rows, q):

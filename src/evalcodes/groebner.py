@@ -10,18 +10,23 @@ through the Buchberger-Moeller linear algebra method: standard monomials
 are collected in increasing order while candidate monomials whose
 evaluation vectors become dependent turn into generators, read off the
 coefficient tag that each evaluation row carries through the elimination.
-The inverse of the stored rows' unit triangular pivot block is kept, so a
-candidate is reduced by two products through `field.matmul_mod`, whose
-reduction after every floor((2^63 - 1 - q) / (q - 1)^2) products admits
-every q with (q - 1)^2 < 2^63.
+A candidate is tested only when each of its quotients by one variable is
+standard, s lookups in the set of standard monomials found so far.  The
+inverse of the stored rows' unit triangular pivot block is kept, so a
+candidate is reduced by two matrix-vector products through
+`field.matmul_mod`, which sums that shape by einsum and reduces after
+every floor((2^63 - 1 - q) / (q - 1)^2) products, admitting every q with
+(q - 1)^2 < 2^63.
 Normal forms divide by heads (lead, inverse lead coefficient) built once
-per basis.  The footprint Delta (set of standard monomials) then carries
-all degree information: deg(S/I) equals its cardinality, and, being a
-basis of S/I, it gives the multiplication matrices M_1..M_s of S/I, built
-from the basis alone (each basis lead on the border of Delta read off its
-generator, every other border monomial from a smaller one by one product)
-and kept on the basis, as in FGLM (Faugere, Gianni, Lazard and Mora, J. Symbolic
-Comput. 16, 1993).  deg S/(I + (F)) is then |Delta| minus one rank over
+per basis, and pass a term on a standard monomial straight to the
+remainder when the basis knows its footprint.  The footprint Delta (set
+of standard monomials) then carries all degree information: deg(S/I)
+equals its cardinality, and, being a basis of S/I, it gives the
+multiplication matrices M_1..M_s of S/I, built from the basis alone (each
+basis lead on the border of Delta read off its generator, every other
+border monomial from a smaller one by one product) and kept on the basis,
+as in FGLM (Faugere, Gianni, Lazard and Mora, J. Symbolic Comput. 16,
+1993).  deg S/(I + (F)) is then |Delta| minus one rank over
 GF(q) of the coordinates of NF(u f), each M_i times its parent's
 (`degree_with_F`).  No general Groebner basis algorithm is needed.
 `PointSet.evaluate` is the one evaluation of given polynomials at points;
@@ -46,7 +51,6 @@ from .poly import (
     _exponent_array,
     _heads,
     divisibility_table,
-    monomial_divides,
     monomials,
 )
 
@@ -137,8 +141,9 @@ class GroebnerBasis:
     the construction already yields it (`vanishing_ideal`), else None; so
     are `leads`, the generators' lead monomials.  The division heads of the
     generators are built here, once, for every `normal_form` on the basis;
-    the multiplication matrices of `degree_with_F` are built on first use
-    and kept.
+    the footprint's set, which `normal_form` looks standard terms up in,
+    and the multiplication matrices of `degree_with_F` are built on first
+    use and kept.
     """
 
     def __init__(
@@ -150,6 +155,7 @@ class GroebnerBasis:
         self.generators = list(generators)
         self.standard_monomials = standard_monomials
         self._heads = _heads(self.generators, order, leads)
+        self._standard = None
         self._multiplication = None
 
     def leads(self):
@@ -235,81 +241,99 @@ def _buchberger_moeller(points, order):
 
     Monomials are scanned in increasing order; a monomial whose evaluation
     vector lies in the span of the standard vectors found so far yields a
-    generator, anything else becomes standard.  Evaluation vectors of border
-    monomials are obtained from their parent by coordinatewise products.
-    Each vector is tagged with its combination of monomials (Moeller and
-    Buchberger): the row holds the m evaluations, then the coefficients on
-    the standard monomials, then a 1 for the monomial itself.  Eliminating
-    the tagged row against the stored rows reduces both at once, so when
-    the evaluations vanish the tag is the generator; generators come out in
-    the heap's increasing order.  The stored rows fill an m x (2m + 1) array
-    R (kept in transpose, so that the products read contiguous rows); row i
-    is 1 at its pivot and 0 at earlier pivots, so R[:k, piv] is unit upper
-    triangular, with inverse U.  A candidate v reduces to the unique residue
-    zero at every pivot, the one row-by-row elimination gives, by
-    c = v[piv] @ U and [v | e_k] - c @ R[:k]; a new row with pivot p extends
-    U to [[U, -U u], [0, 1]], u = R[:k, p].  Products go through
-    `matmul_mod`, so the caller's check (q - 1)^2 < 2^63 is the only limit.
+    generator, anything else becomes standard.  A popped monomial t^a is
+    tested only when every t^a / t_j (a_j > 0) is standard: all monomials
+    below t^a are decided by then, so otherwise t^a is a proper multiple of
+    a lead, and this takes s set lookups, not one divisibility test per
+    lead found so far.  Evaluation vectors of border monomials are obtained
+    from their parent by coordinatewise products.  Each vector is tagged
+    with its combination of monomials (Moeller and Buchberger): the row
+    holds the m evaluations, then the coefficients on the standard
+    monomials, then a 1 for the monomial itself.  Eliminating the tagged row
+    against the stored rows reduces both at once, so when the evaluations
+    vanish the tag is the generator; generators come out in the heap's
+    increasing order.  The stored rows fill an m x (2m + 1) array R (kept in
+    transpose, so that the products read contiguous rows); row i is 1 at its
+    pivot and 0 at earlier pivots, so R[:k, piv] is unit upper triangular,
+    with inverse U (kept in transpose too).  A candidate v reduces to the
+    unique residue zero at every pivot, the one row-by-row elimination
+    gives, by c = v[piv] @ U and [v | e_k] - c @ R[:k]; a new row with pivot
+    p extends U to [[U, -U u], [0, 1]], u = R[:k, p].  All three products
+    are a matrix times a vector, the shape `matmul_mod` sums by einsum, so
+    the caller's check (q - 1)^2 < 2^63 is the only limit.
     """
     field = points.field
     q = field.q
     s = points.nvars
-    coords = np.array(points.points, dtype=np.int64)
+    key = order.key
+    columns = np.array(points.points, dtype=np.int64).T.copy()
 
     m = len(points)
     Rt = np.zeros((2 * m + 1, m), dtype=np.int64)
     Ut = np.zeros((m, m), dtype=np.int64)
-    piv = np.zeros(m, dtype=np.int64)
+    piv = np.zeros(m, dtype=np.intp)
     standard = []
+    is_standard = set()
     generators = []
-    lead_set = []
+    leads = []
 
-    seen = set()
     start = (0,) * s
-    heap = [(order.key(start), start, np.ones(m, dtype=np.int64))]
-    seen.add(start)
+    heap = [(key(start), start, np.ones(m, dtype=np.int64))]
+    seen = {start}
     while heap:
         _, mono, vec = heapq.heappop(heap)
-        if any(monomial_divides(lead, mono) for lead in lead_set):
+        if any(
+            mono[:j] + (e - 1,) + mono[j + 1 :] not in is_standard
+            for j, e in enumerate(mono)
+            if e
+        ):
             continue
         k = len(standard)
-        res = np.zeros(m + k + 1, dtype=np.int64)
-        res[:m] = vec
-        res[m + k] = 1
-        if k:
-            c = matmul_mod(Ut[:k, :k], vec[piv[:k]], q)
-            res = (res - matmul_mod(Rt[: m + k + 1, :k], c, q)) % q
-        nonzero = np.flatnonzero(res[:m])
-        if nonzero.size == 0:
+        c = matmul_mod(Ut[:k, :k], vec[piv[:k]], q)
+        red = matmul_mod(Rt[: m + k, :k], c, q)
+        res = vec - red[:m]
+        res %= q
+        nonzero = res.nonzero()[0]
+        if not nonzero.size:
+            tag = -red[m:] % q
+            idx = tag.nonzero()[0]
             terms = {mono: 1}
-            for idx in np.flatnonzero(res[m : m + k]):
-                terms[standard[idx]] = int(res[m + idx])
-            generators.append(Polynomial(field, s, terms))
-            lead_set.append(mono)
-        else:
-            p = int(nonzero[0])
-            Ut[k, :k] = -matmul_mod(Rt[p, :k], Ut[:k, :k], q) % q
-            Ut[k, k] = 1
-            Rt[: m + k + 1, k] = res * field.inv(int(res[p])) % q
-            piv[k] = p
-            standard.append(mono)
-            for i in range(s):
-                nxt = tuple(e + (1 if j == i else 0) for j, e in enumerate(mono))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    heapq.heappush(
-                        heap, (order.key(nxt), nxt, (vec * coords[:, i]) % q)
-                    )
-    return GroebnerBasis(field, s, order, generators, tuple(standard), lead_set)
+            terms.update(zip([standard[i] for i in idx.tolist()], tag[idx].tolist()))
+            generators.append(Polynomial._clean(field, s, terms))
+            leads.append(mono)
+            continue
+        p = int(nonzero[0])
+        inv = field.inv(int(res[p]))
+        Ut[k, :k] = -matmul_mod(Ut[:k, :k].T, Rt[p, :k], q) % q
+        Ut[k, k] = 1
+        Rt[:m, k] = res * inv % q
+        Rt[m : m + k, k] = -red[m:] * inv % q
+        Rt[m + k, k] = inv
+        piv[k] = p
+        standard.append(mono)
+        is_standard.add(mono)
+        for i in range(s):
+            nxt = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+            if nxt not in seen:
+                seen.add(nxt)
+                heapq.heappush(heap, (key(nxt), nxt, vec * columns[i] % q))
+    return GroebnerBasis(field, s, order, generators, tuple(standard), leads)
 
 
 def normal_form(f, gb):
-    """Remainder of f on division by the reduced basis; canonical in S/I."""
+    """Remainder of f on division by the reduced basis; canonical in S/I.
+
+    When the basis knows its footprint, a term on a standard monomial goes
+    to the remainder with one lookup in the footprint's set, built on the
+    first call and kept on the basis, instead of being tested against every
+    lead."""
     if not gb.generators:
         return f
     f._check(gb.generators[0])
-    _, rem = _divide(f, gb._heads, gb.order)
-    return Polynomial(f.field, f.nvars, rem)
+    if gb._standard is None:
+        gb._standard = frozenset(gb.standard_monomials or ())
+    _, rem = _divide(f, gb._heads, gb.order, gb._standard)
+    return Polynomial._clean(f.field, f.nvars, rem)
 
 
 def initial_ideal(gb):

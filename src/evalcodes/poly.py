@@ -144,6 +144,18 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _clean(cls, field, nvars, terms):
+        """The polynomial with exactly these terms, taken as they are: keys
+        exponent tuples of length nvars, values residues in [1, q).  For
+        terms that are already reduced residues, such as those of a division
+        or a row reduction, which `__init__` would check one by one."""
+        f = cls.__new__(cls)
+        f.field = field
+        f.nvars = nvars
+        f.terms = terms
+        return f
+
+    @classmethod
     def zero(cls, field, nvars):
         return cls(field, nvars, {})
 
@@ -306,8 +318,8 @@ def divide(f, divisors, order):
         f._check(g)
     quots, rem = _divide(f, _heads(divisors, order), order)
     return (
-        [Polynomial(f.field, f.nvars, terms) for terms in quots],
-        Polynomial(f.field, f.nvars, rem),
+        [Polynomial._clean(f.field, f.nvars, terms) for terms in quots],
+        Polynomial._clean(f.field, f.nvars, rem),
     )
 
 
@@ -325,17 +337,23 @@ def _heads(divisors, order, leads=None):
     return heads
 
 
-def _divide(f, heads, order):
+def _divide(f, heads, order, standard=frozenset()):
     """`divide` by divisors given as their `_heads`, quotients and remainder
-    as term dicts."""
+    as term dicts.
+
+    `standard` is a set of monomials that no head divides (the footprint of
+    a Groebner basis): a term on one of them goes to the remainder at once,
+    with one set lookup, and is never tested against the heads."""
     q = f.field.q
     # One mutable dividend; its lead strictly decreases, so every quotient
     # and remainder monomial is written once.  Each monomial is keyed once,
     # when it enters the dividend.
-    p = dict(f.terms)
+    p = {}
+    rem = {}
+    for mono, c in f.terms.items():
+        (rem if mono in standard else p)[mono] = c
     keys = {mono: order.key(mono) for mono in p}
     quots = [{} for _ in heads]
-    rem = {}
     while p:
         pm = max(p, key=keys.__getitem__)
         pc = p[pm]
@@ -346,13 +364,14 @@ def _divide(f, heads, order):
                 quot[t] = c
                 for m, v in gterms.items():
                     mt = monomial_mul(m, t)
-                    value = (p.get(mt, 0) - c * v) % q
+                    into = rem if mt in standard else p
+                    value = (into.get(mt, 0) - c * v) % q
                     if value:
-                        if mt not in keys:
+                        if into is p and mt not in keys:
                             keys[mt] = order.key(mt)
-                        p[mt] = value
+                        into[mt] = value
                     else:
-                        del p[mt]
+                        del into[mt]
                 break
         else:
             rem[pm] = pc
@@ -433,7 +452,7 @@ def echelonize(polys, order, field=None, nvars=None):
     rows = [[p.terms.get(m, 0) for m in cols] for p in polys]
     reduced, _ = rref_mod(rows, field.q)
     basis = [
-        Polynomial(field, nvars, {m: c for m, c in zip(cols, row) if c})
+        Polynomial._clean(field, nvars, {m: c for m, c in zip(cols, row) if c})
         for row in reduced.tolist()
     ]
     return PolySpace(field, nvars, order, basis)

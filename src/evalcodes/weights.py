@@ -409,15 +409,6 @@ def _realized_positions(problem):
     return realized[::-1]
 
 
-def lead_set_difference(problem):
-    """Lead monomials realized by L1 \\ L2, in decreasing order.
-
-    A basis lead m_i belongs to the set exactly when the subspace of L1
-    elements with lead at most m_i is not contained in L2.
-    """
-    return [problem._lead_monos[i] for i in _realized_positions(problem)]
-
-
 def _footprint_survivors(problem, positions):
     """Standard monomials divisible by no lead at these basis positions: the
     footprint bound deg S/(in I(X) + (in F)) on |V_X(F)| for such F."""

@@ -18,7 +18,9 @@ reference for `poly.monomials`.  `division_degree_with_F`, one division
 per standard monomial and member of F, is the reference for the
 multiplication-matrix walk of `degree_with_F`.  `degree_zero_dim`,
 `hilbert_affine`, `box_degree` and `emptiness_criteria` are degree and
-emptiness statements of the footprint method, kept as checks on it.
+emptiness statements of the footprint method, kept as checks on it, and
+`lead_set_difference` lists the leads realized by L1 outside L2 for the
+tests of the search.
 """
 
 import heapq
@@ -479,9 +481,18 @@ def brute_max_candidate_zeros(problem, r):
     )
 
 
+def lead_set_difference(problem):
+    """Lead monomials realized by L1 \\ L2, in decreasing order.
+
+    A basis lead m_i belongs to the set exactly when the subspace of L1
+    elements with lead at most m_i is not contained in L2.
+    """
+    return [problem._lead_monos[i] for i in _realized_positions(problem)]
+
+
 def brute_relative_footprint(problem, r):
     """RFP_r from monomial footprints of in I(X) plus r realized leads."""
-    from evalcodes import footprint, lead_set_difference, monomial_footprint
+    from evalcodes import footprint, monomial_footprint
 
     gb = problem.gb
     survivors = max(

@@ -99,3 +99,32 @@ def test_matmul_mod_agrees_with_python_ints(q):
             # Vector times matrix and matrix times vector.
             assert matmul_mod(xa[0], ya, q).tolist() == want[0]
             assert matmul_mod(xa, ya[:, 0], q).tolist() == [row[0] for row in want]
+
+
+@pytest.mark.parametrize("q", [2, 31, 2147483647, 3037000493])
+def test_matmul_mod_on_the_slices_of_the_elimination(q):
+    # The operand shapes `_buchberger_moeller` passes, as views of larger
+    # arrays: a leading block Ut[:k, :k] times a gathered vector, the block
+    # Rt[:m + k, :k] (rows longer than k) times a vector, and the transposed
+    # block Ut[:k, :k].T times a row slice Rt[p, :k].  Half the entries are
+    # q - 1, so a chunk meets its largest sums.
+    rng = random.Random(q + 1)
+    m, k, p = 9, 6, 4
+
+    def residues(rows, cols):
+        draws = [rng.choice((rng.randrange(q), q - 1)) for _ in range(rows * cols)]
+        return np.array(draws, dtype=np.int64).reshape(rows, cols)
+
+    Rt, Ut = residues(2 * m + 1, m), residues(m, m)
+    vec = residues(1, m)[0]
+    piv = np.array(rng.sample(range(m), k))
+    cases = [
+        (Ut[:k, :k], vec[piv]),
+        (Rt[: m + k, :k], vec[:k]),
+        (Ut[:k, :k].T, Rt[p, :k]),
+        (Rt[::2, 1:k], Ut[1, 2 : k + 1]),  # strided rows and a strided slice
+    ]
+    for a, b in cases:
+        assert not a.flags.c_contiguous
+        want = [sum(int(x) * int(y) for x, y in zip(row, b)) % q for row in a.tolist()]
+        assert matmul_mod(a, b, q).tolist() == want

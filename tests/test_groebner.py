@@ -382,6 +382,21 @@ def test_elimination_at_extreme_fields(order, q):
     assert_eliminated_basis(pts, order)
 
 
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("q, s, m", [(31, 2, 120), (7, 3, 100)])
+def test_elimination_matches_the_loop_on_larger_sets(order, q, s, m):
+    # Enough stored rows that every einsum product is a real block, and a
+    # staircase whose corners the footprint lookup must find in each order.
+    ranks = random.Random(SEED + q * m).sample(range(q**s), m)
+    pts = PointSet(PrimeField(q), [[r // q**i % q for i in range(s)] for r in ranks])
+    assert _product_factors(pts) is None
+    gb = _buchberger_moeller(pts, order)
+    reference = loop_buchberger_moeller(pts, order)
+    assert gb.generators == reference.generators
+    assert gb.leads() == reference.leads()
+    assert gb.standard_monomials == reference.standard_monomials
+
+
 GRID = [(a, b) for a in (0, 2, 3) for b in (1, 4)]
 
 
@@ -448,6 +463,31 @@ class TestNormalForm:
             assert normal_form(nf, gb) == nf
             for p in pts:
                 assert evaluate_at(f, p) == evaluate_at(nf, p)
+
+    @pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+    def test_footprint_lookup_matches_the_full_division(self, order):
+        # The same generators without a footprint take every term through
+        # the heads; with one, standard terms skip them.  Both remainders
+        # are the unique normal form.
+        rng = random.Random(SEED + 3)
+        F7 = PrimeField(7)
+        sets = [
+            PointSet(F7, product(range(3), range(1, 6))),  # closed form
+            PointSet(F7, rng.sample(list(product(range(7), repeat=2)), 23)),
+            PointSet(F5, rng.sample(list(product(range(5), repeat=3)), 30)),
+        ]
+        for pts in sets:
+            gb = vanishing_ideal(pts, order)
+            plain = GroebnerBasis(pts.field, pts.nvars, order, gb.generators)
+            assert gb.standard_monomials and plain.standard_monomials is None
+            field, s, delta = pts.field, pts.nvars, gb.standard_monomials
+            polys = [g.term_mul(u) for g in gb.generators for u in delta[:3]]
+            polys += [random_polynomial(rng, field, s, 6, 8) for _ in range(20)]
+            polys.append(Polynomial.monomial(field, delta[-1]))
+            for f in polys:
+                nf = normal_form(f, gb)
+                assert nf == normal_form(f, plain) == divide(f, gb.generators, order)[1]
+                assert set(nf.terms) <= set(delta)
 
 
 class TestFootprint:

@@ -21,7 +21,6 @@ from evalcodes import (
     echelonize,
     gaussian_binomial,
     ghw,
-    lead_set_difference,
     relative_footprint,
     rghw_definition_oracle,
     rghw_degree,
@@ -39,6 +38,7 @@ from oracles import (
     brute_min_support_subcode,
     brute_subspace_count,
     enumerate_candidates,
+    lead_set_difference,
     loop_definition_oracle,
 )
 
