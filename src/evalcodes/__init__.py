@@ -13,7 +13,6 @@ from .codes import (
     evaluate_space,
     next_to_minimal,
     standardize,
-    support,
     weight_distribution,
 )
 from .errors import (
@@ -25,17 +24,11 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .families import (
-    CartesianSpec,
     HypersimplexSpec,
-    cartesian_code,
     cartesian_points,
     cartesian_problem,
     cartesian_rghw_formula,
     cartesian_space,
-    linear_form_zero_count,
-    reducible_zero_bound,
-    squarefree_code,
-    squarefree_zero_bound,
     toric_code,
     toric_deg1_weight,
     toric_min_distance_formula,
@@ -48,7 +41,6 @@ from .groebner import (
     PointSet,
     degree_with_F,
     footprint,
-    initial_ideal,
     monomial_footprint,
     normal_form,
     vanishing_ideal,
@@ -79,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CartesianSpec",
     "DEFAULT_BUDGET",
     "DimensionMismatchError",
     "EvaluationCode",
@@ -99,7 +90,6 @@ __all__ = [
     "RghwProblem",
     "WeightProfile",
     "ZeroPolynomialError",
-    "cartesian_code",
     "cartesian_points",
     "cartesian_problem",
     "cartesian_rghw_formula",
@@ -112,20 +102,14 @@ __all__ = [
     "format_polynomial",
     "gaussian_binomial",
     "ghw",
-    "initial_ideal",
-    "linear_form_zero_count",
     "monomial_footprint",
     "next_to_minimal",
     "normal_form",
     "order_by_name",
-    "reducible_zero_bound",
     "relative_footprint",
     "rghw_definition_oracle",
     "rghw_degree",
-    "squarefree_code",
-    "squarefree_zero_bound",
     "standardize",
-    "support",
     "toric_code",
     "toric_deg1_weight",
     "toric_min_distance_formula",

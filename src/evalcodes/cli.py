@@ -47,7 +47,7 @@ from .families import (
     torus_points,
 )
 from .field import PrimeField
-from .groebner import PointSet, footprint, initial_ideal, vanishing_ideal
+from .groebner import PointSet, footprint, vanishing_ideal
 from .poly import Polynomial, format_polynomial, monomials, order_by_name
 from .weights import RghwProblem, relative_footprint, rghw_degree
 
@@ -295,7 +295,7 @@ def cmd_vanishing_ideal(args):
         elapsed,
         resolved,
         generators=[format_polynomial(g) for g in gb.generators],
-        initial_ideal=[list(m) for m in initial_ideal(gb)],
+        initial_ideal=[list(m) for m in gb.leads()],
         footprint_size=len(fp),
         standard_monomials=[list(m) for m in fp],
     )
@@ -390,7 +390,7 @@ def cmd_weights(args):
     refusal = None
     weights = None
     try:
-        profile = weight_distribution(code, budget=args.budget, threads=args.threads)
+        profile = weight_distribution(code, budget=args.budget)
         weights = {
             "distribution": [[w, c] for w, c in sorted(profile.distribution.items())],
             "distinct_weights": profile.distinct_weights,
@@ -453,9 +453,7 @@ def cmd_toric_table(args):
                 enumeration_size(args.q, side, args.budget)
                 points = points or torus_points(field, args.s)
                 profile = weight_distribution(
-                    evaluate_space(toric_space(spec), points),
-                    budget=args.budget,
-                    threads=args.threads,
+                    evaluate_space(toric_space(spec), points), budget=args.budget
                 )
             row["min_distance"] = profile.minimum_distance
             # The second-weight convention is only defined for q >= 3.

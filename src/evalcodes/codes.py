@@ -42,11 +42,10 @@ class EvaluationCode:
     """A code given by its k x n generator matrix over GF(q).
 
     `rows` is stored as int64 residues in [0, q), which needs
-    (q - 1)^2 < 2^63.  An evaluation code also keeps the space and the
-    points it was evaluated from (None for a bare matrix).
+    (q - 1)^2 < 2^63.
     """
 
-    def __init__(self, field, rows, n=None, space=None, points=None):
+    def __init__(self, field, rows, n=None):
         check_int64_products(field.q, what="a generator matrix")
         a = np.asarray(rows, dtype=np.int64)
         if a.size == 0:
@@ -55,8 +54,6 @@ class EvaluationCode:
             raise DimensionMismatchError("generator matrix must be 2d")
         self.field = field
         self.rows = a % field.q
-        self.space = space
-        self.points = points
         self._reduced = None
 
     @property
@@ -95,9 +92,7 @@ def evaluate_space(space, points):
         raise FieldMismatchError("space and points over different fields")
     if space.nvars != points.nvars:
         raise DimensionMismatchError("space and points in different arities")
-    code = EvaluationCode(
-        points.field, points.evaluate(space.basis), len(points), space, points
-    )
+    code = EvaluationCode(points.field, points.evaluate(space.basis), len(points))
     if code.rank < space.dim:
         raise NonInjectiveEvaluationError(
             "evaluation is not injective on the space; standardize it first"
@@ -118,17 +113,6 @@ def standardize(space, gb):
     """
     reduced = [normal_form(f, gb) for f in getattr(space, "basis", space)]
     return echelonize(reduced, gb.order, field=gb.field, nvars=gb.nvars)
-
-
-def support(rows):
-    """Set of 1-based indices of the columns where some row is nonzero."""
-    a = np.asarray(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.shape[0] == 0:
-        return set()
-    cols = np.nonzero(np.any(a != 0, axis=0))[0]
-    return {int(c) + 1 for c in cols}
 
 
 class WeightProfile:
@@ -380,16 +364,12 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
     return WeightProfile(n, q, k, distribution)
 
 
-def next_to_minimal(code_or_profile, budget=DEFAULT_BUDGET, threads=None):
-    """Second smallest weight value of the code.
+def next_to_minimal(profile):
+    """Second smallest weight value of a code, read off its WeightProfile.
 
     Convention: the maximum over an empty set of zero counts is zero, so a
     code with a single nonzero weight value reports its length n.
     """
-    if isinstance(code_or_profile, WeightProfile):
-        profile = code_or_profile
-    else:
-        profile = weight_distribution(code_or_profile, budget, threads)
     weights = profile.distinct_weights
     if not weights:
         raise ValueError("the zero code has no next-to-minimal weight")

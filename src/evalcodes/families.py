@@ -6,8 +6,8 @@ evaluation codes on the affine torus (spanned by squarefree monomials of
 degree up to d), and toric codes over hypersimplices (spanned by
 squarefree monomials of degree exactly d).  Closed formulas give the
 relative weight hierarchy of Cartesian codes, the minimum distance of the
-hypersimplex codes, zero count bounds for squarefree forms on the torus,
-and the full weight hierarchy of the degree one hypersimplex code.
+hypersimplex codes and the full weight hierarchy of the degree one
+hypersimplex code.
 """
 
 from itertools import product
@@ -55,38 +55,9 @@ def cartesian_rghw_formula(sizes, d1, d2, r):
     return tail - weighted - t + r
 
 
-class CartesianSpec:
-    """A Cartesian evaluation problem: coordinate subsets and a degree cap."""
-
-    def __init__(self, field, subsets, degree):
-        self.field = field
-        canon = []
-        for sub in subsets:
-            vals = [int(x) % field.q for x in sub]
-            if len(set(vals)) != len(vals) or not vals:
-                raise ValueError("subsets must be nonempty with distinct values")
-            canon.append(tuple(vals))
-        sizes = [len(c) for c in canon]
-        if any(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)):
-            raise ValueError("subset sizes must be non-decreasing")
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        self.subsets = tuple(canon)
-        self.degree = degree
-
-    @property
-    def sizes(self):
-        return tuple(len(c) for c in self.subsets)
-
-    @property
-    def nvars(self):
-        return len(self.subsets)
-
-
 def cartesian_points(field, subsets):
     """The product of the subsets, in lexicographic order."""
-    canon = [[int(x) % field.q for x in sub] for sub in subsets]
-    return PointSet(field, list(product(*canon)))
+    return PointSet(field, list(product(*subsets)))
 
 
 def cartesian_space(field, sizes, degree, order=GREVLEX):
@@ -100,23 +71,17 @@ def cartesian_space(field, sizes, degree, order=GREVLEX):
     return PolySpace(field, len(sizes), order, basis)
 
 
-def cartesian_code(spec, order=GREVLEX):
-    """The evaluation code of a CartesianSpec."""
-    points = cartesian_points(spec.field, spec.subsets)
-    space = cartesian_space(spec.field, spec.sizes, spec.degree, order)
-    return evaluate_space(space, points)
-
-
 def cartesian_problem(field, subsets, d1, d2=-1, order=GREVLEX):
-    """RghwProblem for nested Cartesian codes of degrees d1 > d2."""
-    spec1 = CartesianSpec(field, subsets, d1)
+    """RghwProblem for nested Cartesian codes of degrees d1 > d2 >= -1 on the
+    product of nonempty subsets of non-decreasing sizes, no value repeated mod q."""
+    sizes = [len(sub) for sub in subsets]
+    if not all(sizes) or sizes != sorted(sizes):
+        raise ValueError(f"need non-decreasing positive subset sizes, got {sizes}")
     if not -1 <= d2 < d1:
         raise ValueError(f"need -1 <= d2 < d1, got d1={d1}, d2={d2}")
-    points = cartesian_points(field, spec1.subsets)
-    space1 = cartesian_space(field, spec1.sizes, d1, order)
-    space2 = (
-        cartesian_space(field, spec1.sizes, d2, order) if d2 >= 0 else None
-    )
+    points = cartesian_points(field, subsets)
+    space1 = cartesian_space(field, sizes, d1, order)
+    space2 = cartesian_space(field, sizes, d2, order) if d2 >= 0 else None
     return RghwProblem(points, space1, space2, order)
 
 
@@ -136,19 +101,6 @@ def _torus_space(field, s, monos, order):
         monos = sorted(monos, key=order.key, reverse=True)
         basis = [Polynomial.monomial(field, m) for m in monos]
     return PolySpace(field, s, order, basis)
-
-
-def squarefree_code(field, s, d, order=GREVLEX):
-    """Evaluation of squarefree monomials of degree <= d on the torus.
-
-    Squarefree monomials are standard for the torus ideal when q >= 3; for
-    q = 2 the torus is a single point and the code is the trivial [1, 1]
-    code spanned by the constant.
-    """
-    if not 0 <= d <= s:
-        raise ValueError(f"need 0 <= d <= s, got d={d}, s={s}")
-    space = _torus_space(field, s, monomials((2,) * s, 0, d), order)
-    return evaluate_space(space, torus_points(field, s))
 
 
 class HypersimplexSpec:
@@ -212,40 +164,6 @@ def toric_min_distance_formula(q, s, d):
     if 2 * d <= s:
         return (q - 2) ** d * (q - 1) ** (s - d)
     return (q - 2) ** (s - d) * (q - 1) ** d
-
-
-def squarefree_zero_bound(q, s, d):
-    """Largest possible torus zero count of a nonzero squarefree
-    homogeneous polynomial of degree d, for q >= 3 and 1 <= d < s."""
-    if q < 3:
-        raise ValueError("the bound requires q >= 3")
-    if not 1 <= d < s:
-        raise ValueError(f"need 1 <= d < s, got d={d}, s={s}")
-    return (q - 1) ** s - (q - 2) ** d * (q - 1) ** (s - d)
-
-
-def reducible_zero_bound(q, s, d, r):
-    """Torus zero count bound for a squarefree form of degree d that splits
-    as a degree r squarefree form times a squarefree monomial in the
-    remaining variables; requires q >= 3, 1 < d < s and 1 <= r < d."""
-    if q < 3:
-        raise ValueError("the bound requires q >= 3")
-    if not 1 < d < s:
-        raise ValueError(f"need 1 < d < s, got d={d}, s={s}")
-    if not 1 <= r < d:
-        raise ValueError(f"need 1 <= r < d, got r={r}")
-    return (q - 1) ** s - (q - 2) ** r * (q - 1) ** (s - r)
-
-
-def linear_form_zero_count(q, s, r):
-    """Exact torus zero count of a linear form with exactly r nonzero
-    coefficients, for q >= 3 and 2 <= r <= s:
-    sum_{k=1}^{r-1} (-1)^(k+1) (q-1)^(s-k)."""
-    if q < 3:
-        raise ValueError("the count requires q >= 3")
-    if not 2 <= r <= s:
-        raise ValueError(f"need 2 <= r <= s, got r={r}, s={s}")
-    return sum((-1) ** (k + 1) * (q - 1) ** (s - k) for k in range(1, r))
 
 
 def toric_deg1_weight(q, s, t):

@@ -34,6 +34,7 @@ evaluation codes and `variety_in_X` both go through it.
 """
 
 import heapq
+import operator
 
 import numpy as np
 
@@ -56,13 +57,18 @@ from .poly import (
 
 
 class PointSet:
-    """A finite set of distinct points with coordinates in GF(q)."""
+    """A finite set of distinct points with coordinates in GF(q), read
+    through `operator.index`: a float or a string raises ValueError."""
 
     def __init__(self, field, points):
         self.field = field
+        index, q = operator.index, field.q
         pts = []
         for p in points:
-            pts.append(tuple(int(x) % field.q for x in p))
+            try:
+                pts.append(tuple(index(x) % q for x in p))
+            except TypeError:
+                raise ValueError(f"non-integer coordinate in {p!r}") from None
         if not pts:
             raise ValueError("point set is empty")
         s = len(pts[0])
@@ -334,11 +340,6 @@ def normal_form(f, gb):
         gb._standard = frozenset(gb.standard_monomials or ())
     _, rem = _divide(f, gb._heads, gb.order, gb._standard)
     return Polynomial._clean(f.field, f.nvars, rem)
-
-
-def initial_ideal(gb):
-    """Minimal monomial generators of the initial ideal: the basis leads."""
-    return gb.leads()
 
 
 def footprint(gb):

@@ -7,6 +7,8 @@ dimensional subspace held as a fully reduced echelon basis with strictly
 decreasing lead monomials.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatchError, FieldMismatchError, ZeroPolynomialError
@@ -24,13 +26,6 @@ def monomial_mul(a, b):
 def monomial_divides(a, b):
     """True when a divides b."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a, b):
-    """Quotient a / b; requires b | a."""
-    if not monomial_divides(b, a):
-        raise ValueError(f"{b} does not divide {a}")
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def divisibility_table(leads, monos, nvars):
@@ -125,6 +120,8 @@ class Polynomial:
 
     terms maps exponent tuples to coefficient residues in [1, q); zero
     coefficients are never stored, so equal polynomials have equal dicts.
+    Both are read through `operator.index`: a float or a string raises
+    ValueError.
     """
 
     __slots__ = ("field", "nvars", "terms")
@@ -133,14 +130,20 @@ class Polynomial:
         self.field = field
         self.nvars = nvars
         clean = {}
+        index, q = operator.index, field.q
         for mono, coeff in terms.items():
-            if len(mono) != nvars or any(e < 0 for e in mono):
+            exps = tuple(mono)
+            try:
+                c = index(coeff) % q
+                negative = exps and min(map(index, exps)) < 0
+            except TypeError:
+                raise ValueError(f"non-integer term {mono!r}: {coeff!r}") from None
+            if len(exps) != nvars or negative:
                 raise DimensionMismatchError(
                     f"exponent tuple {mono} invalid for {nvars} variables"
                 )
-            c = int(coeff) % field.q
             if c:
-                clean[tuple(mono)] = c
+                clean[exps] = c
         self.terms = clean
 
     @classmethod
@@ -359,7 +362,7 @@ def _divide(f, heads, order, standard=frozenset()):
         pc = p[pm]
         for (gm, ginv, gterms), quot in zip(heads, quots):
             if monomial_divides(gm, pm):
-                t = monomial_div(pm, gm)
+                t = tuple(x - y for x, y in zip(pm, gm))
                 c = (pc * ginv) % q
                 quot[t] = c
                 for m, v in gterms.items():

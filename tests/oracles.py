@@ -20,7 +20,11 @@ multiplication-matrix walk of `degree_with_F`.  `degree_zero_dim`,
 `hilbert_affine`, `box_degree` and `emptiness_criteria` are degree and
 emptiness statements of the footprint method, kept as checks on it, and
 `lead_set_difference` lists the leads realized by L1 outside L2 for the
-tests of the search.
+tests of the search.  `squarefree_zero_bound`, `reducible_zero_bound` and
+`linear_form_zero_count` are the paper's torus zero-count lemmas, checked
+against counted varieties.  `support` (the columns where some row is
+nonzero) and `monomial_div` (the quotient of monomials, checking
+divisibility) are helpers that only the tests read.
 """
 
 import heapq
@@ -46,7 +50,7 @@ from evalcodes import (
 from evalcodes.errors import DimensionMismatchError
 from evalcodes.field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from evalcodes.groebner import _check_F
-from evalcodes.poly import divisibility_table, monomial_div, monomial_divides
+from evalcodes.poly import divisibility_table, monomial_divides
 from evalcodes.poly import monomial_mul, total_degree
 from evalcodes.weights import _footprint_survivors, _realized_positions
 from evalcodes.weights import gaussian_binomial
@@ -74,6 +78,13 @@ def box_monomials(bounds, low, high):
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def monomial_div(a, b):
+    """Quotient a / b; requires b | a."""
+    if not monomial_divides(b, a):
+        raise ValueError(f"{b} does not divide {a}")
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def pp_rref(rows, q):
@@ -296,6 +307,17 @@ def brute_support_union(rows, q):
     return cols
 
 
+def support(rows):
+    """Set of 1-based indices of the columns where some row is nonzero."""
+    a = np.asarray(rows, dtype=np.int64)
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    if a.shape[0] == 0:
+        return set()
+    cols = np.nonzero(np.any(a != 0, axis=0))[0]
+    return {int(c) + 1 for c in cols}
+
+
 def brute_min_support_subcode(rows1, rows2, q, r):
     """Smallest support size of an r-dimensional subcode of span(rows1)
     intersecting span(rows2) only in zero.  Direct definition sweep."""
@@ -405,6 +427,40 @@ def brute_max_zero_count(rows, q):
         for v in span_vectors(rows, q)
         if any(v)
     )
+
+
+def squarefree_zero_bound(q, s, d):
+    """Largest possible torus zero count of a nonzero squarefree
+    homogeneous polynomial of degree d, for q >= 3 and 1 <= d < s."""
+    if q < 3:
+        raise ValueError("the bound requires q >= 3")
+    if not 1 <= d < s:
+        raise ValueError(f"need 1 <= d < s, got d={d}, s={s}")
+    return (q - 1) ** s - (q - 2) ** d * (q - 1) ** (s - d)
+
+
+def reducible_zero_bound(q, s, d, r):
+    """Torus zero count bound for a squarefree form of degree d that splits
+    as a degree r squarefree form times a squarefree monomial in the
+    remaining variables; requires q >= 3, 1 < d < s and 1 <= r < d."""
+    if q < 3:
+        raise ValueError("the bound requires q >= 3")
+    if not 1 < d < s:
+        raise ValueError(f"need 1 < d < s, got d={d}, s={s}")
+    if not 1 <= r < d:
+        raise ValueError(f"need 1 <= r < d, got r={r}")
+    return (q - 1) ** s - (q - 2) ** r * (q - 1) ** (s - r)
+
+
+def linear_form_zero_count(q, s, r):
+    """Exact torus zero count of a linear form with exactly r nonzero
+    coefficients, for q >= 3 and 2 <= r <= s:
+    sum_{k=1}^{r-1} (-1)^(k+1) (q-1)^(s-k)."""
+    if q < 3:
+        raise ValueError("the count requires q >= 3")
+    if not 2 <= r <= s:
+        raise ValueError(f"need 2 <= r <= s, got r={r}, s={s}")
+    return sum((-1) ** (k + 1) * (q - 1) ** (s - k) for k in range(1, r))
 
 
 def brute_subspace_count(n, r, q):

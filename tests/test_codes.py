@@ -22,7 +22,6 @@ from evalcodes import (
     format_polynomial,
     next_to_minimal,
     standardize,
-    support,
     toric_code,
     torus_points,
     vanishing_ideal,
@@ -41,6 +40,7 @@ from oracles import (
     monic_walk_weights,
     pp_rank,
     pp_rref,
+    support,
 )
 
 SEED = 20260823
@@ -87,7 +87,6 @@ class TestGeneratorMatrix:
         assert g.n == 3
         assert g.rank == 2
         assert g.rows.tolist() == [[1, 0, 2], [0, 0, 1]]
-        assert g.space is None and g.points is None
 
     def test_zero_row_count_rank(self):
         g = EvaluationCode(F3, [[1, 1], [2, 2]])
@@ -108,7 +107,6 @@ class TestEvaluateSpace:
         assert code.k == 1
         assert code.n == 5
         assert code.rows.tolist() == [[1, 1, 1, 1, 1]]
-        assert code.space is space and code.points is pts
 
     def test_hypersimplex_dimensions(self):
         assert toric_code(HypersimplexSpec(F3, 4, 1)).k == 4
@@ -523,9 +521,9 @@ def test_macwilliams_refuses_an_inexact_sum():
 
 class TestNextToMinimal:
     def test_table_values(self):
-        assert next_to_minimal(toric_code(HypersimplexSpec(F3, 4, 2))) == 6
-        assert next_to_minimal(toric_code(HypersimplexSpec(F3, 4, 3))) == 10
-        assert next_to_minimal(toric_code(HypersimplexSpec(F3, 4, 4))) == 16
+        for d, second in ((2, 6), (3, 10), (4, 16)):
+            code = toric_code(HypersimplexSpec(F3, 4, d))
+            assert next_to_minimal(weight_distribution(code)) == second
 
     def test_repetition_code_single_weight(self):
         pts = PointSet(F3, FIVE_POINTS)
@@ -535,9 +533,9 @@ class TestNextToMinimal:
         assert profile.distribution == {0: 1, 5: 2}
         assert next_to_minimal(profile) == 5
 
-    def test_accepts_code_or_profile(self):
-        code = toric_code(HypersimplexSpec(F3, 4, 2))
-        assert next_to_minimal(code) == next_to_minimal(weight_distribution(code))
+    def test_second_distinct_weight_of_the_profile(self):
+        profile = weight_distribution(toric_code(HypersimplexSpec(F3, 4, 2)))
+        assert next_to_minimal(profile) == profile.distinct_weights[1]
 
     def test_zero_code_rejected(self):
         profile = WeightProfile(5, 3, 0, {0: 1})

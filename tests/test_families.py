@@ -6,21 +6,16 @@ from evalcodes import (
     GREVLEX,
     GRLEX,
     LEX,
-    CartesianSpec,
     HypersimplexSpec,
     Polynomial,
     PrimeField,
-    cartesian_code,
     cartesian_points,
     cartesian_problem,
     cartesian_rghw_formula,
     cartesian_space,
-    linear_form_zero_count,
-    reducible_zero_bound,
+    evaluate_space,
     relative_footprint,
     rghw_degree,
-    squarefree_code,
-    squarefree_zero_bound,
     toric_code,
     toric_deg1_weight,
     toric_min_distance_formula,
@@ -30,7 +25,13 @@ from evalcodes import (
     weight_distribution,
 )
 
-from oracles import box_monomials, brute_max_zero_count
+from oracles import (
+    box_monomials,
+    brute_max_zero_count,
+    linear_form_zero_count,
+    reducible_zero_bound,
+    squarefree_zero_bound,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -39,20 +40,35 @@ F5 = PrimeField(5)
 
 class TestCartesianPointsAndCodes:
     def test_unit_square_degree_one(self):
-        code = cartesian_code(CartesianSpec(F3, [[0, 1], [0, 1]], 1))
+        pts = cartesian_points(F3, [[0, 1], [0, 1]])
+        code = evaluate_space(cartesian_space(F3, (2, 2), 1), pts)
         assert code.n == 4
         assert code.k == 3
 
     def test_full_field_degree_one(self):
-        subsets = [list(range(3))] * 4
-        code = cartesian_code(CartesianSpec(F3, subsets, 1))
+        pts = cartesian_points(F3, [list(range(3))] * 4)
+        code = evaluate_space(cartesian_space(F3, (3,) * 4, 1), pts)
         assert code.n == 81
         assert code.k == 5
 
     def test_full_degree_space_covers_everything(self):
-        spec = CartesianSpec(F3, [[0, 1], [0, 1, 2]], 1 + 2)
-        code = cartesian_code(spec)
+        pts = cartesian_points(F3, [[0, 1], [0, 1, 2]])
+        code = evaluate_space(cartesian_space(F3, (2, 3), 1 + 2), pts)
         assert code.k == code.n == 6
+
+    @pytest.mark.parametrize(
+        "subsets, d1",
+        [
+            ([[0, 1], [0, 1, 1]], 1),  # a value repeated in a subset
+            ([[0, 1], [0, 1, 3]], 1),  # 3 repeats 0 mod 3
+            ([[], [0, 1]], 1),  # an empty subset
+            ([[0, 1, 2], [0, 1]], 1),  # decreasing sizes
+            ([[0, 1], [0, 1]], -1),  # a negative degree
+        ],
+    )
+    def test_problem_refuses_malformed_input(self, subsets, d1):
+        with pytest.raises(ValueError):
+            cartesian_problem(F3, subsets, d1)
 
     def test_point_order_is_lexicographic(self):
         pts = cartesian_points(F3, [[0, 1], [1, 2]])
@@ -132,10 +148,12 @@ class TestCartesianFormula:
 
 
 class TestSquarefreeCodes:
+    # The squarefree monomials of degree <= d are the Cartesian space of the
+    # box (2, ..., 2), standard on the torus of GF(3).
     def test_dimension_counts(self):
-        code = squarefree_code(F3, 2, 2)
+        code = evaluate_space(cartesian_space(F3, (2, 2), 2), torus_points(F3, 2))
         assert (code.n, code.k) == (4, 4)
-        code = squarefree_code(F3, 3, 1)
+        code = evaluate_space(cartesian_space(F3, (2,) * 3, 1), torus_points(F3, 3))
         assert (code.n, code.k) == (8, 4)
 
     def test_nested_relative_weight_equals_minimum_distance(self):
@@ -155,7 +173,8 @@ class TestSquarefreeCodes:
         for s in (2, 3):
             prev = None
             for d in range(0, s + 1):
-                code = squarefree_code(F3, s, d)
+                space = cartesian_space(F3, (2,) * s, d)
+                code = evaluate_space(space, torus_points(F3, s))
                 rows = code.rows.tolist()
                 zeros = brute_max_zero_count(rows, 3)
                 if prev is not None:

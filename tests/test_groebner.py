@@ -18,11 +18,11 @@ from evalcodes import (
     Polynomial,
     PrimeField,
     ZeroPolynomialError,
+    cartesian_points,
     degree_with_F,
     divide,
     footprint,
     format_polynomial,
-    initial_ideal,
     monomial_footprint,
     normal_form,
     torus_points,
@@ -35,7 +35,7 @@ from evalcodes.groebner import (
     _multiplication_matrices,
     _product_factors,
 )
-from evalcodes.poly import monomial_div, monomial_divides
+from evalcodes.poly import monomial_divides
 
 from oracles import (
     box_degree,
@@ -47,6 +47,7 @@ from oracles import (
     evaluate_at,
     hilbert_affine,
     loop_buchberger_moeller,
+    monomial_div,
     monomial_lcm,
 )
 
@@ -108,6 +109,24 @@ class TestPointSet:
             PointSet(F3, [])
         with pytest.raises(ValueError):
             PointSet(F3, [[0, 0], [1]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PointSet(F5, [[1.7, 2], [3, 4.2]]),
+            lambda: PointSet(F5, [[1, "2"]]),
+            lambda: cartesian_points(F5, [[0.9, 1], [2, 3]]),
+        ],
+        ids=["float", "string", "cartesian-float"],
+    )
+    def test_rejects_non_integer_coordinates(self, build):
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            build()
+
+    def test_numpy_integers_read_as_ints(self):
+        pts = PointSet(F5, np.array([[1, 7], [3, 4]], dtype=np.int64))
+        assert pts.points == [(1, 2), (3, 4)]
+        assert all(type(x) is int for p in pts for x in p)
 
 
 @st.composite
@@ -493,16 +512,16 @@ class TestNormalForm:
 class TestFootprint:
     def test_five_point_initial_ideal_and_footprint(self):
         gb = vanishing_ideal(PointSet(F3, FIVE_POINTS), GREVLEX)
-        assert initial_ideal(gb) == [(2, 0), (0, 3), (1, 2)]
+        assert gb.leads() == [(2, 0), (0, 3), (1, 2)]
         assert footprint(gb) == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1))
 
     def test_torus_initial_ideal(self):
         gb = vanishing_ideal(torus_points(F3, 2), GREVLEX)
-        assert set(initial_ideal(gb)) == {(2, 0), (0, 2)}
+        assert set(gb.leads()) == {(2, 0), (0, 2)}
 
     def test_linear_lead(self):
         gb = buchberger([parse(F3, 1, {(1,): 1, (0,): -1})], LEX)
-        assert initial_ideal(gb) == [(1,)]
+        assert gb.leads() == [(1,)]
 
     def test_monomial_footprint_box(self):
         monos = monomial_footprint([(2, 0), (0, 3), (1, 2)], 2, GREVLEX)

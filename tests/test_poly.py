@@ -2,6 +2,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,26 @@ def test_lead_term_examples():
 def test_lead_of_zero_rejected():
     with pytest.raises(ZeroPolynomialError):
         Polynomial.zero(F3, 2).lead_monomial(GREVLEX)
+
+
+@pytest.mark.parametrize(
+    "terms", [{(1.0, 0): 2}, {(1, 0): 2.5}, {(1, "0"): 1}, {(1, 0): "2"}]
+)
+def test_non_integer_exponents_and_coefficients_refused(terms):
+    with pytest.raises(ValueError, match="non-integer term"):
+        Polynomial(F5, 2, terms)
+
+
+@pytest.mark.parametrize("terms", [{(-1, 0): 1}, {(-1, 0): 0}, {(1,): 1}])
+def test_negative_or_misshapen_exponents_refused(terms):
+    with pytest.raises(DimensionMismatchError):
+        Polynomial(F5, 2, terms)
+
+
+def test_numpy_integers_accepted():
+    f = Polynomial(F5, 2, {(np.int64(1), np.uint8(0)): np.int64(7)})
+    assert f == Polynomial(F5, 2, {(1, 0): 2})
+    assert PointSet(F5, [(2, 0)]).evaluate([f]).tolist() == [[4]]
 
 
 def test_evaluate_examples():
