@@ -207,15 +207,9 @@ def vanishing_ideal(points, order=GREVLEX):
     s = points.nvars
     heads = []  # (lead t_i^{|A_i|}, f_i)
     for i, values in enumerate(factors):
-        coeffs = [1]  # of prod (t - a), lowest degree first
-        for a in values:
-            coeffs = [(c - a * d) % q for c, d in zip([0] + coeffs, coeffs + [0])]
-        terms = {
-            tuple(e if j == i else 0 for j in range(s)): c
-            for e, c in enumerate(coeffs)
-        }
         lead = tuple(len(values) if j == i else 0 for j in range(s))
-        heads.append((lead, Polynomial(field, s, terms)))
+        roots = [values if j == i else [] for j in range(s)]
+        heads.append((lead, _root_product(field, roots)))
     heads.sort(key=lambda head: order.key(head[0]))
     bounds = [len(values) for values in factors]
     box = sorted(monomials(bounds, 0, sum(bounds) - s), key=order.key)
@@ -240,6 +234,25 @@ def _product_factors(points):
             return None
         factors.append(values)
     return factors
+
+
+def _root_product(field, roots):
+    """prod_i prod_{a in roots[i]} (t_i - a), one list of residues per
+    variable.  Every term divides prod_i t_i^len(roots[i]), so that is its
+    lead, with coefficient 1, in every order."""
+    q = field.q
+    terms = {(): 1}
+    for values in roots:
+        coeffs = [1]  # of prod (t - a), lowest degree first
+        for a in values:
+            coeffs = [(c - a * d) % q for c, d in zip([0] + coeffs, coeffs + [0])]
+        terms = {
+            m + (e,): v * c % q
+            for m, v in terms.items()
+            for e, c in enumerate(coeffs)
+            if c
+        }
+    return Polynomial._clean(field, len(roots), terms)
 
 
 def _buchberger_moeller(points, order):

@@ -210,8 +210,16 @@ class Polynomial:
             self.field, self.nvars, {m: q - c for m, c in self.terms.items()}
         )
 
+    def _coefficient(self, c):
+        """c as a residue mod q, read through `operator.index` as in
+        `__init__`: a float or a string raises ValueError."""
+        try:
+            return operator.index(c) % self.field.q
+        except TypeError:
+            raise ValueError(f"non-integer coefficient {c!r}") from None
+
     def scale(self, c):
-        c = int(c) % self.field.q
+        c = self._coefficient(c)
         if c == 0:
             return Polynomial.zero(self.field, self.nvars)
         return Polynomial(
@@ -220,7 +228,7 @@ class Polynomial:
 
     def term_mul(self, mono, coeff=1):
         """Multiply by the single term coeff * t^mono."""
-        c = int(coeff) % self.field.q
+        c = self._coefficient(coeff)
         if c == 0:
             return Polynomial.zero(self.field, self.nvars)
         return Polynomial(
@@ -394,6 +402,7 @@ class PolySpace:
         self.nvars = nvars
         self.order = order
         self.basis = list(basis)
+        self._leads = None
 
     @classmethod
     def empty(cls, field, nvars, order):
@@ -404,23 +413,35 @@ class PolySpace:
         return len(self.basis)
 
     def leads(self):
-        return [b.lead_monomial(self.order) for b in self.basis]
+        """Lead monomials of the basis, in basis order; found on the first
+        call and kept."""
+        if self._leads is None:
+            self._leads = tuple(b.lead_monomial(self.order) for b in self.basis)
+        return list(self._leads)
 
     def contains(self, f):
         return self.coordinates(f) is not None
 
     def coordinates(self, f):
-        """Coefficients of f on the basis, or None when f is outside."""
+        """Coefficients of f on the basis, or None when f is outside.
+
+        The basis is reduced echelon, so the coefficient of a basis element
+        is that of its lead in what is left of f; the terms left are reduced
+        in place."""
+        q = self.field.q
+        rest = dict(f.terms)
         coords = []
-        r = f
-        for b in self.basis:
-            c = r.coeff(b.lead_monomial(self.order))
+        for b, lead in zip(self.basis, self.leads()):
+            c = rest.get(lead, 0)
             coords.append(c)
             if c:
-                r = r - b.scale(c)
-        if not r.is_zero():
-            return None
-        return coords
+                for m, v in b.terms.items():
+                    w = (rest.get(m, 0) - c * v) % q
+                    if w:
+                        rest[m] = w
+                    else:
+                        del rest[m]
+        return None if rest else coords
 
     def __eq__(self, other):
         return (

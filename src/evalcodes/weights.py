@@ -12,10 +12,16 @@ standard monomials divisible by no lead of F, counted on one table from the
 divisibility kernel `poly.divisibility_table`.  A group of partial sets is
 bounded by the best complete lead tuple through it, which gives one tree of
 bounds over the leads realized by L1 outside L2; its root bound is the
-relative footprint bound RFP_r.  The tree is built once per (problem, r)
-and shared by the search and `relative_footprint`.  Groups are visited
-best bound first, those that cannot beat the running maximum are skipped,
-and a group stops being scored once the maximum reaches its bound.
+relative footprint bound RFP_r.  The tree is built once per (problem, r),
+the leaves under one parent in one numpy reduction, and shared by the
+search and `relative_footprint`.  On a product point set the bound is
+sharp whenever its own witness, products of linear factors in one
+variable, passes three checks (its normal forms lie in L1, its residues
+modulo L2 have rank r, and its evaluated zero count equals the root
+bound); that witness starts the search at the root bound, and the search
+then scores no candidate.  Otherwise groups are visited best bound first,
+those that cannot beat the running maximum are skipped, and a group stops
+being scored once the maximum reaches its bound.
 Surviving groups are scored prefix by prefix in coefficient space over the
 echelon basis of L1, by the table kernel of `codes`: zero counts and the
 L2 residue test are byte compares against tables of low-digit words, and
@@ -34,7 +40,8 @@ from .codes import _BATCH, _count_equal, _digits, _low_digit_count, _monic_row
 from .codes import _ZeroTable
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
-from .groebner import degree_with_F, footprint, vanishing_ideal
+from .groebner import _product_factors, _root_product
+from .groebner import degree_with_F, footprint, normal_form, vanishing_ideal
 from .poly import GREVLEX, Polynomial, divisibility_table
 
 
@@ -77,16 +84,16 @@ class RghwProblem:
             coords.append(c)
         if self.space2.dim >= self.space1.dim:
             raise ValueError("containment of L2 in L1 must be strict")
-        q = field.q
-        check_int64_products(q, self.space1.dim, what="the candidate search")
+        check_int64_products(field.q, self.space1.dim, what="the candidate search")
         self._lead_monos = self.space1.leads()
         self._code1 = evaluate_space(self.space1, points)
         self._E = self._code1.rows
-        if coords:
-            self._A, self._A_piv = rref_mod(np.array(coords, dtype=np.int64), q)
-        else:
-            self._A = np.zeros((0, self.space1.dim), dtype=np.int64)
-            self._A_piv = []
+        # L1 and L2 are both reduced echelon in gb.order, so the coordinates
+        # of L2's basis are already reduced echelon: the pivot of a row is
+        # the L1 position of its lead.
+        position = {m: i for i, m in enumerate(self._lead_monos)}
+        self._A = np.array(coords, dtype=np.int64).reshape(-1, self.space1.dim)
+        self._A_piv = [position[m] for m in self.space2.leads()]
         self._code2 = None
         self._trees = {}  # r -> (realized positions, groups of _bound_tree)
         # k1 x |footprint|: basis lead i divides standard monomial u.
@@ -154,11 +161,13 @@ def _bound_tree(problem, r):
     groups(js) lists (bound, j), best first, for the member after leads
     realized[js]; a bound is the footprint count of the best complete lead
     tuple through the group.  groups(())[0][0] is the root bound.  Groups
-    are computed on first use and kept.
+    are computed on first use and kept; the leaves under one parent are
+    counted together by `_leaf_bounds`.
     """
     if r in problem._trees:
         return problem._trees[r]
     realized = _realized_positions(problem)
+    positions = np.array(realized, dtype=np.intp)
     ordered = {}
 
     def groups(js):
@@ -166,13 +175,12 @@ def _bound_tree(problem, r):
             level = len(js)
             start = js[-1] + 1 if js else 0
             stop = len(realized) - (r - level) + 1
-            bounds = []
-            for j in range(start, stop):
-                if level == r - 1:
-                    leads = [realized[t] for t in js + (j,)]
-                    bounds.append((_footprint_survivors(problem, leads), j))
-                else:
-                    bounds.append((groups(js + (j,))[0][0], j))
+            if level == r - 1:
+                parent = [realized[t] for t in js]
+                counts = _leaf_bounds(problem, parent, positions[start:stop])
+                bounds = list(zip(counts.tolist(), range(start, stop)))
+            else:
+                bounds = [(groups(js + (j,))[0][0], j) for j in range(start, stop)]
             # Decreasing bound; on equal bounds the higher lead index, whose
             # group is smaller, comes first.
             ordered[js] = sorted(bounds, reverse=True)
@@ -182,14 +190,83 @@ def _bound_tree(problem, r):
     return realized, groups
 
 
-def _search_max_zeros(problem, r, budget):
+def _product_witness(problem, r):
+    """The footprint bound's own witness on a product point set: (zeros,
+    coefficient rows) of an admissible set with the root bound of zeros, or
+    None.
+
+    On X = A_1 x ... x A_s (`groebner._product_factors`) a lead m gives
+    F = prod_i prod_{c among the first m_i values of A_i} (t_i - c), of lead
+    m.  A point whose i-th coordinate is the u_i-th smallest value of A_i is
+    a zero of F exactly when m does not divide t^u, so the F of the leads of
+    a complete lead tuple at the root bound of `_bound_tree` have that many
+    common zeros, which no admissible set exceeds (Lopez, Renteria-Marquez
+    and Villarreal, "Affine Cartesian codes", Des. Codes Cryptogr. 71,
+    2014).  Such tuples are walked best first, as the search walks its
+    groups, and an F is kept only after two checks: its normal form lies in
+    L1 (`PolySpace.coordinates`), and its residue modulo L2 and the F kept
+    before it is nonzero, so the r residues have rank r.  The first complete
+    tuple is accepted after a third: its common zeros, counted by
+    `PointSet.evaluate`, number the root bound.  None when X is not a
+    product or no tuple passes, as when L1 is not closed under divisors or
+    RFP_r < M_r.
+    """
+    factors = _product_factors(problem.points)
+    if factors is None:
+        return None
+    realized, groups = _bound_tree(problem, r)
+    root = groups(())[0][0]
+    q = problem.q
+    members = {}  # j -> (F, its L1 coordinates or None)
+
+    def member(j):
+        if j not in members:
+            lead = problem._lead_monos[realized[j]]
+            roots = [values[:e] for e, values in zip(lead, factors)]
+            f = _root_product(problem.field, roots)
+            members[j] = f, problem.space1.coordinates(normal_form(f, problem.gb))
+        return members[j]
+
+    def extend(js, red, pivots):
+        if len(js) == r:
+            return js
+        for bound, j in groups(js):
+            if bound < root:
+                break
+            row = member(j)[1]
+            if row is None:
+                continue
+            res = reduce_rows([row], red, pivots, q)[0]
+            if not res.any():
+                continue
+            piv = int(np.argmax(res != 0))
+            norm = (res * pow(int(res[piv]), q - 2, q)) % q
+            found = extend(js + (j,), red + [norm], pivots + [piv])
+            if found:
+                return found
+        return None
+
+    js = extend((), list(problem._A), list(problem._A_piv))
+    if js is None:
+        return None
+    values = problem.points.evaluate([member(j)[0] for j in js])
+    zeros = int(np.count_nonzero(~values.any(axis=0)))
+    if zeros != root:
+        return None
+    return zeros, [np.array(member(j)[1], dtype=np.int64) for j in js]
+
+
+def _search_max_zeros(problem, r, budget, seed=None):
     """Largest |V_X(F)| over admissible candidate sets, with a witness.
 
     Returns (max zeros, list of coefficient rows).  A branch and bound that
     walks `_bound_tree` over the realized leads, one level per member of F:
     a group whose bound is at most the running maximum is skipped, and a
     group stops being scored once the maximum reaches its bound, since
-    nothing left in it can exceed that.
+    nothing left in it can exceed that.  `seed`, a (zeros, rows) pair such
+    as the checked witness of `_product_witness`, is the starting maximum;
+    one at the root bound stops the walk at its first group, before any
+    candidate is charged.
 
     Each group is walked on the calling thread with the table kernel
     `codes._ZeroTable`, one prefix of q^l candidates at a time, in odometer
@@ -206,8 +283,7 @@ def _search_max_zeros(problem, r, budget):
     words = _ZeroTable(e_matrix, q)
     realized, groups = _bound_tree(problem, r)
     counter = 0
-    best_zeros = -1
-    best_rows = None
+    best_zeros, best_rows = seed if seed is not None else (-1, None)
 
     def extend(js, alive, red, pivots, chosen):
         nonlocal counter, best_zeros, best_rows
@@ -272,19 +348,25 @@ def rghw_degree(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False)
     """The r-th relative generalized Hamming weight M_r(C1, C2).
 
     Computed as deg(S/I(X)) minus the largest candidate zero count, with
-    zeros counted by direct evaluation.  With validate=True the zero count
-    of the maximizing candidate set is recomputed as deg S/(I(X) + (F)) by
+    zeros counted by direct evaluation.  On a product point set the
+    footprint bound's own witness (`_product_witness`) is tried first: once
+    its normal forms lie in L1, its residues modulo L2 have rank r and its
+    evaluated zero count equals the root bound, it certifies M_r = RFP_r and
+    the search scores no candidate.  Otherwise the search walks as without
+    it.  With validate=True the zero count of the maximizing candidate set,
+    the witness included, is recomputed as deg S/(I(X) + (F)) by
     `degree_with_F`, a rank over the footprint from the multiplication
     matrices of I(X), built once per basis and kept on `problem.gb`, that
     never evaluates at the points, and the definition oracle is replayed
     when it fits the budget; any disagreement raises instead of being
-    silently resolved.  The search
-    runs on the calling thread; `threads` must be None or at least 1.
+    silently resolved.  The search runs on the calling thread; `threads`
+    must be None or at least 1.
     """
     problem._check_r(r)
     if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
-    best_zeros, best_rows = _search_max_zeros(problem, r, budget)
+    seed = _product_witness(problem, r)
+    best_zeros, best_rows = _search_max_zeros(problem, r, budget, seed)
     if best_zeros < 0:
         raise RuntimeError("no admissible candidate set found")
     value = problem.num_points - best_zeros
@@ -409,10 +491,14 @@ def _realized_positions(problem):
     return realized[::-1]
 
 
-def _footprint_survivors(problem, positions):
-    """Standard monomials divisible by no lead at these basis positions: the
-    footprint bound deg S/(in I(X) + (in F)) on |V_X(F)| for such F."""
-    return int(np.count_nonzero(~problem._divides[list(positions)].any(axis=0)))
+def _leaf_bounds(problem, parent, candidates):
+    """For each basis position c in candidates, the standard monomials
+    divisible by no lead at the positions parent + [c]: the footprint bound
+    deg S/(in I(X) + (in F)) on |V_X(F)| for such F.  One reduction over
+    the standard monomials that the parent's leads leave undivided."""
+    divides = problem._divides
+    undivided = ~divides[parent].any(axis=0)
+    return (~divides[candidates] & undivided).sum(axis=1)
 
 
 def relative_footprint(problem, r):

@@ -22,7 +22,10 @@ emptiness statements of the footprint method, kept as checks on it, and
 `lead_set_difference` lists the leads realized by L1 outside L2 for the
 tests of the search.  `squarefree_zero_bound`, `reducible_zero_bound` and
 `linear_form_zero_count` are the paper's torus zero-count lemmas, checked
-against counted varieties.  `support` (the columns where some row is
+against counted varieties.  `_footprint_survivors`, one lead tuple's
+footprint count, and `reference_bound_tree` over it are the reference for
+the leaf counts of the search's bound tree, each parent's leaves in one
+reduction.  `support` (the columns where some row is
 nonzero) and `monomial_div` (the quotient of monomials, checking
 divisibility) are helpers that only the tests read.
 """
@@ -52,7 +55,7 @@ from evalcodes.field import check_int64_products, rank_mod, reduce_rows, rref_mo
 from evalcodes.groebner import _check_F
 from evalcodes.poly import divisibility_table, monomial_divides
 from evalcodes.poly import monomial_mul, total_degree
-from evalcodes.weights import _footprint_survivors, _realized_positions
+from evalcodes.weights import _realized_positions
 from evalcodes.weights import gaussian_binomial
 
 
@@ -213,21 +216,18 @@ def monic_walk_weights(rows, q, chunk=1 << 13):
     return {w: int(c) for w, c in enumerate(hist) if c}
 
 
-def monic_walk_search(problem, r, budget, chunk=1 << 13):
-    """(max zeros, witness rows) of the RGHW branch and bound, scoring whole
-    coefficient rows times the evaluation matrix, `chunk` rows at a time.
+def _footprint_survivors(problem, positions):
+    """Standard monomials divisible by no lead at these basis positions: the
+    footprint bound deg S/(in I(X) + (in F)) on |V_X(F)| for such F, one
+    lead tuple at a time."""
+    return int(np.count_nonzero(~problem._divides[list(positions)].any(axis=0)))
 
-    The same lead groups, visit order and stops as the library search; the
-    candidates of a group are scored as `(rows @ E) % q` and `(rows @ proj)
-    % q`, charged to the budget chunk by chunk.
-    """
-    q = problem.q
-    k1 = problem.k1
-    e_matrix = problem._E
+
+def reference_bound_tree(problem, r):
+    """groups(js) of the library's `_bound_tree`, each leaf scored alone by
+    `_footprint_survivors`: (bound, j) pairs, best first, the higher lead
+    index first on equal bounds."""
     realized = _realized_positions(problem)
-    counter = 0
-    best_zeros = -1
-    best_rows = None
     ordered = {}
 
     def groups(js):
@@ -244,6 +244,26 @@ def monic_walk_search(problem, r, budget, chunk=1 << 13):
                     bounds.append((groups(js + (j,))[0][0], j))
             ordered[js] = sorted(bounds, reverse=True)
         return ordered[js]
+
+    return groups
+
+
+def monic_walk_search(problem, r, budget, chunk=1 << 13):
+    """(max zeros, witness rows) of the RGHW branch and bound, scoring whole
+    coefficient rows times the evaluation matrix, `chunk` rows at a time.
+
+    The same lead groups, visit order and stops as the library search; the
+    candidates of a group are scored as `(rows @ E) % q` and `(rows @ proj)
+    % q`, charged to the budget chunk by chunk.
+    """
+    q = problem.q
+    k1 = problem.k1
+    e_matrix = problem._E
+    realized = _realized_positions(problem)
+    groups = reference_bound_tree(problem, r)
+    counter = 0
+    best_zeros = -1
+    best_rows = None
 
     def extend(js, alive, red, pivots, chosen):
         nonlocal counter, best_zeros, best_rows

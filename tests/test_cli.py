@@ -720,24 +720,27 @@ class TestStrictIntegers:
     "fixture", ["five-points-f3", "hypersimplex-f3-s4", "torus-f5-sharp-gap"]
 )
 def test_rghw_builds_one_bound_tree_per_r(capsys, monkeypatch, fixture):
-    # relative_footprint and the search read the same tree for each r, so
-    # its C(|realized|, r) leaves are each scored once per run.
-    leaves = []
-    real = weights._footprint_survivors
+    # relative_footprint, the witness and the search read the same tree for
+    # each r, and its leaves are counted one parent at a time: one reduction
+    # for each of the C(|realized| - 1, r - 1) parents of leaves (the last
+    # lead of a parent leaves at least one realized lead after it), once
+    # per run.
+    parents = []
+    real = weights._leaf_bounds
 
-    def counted(problem, positions):
-        leaves.append((problem, len(positions)))
-        return real(problem, positions)
+    def counted(problem, parent, candidates):
+        parents.append((problem, len(parent)))
+        return real(problem, parent, candidates)
 
-    monkeypatch.setattr(weights, "_footprint_survivors", counted)
+    monkeypatch.setattr(weights, "_leaf_bounds", counted)
     code, out, _ = run(capsys, "rghw", fixture, "--validate", "--json")
     assert code == 0
     r_values = [e["r"] for e in json.loads(out)["results"]]
-    assert len({id(problem) for problem, _ in leaves}) == 1
-    realized = weights._realized_positions(leaves[0][0])
-    per_r = {r: sum(1 for _, size in leaves if size == r) for r in r_values}
-    assert per_r == {r: math.comb(len(realized), r) for r in r_values}
-    assert len(leaves) == sum(per_r.values())
+    assert len({id(problem) for problem, _ in parents}) == 1
+    realized = weights._realized_positions(parents[0][0])
+    per_r = {r: sum(1 for _, size in parents if size == r - 1) for r in r_values}
+    assert per_r == {r: math.comb(len(realized) - 1, r - 1) for r in r_values}
+    assert len(parents) == sum(per_r.values())
 
 
 FIXTURE_PAYLOADS = json.loads((DATA / "fixture-payloads.json").read_text())

@@ -195,6 +195,31 @@ def test_non_integer_exponents_and_coefficients_refused(terms):
         Polynomial(F5, 2, terms)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: f.scale(2.5),
+        lambda f: f.scale("2"),
+        lambda f: f.term_mul((0, 1), 3.9),
+        lambda f: f.term_mul((0, 1), 0.0),
+    ],
+)
+def test_non_integer_scalars_refused(call):
+    # Read through `operator.index`, as the constructor reads coefficients:
+    # truncating would give scale(2.5) == 2 * f and term_mul(., 3.9) a
+    # factor of 3.
+    with pytest.raises(ValueError, match="non-integer coefficient"):
+        call(Polynomial(F5, 2, {(1, 0): 1}))
+
+
+def test_integer_scalars_reduced_mod_q():
+    f = Polynomial(F5, 2, {(1, 0): 1, (0, 0): 3})
+    doubled = Polynomial(F5, 2, {(1, 0): 2, (0, 0): 1})
+    assert f.scale(np.int64(7)) == f.scale(2) == doubled
+    assert f.term_mul((0, 1), np.uint8(6)) == Polynomial(F5, 2, {(1, 1): 1, (0, 1): 3})
+    assert f.scale(10).is_zero() and f.term_mul((1, 0), -5).is_zero()
+
+
 @pytest.mark.parametrize("terms", [{(-1, 0): 1}, {(-1, 0): 0}, {(1,): 1}])
 def test_negative_or_misshapen_exponents_refused(terms):
     with pytest.raises(DimensionMismatchError):
@@ -372,3 +397,29 @@ def test_space_membership_and_coordinates():
     empty = PolySpace.empty(F3, 2, LEX)
     assert empty.dim == 0
     assert empty.contains(Polynomial.zero(F3, 2))
+
+
+def test_coordinates_recover_combinations_and_refuse_the_rest():
+    # Coordinates are read off the leads and checked by reducing f in
+    # place; against the span: the combination rebuilds f, and None means
+    # that f raises the rank.
+    rng = random.Random(SEED + 5)
+    for _ in range(60):
+        field = rng.choice((PrimeField(2), F3, F5, PrimeField(7)))
+        order = rng.choice((LEX, GRLEX, GREVLEX))
+        nvars = rng.randint(1, 3)
+        polys = [random_polynomial(rng, field, nvars) for _ in range(rng.randint(1, 5))]
+        space = echelonize(polys, order, field=field, nvars=nvars)
+        coeffs = [rng.randrange(field.q) for _ in space.basis]
+        zero = Polynomial.zero(field, nvars)
+        inside = sum((b.scale(c) for b, c in zip(space.basis, coeffs)), zero)
+        assert space.coordinates(inside) == coeffs
+        f = inside + random_polynomial(rng, field, nvars)
+        coords = space.coordinates(f)
+        bigger = echelonize(space.basis + [f], order, field=field, nvars=nvars)
+        if coords is None:
+            assert bigger.dim == space.dim + 1
+        else:
+            assert bigger.dim == space.dim
+            rebuilt = sum((b.scale(c) for b, c in zip(space.basis, coords)), zero)
+            assert rebuilt == f

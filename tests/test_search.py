@@ -5,18 +5,24 @@ leads, visits groups best bound first and stops scoring a group once the
 maximum reaches its bound.  None of that may change the maximum: these
 tests compare it with a walk over every admissible candidate set and check
 that the witness attains it.  The search runs on the calling thread for
-every `threads` value.
+every `threads` value.  On product point sets the footprint bound's own
+witness starts the search; the tests of the walk itself run it unseeded,
+and those of the witness check it against the unseeded walk and the
+Cartesian formula.
 """
 
 from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from evalcodes import (
     DEFAULT_BUDGET,
+    GREVLEX,
+    GRLEX,
+    LEX,
     BudgetExceededError,
     PointSet,
     Polynomial,
@@ -28,21 +34,24 @@ from evalcodes import (
     relative_footprint,
     rghw_degree,
 )
-from evalcodes import codes
+from evalcodes import codes, weights
 from evalcodes.cli import load_problem, resolve_problem
 from evalcodes.weights import (
-    _footprint_survivors,
+    _bound_tree,
+    _product_witness,
     _realized_positions,
     _search_max_zeros,
 )
 
 from oracles import (
+    _footprint_survivors,
     brute_max_candidate_zeros,
     brute_relative_footprint,
     brute_variety_count,
     monic_rows,
     monic_walk_search,
     pp_rank,
+    reference_bound_tree,
 )
 
 SETTINGS = settings(
@@ -55,7 +64,7 @@ SETTINGS = settings(
 
 
 def searched(problem, r, budget=DEFAULT_BUDGET):
-    """(max zeros, witness rows as lists) of the search."""
+    """(max zeros, witness rows as lists) of the unseeded search."""
     zeros, rows = _search_max_zeros(problem, r, budget)
     return zeros, [[int(v) for v in row] for row in rows]
 
@@ -227,3 +236,104 @@ def test_search_makes_no_thread_pool(name, values):
         "threading.Thread", side_effect=error
     ):
         assert [rghw_degree(problem, r, threads=2) for r in data.r_values] == values
+
+
+def check_tree(problem, r):
+    """Every group of the bound tree, its leaves counted one parent at a
+    time, equals the reference that counts each lead tuple alone."""
+    _, groups = _bound_tree(problem, r)
+    reference = reference_bound_tree(problem, r)
+    stack = [()]
+    while stack:
+        js = stack.pop()
+        assert groups(js) == reference(js)
+        if len(js) < r - 1:
+            stack.extend(js + (j,) for _, j in groups(js))
+
+
+@SETTINGS
+@given(small_problems())
+def test_leaf_bounds_match_one_count_per_tuple(case):
+    check_tree(*case)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_leaf_bounds_match_one_count_per_tuple_on_a_grid(r):
+    # A 4 x 5 grid of GF(7)^2 with L1 = degree <= 5 and L2 = degree <= 1:
+    # 15 realized leads, so 455 leaves for r = 3 under 91 parents.
+    subsets = [[0, 2, 3, 6], [0, 1, 2, 4, 5]]
+    problem = cartesian_problem(PrimeField(7), subsets, 5, 1)
+    check_tree(problem, r)
+
+
+@st.composite
+def cartesian_cases(draw):
+    """Nested Cartesian codes on random subsets, in a random order, small
+    enough for the unseeded walk."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    s = draw(st.integers(1, 3))
+    sizes = sorted(draw(st.lists(st.integers(1, min(q, 4)), min_size=s, max_size=s)))
+    top = sum(n - 1 for n in sizes)
+    assume(top >= 1)
+    subsets = [sorted(draw(st.permutations(range(q)))[:n]) for n in sizes]
+    order = draw(st.sampled_from((LEX, GRLEX, GREVLEX)))
+    d1 = draw(st.integers(1, top))
+    d2 = draw(st.integers(-1, d1 - 1))
+    problem = cartesian_problem(PrimeField(q), subsets, d1, d2, order)
+    assume(q ** problem.k1 <= 10**8)
+    r = min(draw(st.sampled_from((1, 2, 3))), problem.k1 - problem.k2)
+    return problem, sizes, d1, d2, r
+
+
+# In lex the leads of this grid give RFP_3 = 6 < M_3 = 7.
+LEX_GAP = (
+    cartesian_problem(PrimeField(3), [[0, 1], [0, 1], [0, 1, 2]], 2, 1, LEX),
+    [2, 2, 3],
+    2,
+    1,
+    3,
+)
+
+
+@settings(SETTINGS, max_examples=100)
+@example(LEX_GAP)
+@given(cartesian_cases())
+def test_product_witness_certifies_cartesian_problems(case):
+    problem, sizes, d1, d2, r = case
+    value = cartesian_rghw_formula(sizes, d1, d2, r)
+    zeros, _ = searched(problem, r)
+    assert rghw_degree(problem, r) == value == problem.num_points - zeros
+    # The witness exists exactly when the footprint bound is sharp.  It is
+    # sharp here in grlex and grevlex; in lex it can fall short of M_r.
+    witness = _product_witness(problem, r)
+    sharp = relative_footprint(problem, r) == value
+    assert (witness is not None) == sharp
+    assert sharp or problem.order is LEX
+    if sharp:
+        assert witness[0] == zeros
+        check_witness(problem, r, zeros, [[int(v) for v in row] for row in witness[1]])
+        # The seeded walk stops at its first group and charges nothing.
+        assert rghw_degree(problem, r, budget=1) == value
+    else:
+        with pytest.raises(BudgetExceededError):
+            rghw_degree(problem, r, budget=1)
+
+
+@pytest.mark.parametrize(
+    "name, why",
+    [
+        ("torus-f5-sharp-gap", "RFP_1 = 4 < M_1 = 8"),
+        ("hypersimplex-f3-s4", "L1 = squarefree degree exactly 1"),
+        ("five-points-f3", "not a product set"),
+    ],
+)
+def test_without_a_witness_the_search_walks_unseeded(name, why):
+    data = resolve_problem(load_problem(name))
+    problem = RghwProblem(data.points, data.space1, data.space2, data.order)
+    walk = mock.Mock(wraps=_search_max_zeros)
+    for r in data.r_values:
+        assert _product_witness(problem, r) is None, why
+        with mock.patch.object(weights, "_search_max_zeros", walk):
+            value = rghw_degree(problem, r)
+        assert walk.call_args.args[1:] == (r, DEFAULT_BUDGET, None)
+        assert value == problem.num_points - searched(problem, r)[0]

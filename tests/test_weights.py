@@ -4,12 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evalcodes import (
     DEFAULT_BUDGET,
     GREVLEX,
+    GRLEX,
     LEX,
     BudgetExceededError,
     EvaluationCode,
@@ -31,7 +32,7 @@ from evalcodes import (
 )
 from evalcodes import weights
 from evalcodes.cli import load_problem, resolve_problem
-from evalcodes.field import rank_mod
+from evalcodes.field import rank_mod, rref_mod
 
 from oracles import (
     brute_lead_sweep,
@@ -136,6 +137,53 @@ class TestProblemConstruction:
             None,
         )
         assert problem.k1 == 1
+
+
+@st.composite
+def nested_problems(draw):
+    """Random X in GF(q)^s, L1 spanned by random polynomials, L2 by random
+    combinations of L1's basis, in a random order."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    s = draw(st.integers(1, 3))
+    field = PrimeField(q)
+    order = draw(st.sampled_from((LEX, GRLEX, GREVLEX)))
+    coordinate = st.integers(0, q - 1)
+    points = draw(
+        st.lists(st.tuples(*[coordinate] * s), min_size=2, max_size=15, unique=True)
+    )
+    monos = list(product(range(3), repeat=s))
+    generators = [
+        Polynomial(field, s, terms)
+        for terms in draw(
+            st.lists(st.dictionaries(st.sampled_from(monos), coordinate), max_size=8)
+        )
+    ]
+    pts = PointSet(field, points)
+    try:
+        first = RghwProblem(pts, generators, order=order)
+    except ValueError:
+        assume(False)
+    k1 = first.k1
+    assume(k1 >= 2)
+    combo = st.lists(coordinate, min_size=k1, max_size=k1)
+    k2 = draw(st.integers(1, k1 - 1))
+    combos = draw(st.lists(combo, min_size=k2, max_size=k2))
+    space2 = [first.poly_from_coefficients(c) for c in combos]
+    return RghwProblem(pts, first.space1, space2, order, gb=first.gb)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(nested_problems())
+def test_l2_coordinates_are_already_reduced_echelon(problem):
+    # L1 and L2 are reduced echelon in the same order, so the coordinates of
+    # L2's basis need no elimination, and each pivot is the L1 position of
+    # an L2 lead.
+    reduced, pivots = rref_mod(problem._A, problem.q)
+    assert problem._A.shape == (problem.k2, problem.k1)
+    assert np.array_equal(problem._A, reduced)
+    assert problem._A_piv == pivots
+    leads = problem.space1.leads()
+    assert pivots == [leads.index(m) for m in problem.space2.leads()]
 
 
 class TestCandidates:
