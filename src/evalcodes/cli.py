@@ -255,15 +255,23 @@ def resolve_problem(data, order_override=None, need_spaces=True):
     return ResolvedProblem(data, field, s, order, points, space1, space2, r_values)
 
 
-def _report(command, elapsed, resolved=None, **fields):
-    """The --json payload of every command.
+def run_command(args):
+    """Run one subcommand and print its report; the exit code, 2 on any
+    refusal.
 
-    Commands on a problem file put the problem, order, q, s and n of the
-    resolved problem after the schema and command; the command's own fields
-    follow, then the elapsed time.
+    A command on a problem file gets the loaded and resolved problem; the
+    load is not timed.  `args.func(args, resolved)` returns (fields, text
+    lines, refused).  The --json payload has the schema and command, then
+    for a problem file the problem, order, q, s and n of the resolved
+    problem, then the command's own fields, then the elapsed time; the text
+    report ends with an "elapsed:" line.
     """
-    payload = {"schema": 1, "command": command}
-    if resolved is not None:
+    payload = {"schema": 1, "command": args.command}
+    resolved = None
+    if hasattr(args, "problem"):
+        data = load_problem(args.problem)
+        need_spaces = args.command != "vanishing-ideal"
+        resolved = resolve_problem(data, args.order, need_spaces)
         payload.update(
             problem=resolved.data,
             order=resolved.order.name,
@@ -271,29 +279,22 @@ def _report(command, elapsed, resolved=None, **fields):
             s=resolved.s,
             n=len(resolved.points),
         )
+    t0 = time.perf_counter()
+    fields, lines, refused = args.func(args, resolved)
+    elapsed = time.perf_counter() - t0
     payload.update(fields, elapsed_seconds=elapsed)
-    return payload
-
-
-def _emit(args, payload, text_lines):
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        for line in text_lines:
+        for line in [*lines, f"elapsed: {elapsed:.3f}s"]:
             print(line)
+    return 2 if refused else 0
 
 
-def cmd_vanishing_ideal(args):
-    data = load_problem(args.problem)
-    resolved = resolve_problem(data, args.order, need_spaces=False)
-    t0 = time.perf_counter()
+def cmd_vanishing_ideal(args, resolved):
     gb = vanishing_ideal(resolved.points, resolved.order)
     fp = footprint(gb)
-    elapsed = time.perf_counter() - t0
-    payload = _report(
-        "vanishing-ideal",
-        elapsed,
-        resolved,
+    fields = dict(
         generators=[format_polynomial(g) for g in gb.generators],
         initial_ideal=[list(m) for m in gb.leads()],
         footprint_size=len(fp),
@@ -303,26 +304,17 @@ def cmd_vanishing_ideal(args):
         f"vanishing ideal: q={resolved.field.q} s={resolved.s}"
         f" n={len(resolved.points)} order={resolved.order.name}",
         "generators:",
-        *(f"  {format_polynomial(g)}" for g in gb.generators),
+        *(f"  {g}" for g in fields["generators"]),
         f"footprint size: {len(fp)}",
-        f"elapsed: {elapsed:.3f}s",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return fields, lines, False
 
 
-def cmd_rghw(args):
-    data = load_problem(args.problem)
-    resolved = resolve_problem(data, args.order)
-    t0 = time.perf_counter()
+def cmd_rghw(args, resolved):
     problem = RghwProblem(
-        resolved.points,
-        resolved.space1,
-        resolved.space2,
-        resolved.order,
+        resolved.points, resolved.space1, resolved.space2, resolved.order
     )
     results = []
-    refused = False
     for r in resolved.r_values:
         entry = {
             "r": r,
@@ -333,14 +325,10 @@ def cmd_rghw(args):
         }
         try:
             entry["rghw"] = rghw_degree(
-                problem,
-                r,
-                budget=args.budget,
-                validate=args.validate,
+                problem, r, budget=args.budget, validate=args.validate
             )
         except BudgetExceededError as exc:
             entry["refusal"] = str(exc)
-            refused = True
         else:
             if entry["rghw"] < entry["relative_footprint"]:
                 raise RuntimeError(
@@ -350,18 +338,8 @@ def cmd_rghw(args):
             # M_r meeting the lower bound RFP_r certifies the value by itself.
             entry["certified"] = entry["rghw"] == entry["relative_footprint"]
         results.append(entry)
-    elapsed = time.perf_counter() - t0
-    payload = _report(
-        "rghw",
-        elapsed,
-        resolved,
-        k1=problem.k1,
-        k2=problem.k2,
-        results=results,
-        weights=None,
-        refusal=None,
-        budget=args.budget,
-    )
+    fields = dict(k1=problem.k1, k2=problem.k2, results=results)
+    fields.update(weights=None, refusal=None, budget=args.budget)
     lines = [
         f"rghw: q={resolved.field.q} s={resolved.s} n={len(resolved.points)}"
         f" k1={problem.k1} k2={problem.k2} order={resolved.order.name}"
@@ -376,15 +354,10 @@ def cmd_rghw(args):
                 f"  RFP_{r} = {entry['relative_footprint']}"
                 + ("  (certified)" if entry["certified"] else "")
             )
-    lines.append(f"elapsed: {elapsed:.3f}s")
-    _emit(args, payload, lines)
-    return 2 if refused else 0
+    return fields, lines, any(entry["refusal"] for entry in results)
 
 
-def cmd_weights(args):
-    data = load_problem(args.problem)
-    resolved = resolve_problem(data, args.order)
-    t0 = time.perf_counter()
+def cmd_weights(args, resolved):
     gb = vanishing_ideal(resolved.points, resolved.order)
     code = evaluate_space(standardize(resolved.space1, gb), resolved.points)
     refusal = None
@@ -397,18 +370,8 @@ def cmd_weights(args):
         }
     except BudgetExceededError as exc:
         refusal = str(exc)
-    elapsed = time.perf_counter() - t0
-    payload = _report(
-        "weights",
-        elapsed,
-        resolved,
-        k1=code.k,
-        k2=0,
-        results=[],
-        weights=weights,
-        refusal=refusal,
-        budget=args.budget,
-    )
+    fields = dict(k1=code.k, k2=0, results=[])
+    fields.update(weights=weights, refusal=refusal, budget=args.budget)
     lines = [
         f"weights: q={resolved.field.q} s={resolved.s} n={code.n} k={code.k}"
         f" order={resolved.order.name}"
@@ -420,16 +383,13 @@ def cmd_weights(args):
         for w, c in weights["distribution"]:
             lines.append(f"{w:6d}  {c}")
         lines.append(f"distinct nonzero weights: {weights['distinct_weights']}")
-    lines.append(f"elapsed: {elapsed:.3f}s")
-    _emit(args, payload, lines)
-    return 2 if refusal else 0
+    return fields, lines, refusal is not None
 
 
-def cmd_toric_table(args):
+def cmd_toric_table(args, resolved):
     field = PrimeField(args.q)
     if args.s < 1:
         raise ValueError("s must be positive")
-    t0 = time.perf_counter()
     rows = []
     points = None  # the torus, built for the first row that is not refused
     for d in range(1, args.s + 1):
@@ -467,10 +427,7 @@ def cmd_toric_table(args):
         except BudgetExceededError as exc:
             row["refusal"] = str(exc)
         rows.append(row)
-    elapsed = time.perf_counter() - t0
-    payload = _report(
-        "toric-table", elapsed, q=args.q, s=args.s, rows=rows, budget=args.budget
-    )
+    fields = dict(q=args.q, s=args.s, rows=rows, budget=args.budget)
     lines = [f"toric codes over hypersimplices: q={args.q} s={args.s}"]
     lines.append(" d    n    k  delta  delta_formula  delta2")
     for row in rows:
@@ -486,9 +443,7 @@ def cmd_toric_table(args):
                 f" {row['min_distance']:6d} {row['min_distance_formula']:14d}"
                 f" {delta2 if delta2 is not None else '-':>7}"
             )
-    lines.append(f"elapsed: {elapsed:.3f}s")
-    _emit(args, payload, lines)
-    return 2 if any(row["refusal"] for row in rows) else 0
+    return fields, lines, any(row["refusal"] for row in rows)
 
 
 def positive_int(text):
@@ -584,7 +539,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return args.func(args)
+        return run_command(args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

@@ -81,6 +81,9 @@ class PointSet:
             raise ValueError("duplicate points")
         self.points = pts
         self.nvars = s
+        # The int64 coordinate columns, s x |X|, shared by every evaluation.
+        self._columns = np.array(pts, dtype=np.int64).T.copy()
+        self._columns.flags.writeable = False
 
     def __len__(self):
         return len(self.points)
@@ -106,7 +109,7 @@ class PointSet:
                 raise FieldMismatchError("polynomial and points over different fields")
             if f.nvars != self.nvars:
                 raise DimensionMismatchError("polynomial and points of different arity")
-        columns = np.array(self.points, dtype=np.int64).T
+        columns = self._columns
         monomials = {}
         values = np.zeros((len(polys), len(self.points)), dtype=np.int64)
         for row, f in zip(values, polys):
@@ -285,7 +288,7 @@ def _buchberger_moeller(points, order):
     q = field.q
     s = points.nvars
     key = order.key
-    columns = np.array(points.points, dtype=np.int64).T.copy()
+    columns = points._columns
 
     m = len(points)
     Rt = np.zeros((2 * m + 1, m), dtype=np.int64)

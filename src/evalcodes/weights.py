@@ -11,20 +11,23 @@ The search is a branch and bound over lead tuples.  For any F,
 standard monomials divisible by no lead of F, counted on one table from the
 divisibility kernel `poly.divisibility_table`.  A group of partial sets is
 bounded by the best complete lead tuple through it, which gives one tree of
-bounds over the leads realized by L1 outside L2; its root bound is the
-relative footprint bound RFP_r.  The tree is built once per (problem, r),
-the leaves under one parent in one numpy reduction, and shared by the
-search and `relative_footprint`.  On a product point set the bound is
-sharp whenever its own witness, products of linear factors in one
-variable, passes three checks (its normal forms lie in L1, its residues
-modulo L2 have rank r, and its evaluated zero count equals the root
-bound); that witness starts the search at the root bound, and the search
-then scores no candidate.  Otherwise groups are visited best bound first,
-those that cannot beat the running maximum are skipped, and a group stops
-being scored once the maximum reaches its bound.
+bounds over the leads realized by L1 outside L2, always the first
+`_realized` basis leads; its root bound is the relative footprint bound
+RFP_r.  The tree is built once per (problem, r), the leaves under one
+parent in one numpy reduction, and shared by the search and
+`relative_footprint`.  On a product point set the bound is sharp whenever
+its own witness, products of linear factors in one variable, passes three
+checks (its normal forms lie in L1, its residues modulo L2 have rank r,
+and its evaluated zero count equals the root bound); that witness starts
+the search at the root bound, and the search then scores no candidate.
+Otherwise groups are visited best bound first, those that cannot beat the
+running maximum are skipped, and a group stops being scored once the
+maximum reaches its bound.  Residues modulo L2 and the members chosen so
+far are one product with a residue map, `_proj` narrowed by each chosen
+member (`_narrow`), in the witness and in the search alike.
 Surviving groups are scored prefix by prefix in coefficient space over the
 echelon basis of L1, by the table kernel of `codes`: zero counts and the
-L2 residue test are byte compares against tables of low-digit words, and
+residue test are byte compares against tables of low-digit words, and
 only the candidates kept are rebuilt in full.  A definition level oracle
 for cross checking scores the reduced echelon coefficient matrices of
 every r dimensional subcode in numpy batches; it never touches lead
@@ -63,11 +66,14 @@ class RghwProblem:
     the vanishing ideal of X and echelonized in its order, so they consist
     of standard monomial combinations and evaluate injectively.
     L2 must be strictly contained in L1; an absent L2 means the zero space.
-    Raises ValueError when k1 * (q - 1)^2 >= 2^63, the limit of the int64
-    products that score candidates.
+    A given `gb` must be in `order`.  Raises ValueError when
+    k1 * (q - 1)^2 >= 2^63, the limit of the int64 products that score
+    candidates.
     """
 
     def __init__(self, points, space1, space2=None, order=GREVLEX, gb=None):
+        if gb is not None and gb.order.name != order.name:
+            raise ValueError(f"gb is in {gb.order.name}, but order is {order.name}")
         self.points = points
         self.order = order
         field = points.field
@@ -84,18 +90,24 @@ class RghwProblem:
             coords.append(c)
         if self.space2.dim >= self.space1.dim:
             raise ValueError("containment of L2 in L1 must be strict")
-        check_int64_products(field.q, self.space1.dim, what="the candidate search")
+        k1 = self.space1.dim
+        check_int64_products(field.q, k1, what="the candidate search")
         self._lead_monos = self.space1.leads()
         self._code1 = evaluate_space(self.space1, points)
         self._E = self._code1.rows
         # L1 and L2 are both reduced echelon in gb.order, so the coordinates
         # of L2's basis are already reduced echelon: the pivot of a row is
-        # the L1 position of its lead.
+        # the L1 position of its lead.  Row i of _proj is e_i modulo L2.
         position = {m: i for i, m in enumerate(self._lead_monos)}
-        self._A = np.array(coords, dtype=np.int64).reshape(-1, self.space1.dim)
-        self._A_piv = [position[m] for m in self.space2.leads()]
+        basis2 = np.array(coords, dtype=np.int64).reshape(-1, k1)
+        pivots2 = [position[m] for m in self.space2.leads()]
+        self._proj = reduce_rows(np.eye(k1, dtype=np.int64), basis2, pivots2, field.q)
+        # Position i is realized by L1 \ L2 exactly when basis elements
+        # i..k1-1 do not span a subspace of L2: some row of _proj from i on
+        # is nonzero.  So the realized positions are 0.._realized-1.
+        self._realized = int(np.flatnonzero(self._proj.any(axis=1))[-1]) + 1
         self._code2 = None
-        self._trees = {}  # r -> (realized positions, groups of _bound_tree)
+        self._trees = {}  # r -> groups of _bound_tree
         # k1 x |footprint|: basis lead i divides standard monomial u.
         self._divides = divisibility_table(
             self._lead_monos, footprint(self.gb), points.nvars
@@ -154,30 +166,27 @@ class RghwProblem:
 
 
 def _bound_tree(problem, r):
-    """(realized, groups): the tree of lead groups over r of the realized
-    positions, one per (problem, r), kept on the problem and shared by the
-    search and `relative_footprint`.
+    """groups: the tree of lead groups over r of the realized positions
+    0.._realized-1, one per (problem, r), kept on the problem and shared by
+    the search and `relative_footprint`.
 
-    groups(js) lists (bound, j), best first, for the member after leads
-    realized[js]; a bound is the footprint count of the best complete lead
-    tuple through the group.  groups(())[0][0] is the root bound.  Groups
-    are computed on first use and kept; the leaves under one parent are
-    counted together by `_leaf_bounds`.
+    groups(js) lists (bound, j), best first, for the member after leads at
+    the positions js; a bound is the footprint count of the best complete
+    lead tuple through the group.  groups(())[0][0] is the root bound.
+    Groups are computed on first use and kept; the leaves under one parent
+    are counted together by `_leaf_bounds`.
     """
     if r in problem._trees:
         return problem._trees[r]
-    realized = _realized_positions(problem)
-    positions = np.array(realized, dtype=np.intp)
     ordered = {}
 
     def groups(js):
         if js not in ordered:
             level = len(js)
             start = js[-1] + 1 if js else 0
-            stop = len(realized) - (r - level) + 1
+            stop = problem._realized - (r - level) + 1
             if level == r - 1:
-                parent = [realized[t] for t in js]
-                counts = _leaf_bounds(problem, parent, positions[start:stop])
+                counts = _leaf_bounds(problem, list(js), np.arange(start, stop))
                 bounds = list(zip(counts.tolist(), range(start, stop)))
             else:
                 bounds = [(groups(js + (j,))[0][0], j) for j in range(start, stop)]
@@ -186,8 +195,20 @@ def _bound_tree(problem, r):
             ordered[js] = sorted(bounds, reverse=True)
         return ordered[js]
 
-    problem._trees[r] = realized, groups
-    return realized, groups
+    problem._trees[r] = groups
+    return groups
+
+
+def _narrow(proj, row, q):
+    """From `proj`, x -> x @ proj the residue map modulo some V, the one
+    modulo span(V, row): row's residue, made 1 at its first nonzero column,
+    clears that column of every residue.  None when row lies in V."""
+    res = (row @ proj) % q
+    if not res.any():
+        return None
+    piv = int(np.argmax(res != 0))
+    norm = (res * pow(int(res[piv]), q - 2, q)) % q
+    return (proj - np.outer(proj[:, piv], norm)) % q
 
 
 def _product_witness(problem, r):
@@ -214,54 +235,48 @@ def _product_witness(problem, r):
     factors = _product_factors(problem.points)
     if factors is None:
         return None
-    realized, groups = _bound_tree(problem, r)
+    groups = _bound_tree(problem, r)
     root = groups(())[0][0]
-    q = problem.q
     members = {}  # j -> (F, its L1 coordinates or None)
 
     def member(j):
         if j not in members:
-            lead = problem._lead_monos[realized[j]]
+            lead = problem._lead_monos[j]
             roots = [values[:e] for e, values in zip(lead, factors)]
             f = _root_product(problem.field, roots)
-            members[j] = f, problem.space1.coordinates(normal_form(f, problem.gb))
+            row = problem.space1.coordinates(normal_form(f, problem.gb))
+            members[j] = f, None if row is None else np.array(row, dtype=np.int64)
         return members[j]
 
-    def extend(js, red, pivots):
+    def extend(js, proj):
         if len(js) == r:
             return js
         for bound, j in groups(js):
             if bound < root:
                 break
             row = member(j)[1]
-            if row is None:
-                continue
-            res = reduce_rows([row], red, pivots, q)[0]
-            if not res.any():
-                continue
-            piv = int(np.argmax(res != 0))
-            norm = (res * pow(int(res[piv]), q - 2, q)) % q
-            found = extend(js + (j,), red + [norm], pivots + [piv])
+            narrowed = None if row is None else _narrow(proj, row, problem.q)
+            found = narrowed is not None and extend(js + (j,), narrowed)
             if found:
                 return found
         return None
 
-    js = extend((), list(problem._A), list(problem._A_piv))
+    js = extend((), problem._proj)
     if js is None:
         return None
     values = problem.points.evaluate([member(j)[0] for j in js])
     zeros = int(np.count_nonzero(~values.any(axis=0)))
     if zeros != root:
         return None
-    return zeros, [np.array(member(j)[1], dtype=np.int64) for j in js]
+    return zeros, [member(j)[1] for j in js]
 
 
 def _search_max_zeros(problem, r, budget, seed=None):
     """Largest |V_X(F)| over admissible candidate sets, with a witness.
 
     Returns (max zeros, list of coefficient rows).  A branch and bound that
-    walks `_bound_tree` over the realized leads, one level per member of F:
-    a group whose bound is at most the running maximum is skipped, and a
+    walks `_bound_tree` over the realized positions, one level per member of
+    F: a group whose bound is at most the running maximum is skipped, and a
     group stops being scored once the maximum reaches its bound, since
     nothing left in it can exceed that.  `seed`, a (zeros, rows) pair such
     as the checked witness of `_product_witness`, is the starting maximum;
@@ -272,49 +287,49 @@ def _search_max_zeros(problem, r, budget, seed=None):
     `codes._ZeroTable`, one prefix of q^l candidates at a time, in odometer
     order.  Each prefix is charged to the budget before it is scored, so the
     search refuses before it scores the prefix that would pass the budget.
-    Reduction modulo span(L2, chosen) is linear, so the admissibility test
-    of a candidate, a nonzero residue, is a byte compare against a table of
-    the residues of the low-digit rows.
+    Reduction modulo span(L2, chosen) is linear, x @ proj for the `proj`
+    each level narrows by its chosen member (`_narrow`), so the
+    admissibility test of a candidate, a nonzero residue, is a byte compare
+    against a table of the residues of the low-digit rows.
     """
     q = problem.q
     k1 = problem.k1
     e_matrix = problem._E
     m = e_matrix.shape[1]
     words = _ZeroTable(e_matrix, q)
-    realized, groups = _bound_tree(problem, r)
+    groups = _bound_tree(problem, r)
     counter = 0
     best_zeros, best_rows = seed if seed is not None else (-1, None)
 
-    def extend(js, alive, red, pivots, chosen):
+    def extend(js, alive, proj, chosen):
         nonlocal counter, best_zeros, best_rows
+        # With nothing to reduce by, every monic row is admissible.
+        reduce = js or problem.k2
         residues = None
-        for bound, j in groups(js):
+        for bound, lead in groups(js):
             if bound <= best_zeros:
                 break
             if residues is None:
-                proj = reduce_rows(np.eye(k1, dtype=np.int64), red, pivots, q)
                 residues = _ZeroTable(proj, q)
                 low_alive = {}
-            lead = realized[j]
             depth = _low_digit_count(q, k1 - lead - 1)
             if depth not in low_alive:
                 low_alive[depth] = words.low(depth)[alive]
             low = low_alive[depth]
             size = low.shape[1]
-            # With nothing to reduce by, every monic row is admissible.
             ok = np.ones(size, dtype=bool)
-            res_targets = residues.prefix_targets(lead) if red else repeat(None)
+            res_targets = residues.prefix_targets(lead) if reduce else repeat(None)
             word_targets = words.prefix_targets(lead, alive)
             for h, (target, target_res) in enumerate(zip(word_targets, res_targets)):
                 counter += size
                 if counter > budget:
                     raise BudgetExceededError(counter, budget, "candidate enumeration")
                 zeros = _count_equal(low, target).astype(np.int64)
-                if red:
+                if reduce:
                     ok = (residues.low(depth) != target_res[:, None]).any(axis=0)
                 first = h * size
                 if len(js) == r - 1:
-                    scored = np.where(ok, zeros, -1) if red else zeros
+                    scored = np.where(ok, zeros, -1) if reduce else zeros
                     i = int(np.argmax(scored))
                     if int(scored[i]) > best_zeros:
                         best_zeros = int(scored[i])
@@ -327,20 +342,16 @@ def _search_max_zeros(problem, r, budget, seed=None):
                         if not ok[i]:
                             continue
                         row = _monic_row(q, k1, lead, first + i)
-                        rr = (row @ proj) % q
-                        piv = int(np.argmax(rr != 0))
-                        norm = (rr * pow(int(rr[piv]), q - 2, q)) % q
                         extend(
-                            js + (j,),
+                            js + (lead,),
                             alive[low[:, i] == target],
-                            red + [norm],
-                            pivots + [piv],
+                            _narrow(proj, row, q),
                             chosen + [row],
                         )
                 if best_zeros >= bound:
                     break
 
-    extend((), np.arange(m), list(problem._A), list(problem._A_piv), [])
+    extend((), np.arange(m), problem._proj, [])
     return best_zeros, best_rows
 
 
@@ -470,27 +481,6 @@ def rghw_definition_oracle(code1, code2, r, budget=DEFAULT_BUDGET):
     return best
 
 
-def _realized_positions(problem):
-    """Basis positions whose lead is realized by L1 \\ L2, increasing.
-
-    Position i is realized exactly when the subspace of L1 elements with
-    lead at most m_i, spanned by basis elements i..k1-1, is not contained
-    in L2.
-    """
-    k1 = problem.k1
-    if problem.k2 == 0:
-        return list(range(k1))
-    eye = np.eye(k1, dtype=np.int64)
-    residues = reduce_rows(eye, problem._A, problem._A_piv, problem.q)
-    realized = []
-    suffix_inside = True
-    for i in reversed(range(k1)):
-        suffix_inside = suffix_inside and not residues[i].any()
-        if not suffix_inside:
-            realized.append(i)
-    return realized[::-1]
-
-
 def _leaf_bounds(problem, parent, candidates):
     """For each basis position c in candidates, the standard monomials
     divisible by no lead at the positions parent + [c]: the footprint bound
@@ -510,5 +500,4 @@ def relative_footprint(problem, r):
     [1, dim L1 - dim L2], as for `rghw_degree`.
     """
     problem._check_r(r)
-    _, groups = _bound_tree(problem, r)
-    return len(footprint(problem.gb)) - groups(())[0][0]
+    return len(footprint(problem.gb)) - _bound_tree(problem, r)(())[0][0]

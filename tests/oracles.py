@@ -55,7 +55,6 @@ from evalcodes.field import check_int64_products, rank_mod, reduce_rows, rref_mo
 from evalcodes.groebner import _check_F
 from evalcodes.poly import divisibility_table, monomial_divides
 from evalcodes.poly import monomial_mul, total_degree
-from evalcodes.weights import _realized_positions
 from evalcodes.weights import gaussian_binomial
 
 
@@ -227,19 +226,17 @@ def reference_bound_tree(problem, r):
     """groups(js) of the library's `_bound_tree`, each leaf scored alone by
     `_footprint_survivors`: (bound, j) pairs, best first, the higher lead
     index first on equal bounds."""
-    realized = _realized_positions(problem)
     ordered = {}
 
     def groups(js):
         if js not in ordered:
             level = len(js)
             start = js[-1] + 1 if js else 0
-            stop = len(realized) - (r - level) + 1
+            stop = problem._realized - (r - level) + 1
             bounds = []
             for j in range(start, stop):
                 if level == r - 1:
-                    leads = [realized[t] for t in js + (j,)]
-                    bounds.append((_footprint_survivors(problem, leads), j))
+                    bounds.append((_footprint_survivors(problem, js + (j,)), j))
                 else:
                     bounds.append((groups(js + (j,))[0][0], j))
             ordered[js] = sorted(bounds, reverse=True)
@@ -254,13 +251,15 @@ def monic_walk_search(problem, r, budget, chunk=1 << 13):
 
     The same lead groups, visit order and stops as the library search; the
     candidates of a group are scored as `(rows @ E) % q` and `(rows @ proj)
-    % q`, charged to the budget chunk by chunk.
+    % q`, charged to the budget chunk by chunk.  L2 is reduced by its own
+    echelon form of the L1 coordinates of its basis.
     """
     q = problem.q
     k1 = problem.k1
     e_matrix = problem._E
-    realized = _realized_positions(problem)
     groups = reference_bound_tree(problem, r)
+    l2 = [problem.space1.coordinates(b) for b in problem.space2.basis]
+    l2_red, l2_pivots = rref_mod(np.array(l2, dtype=np.int64).reshape(-1, k1), q)
     counter = 0
     best_zeros = -1
     best_rows = None
@@ -272,7 +271,7 @@ def monic_walk_search(problem, r, budget, chunk=1 << 13):
         for bound, j in groups(js):
             if bound <= best_zeros:
                 break
-            for span in monic_spans(q, k1, [realized[j]], chunk):
+            for span in monic_spans(q, k1, [j], chunk):
                 counter += span[2] - span[1]
                 if counter > budget:
                     raise BudgetExceededError(counter, budget, "candidate enumeration")
@@ -307,7 +306,7 @@ def monic_walk_search(problem, r, budget, chunk=1 << 13):
                 if best_zeros >= bound:
                     break
 
-    extend((), np.arange(e_matrix.shape[1]), list(problem._A), list(problem._A_piv), [])
+    extend((), np.arange(e_matrix.shape[1]), list(l2_red), list(l2_pivots), [])
     return best_zeros, best_rows
 
 
@@ -561,9 +560,10 @@ def lead_set_difference(problem):
     """Lead monomials realized by L1 \\ L2, in decreasing order.
 
     A basis lead m_i belongs to the set exactly when the subspace of L1
-    elements with lead at most m_i is not contained in L2.
+    elements with lead at most m_i is not contained in L2; those subspaces
+    shrink as i grows, so the set is the first `_realized` basis leads.
     """
-    return [problem._lead_monos[i] for i in _realized_positions(problem)]
+    return [problem._lead_monos[i] for i in range(problem._realized)]
 
 
 def brute_relative_footprint(problem, r):

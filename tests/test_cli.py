@@ -737,9 +737,9 @@ def test_rghw_builds_one_bound_tree_per_r(capsys, monkeypatch, fixture):
     assert code == 0
     r_values = [e["r"] for e in json.loads(out)["results"]]
     assert len({id(problem) for problem, _ in parents}) == 1
-    realized = weights._realized_positions(parents[0][0])
+    realized = parents[0][0]._realized
     per_r = {r: sum(1 for _, size in parents if size == r - 1) for r in r_values}
-    assert per_r == {r: math.comb(len(realized) - 1, r - 1) for r in r_values}
+    assert per_r == {r: math.comb(realized - 1, r - 1) for r in r_values}
     assert len(parents) == sum(per_r.values())
 
 

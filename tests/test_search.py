@@ -36,12 +36,7 @@ from evalcodes import (
 )
 from evalcodes import codes, weights
 from evalcodes.cli import load_problem, resolve_problem
-from evalcodes.weights import (
-    _bound_tree,
-    _product_witness,
-    _realized_positions,
-    _search_max_zeros,
-)
+from evalcodes.weights import _bound_tree, _product_witness, _search_max_zeros
 
 from oracles import (
     _footprint_survivors,
@@ -189,7 +184,7 @@ def test_unrealized_leads_instance():
     # among them; the pruned search needs under 10^5.
     problem = cartesian_problem(PrimeField(5), [[0, 1, 2], [0, 1, 2]], 3, 2)
     assert (problem.k1, problem.k2) == (8, 6)
-    assert _realized_positions(problem) == [0, 1]
+    assert problem._realized == 2
     zeros, rows = searched(problem, 2, budget=200_000)
     assert problem.num_points - zeros == cartesian_rghw_formula((3, 3), 3, 2, 2)
     check_witness(problem, 2, zeros, rows)
@@ -208,7 +203,7 @@ def test_sharp_gap_scores_every_group_above_the_maximum():
     assert relative_footprint(problem, 1) == 4
     needed = sum(
         problem.q ** (problem.k1 - 1 - i)
-        for i in _realized_positions(problem)
+        for i in range(problem._realized)
         if _footprint_survivors(problem, [i]) > zeros
     )
     assert rghw_degree(problem, 1, budget=needed, threads=1) == 8
@@ -241,7 +236,7 @@ def test_search_makes_no_thread_pool(name, values):
 def check_tree(problem, r):
     """Every group of the bound tree, its leaves counted one parent at a
     time, equals the reference that counts each lead tuple alone."""
-    _, groups = _bound_tree(problem, r)
+    groups = _bound_tree(problem, r)
     reference = reference_bound_tree(problem, r)
     stack = [()]
     while stack:

@@ -28,11 +28,12 @@ from evalcodes import (
     toric_code,
     toric_problem,
     torus_points,
+    vanishing_ideal,
     weight_distribution,
 )
 from evalcodes import weights
 from evalcodes.cli import load_problem, resolve_problem
-from evalcodes.field import rank_mod, rref_mod
+from evalcodes.field import rank_mod, reduce_rows, rref_mod
 
 from oracles import (
     brute_lead_sweep,
@@ -177,13 +178,36 @@ def nested_problems(draw):
 def test_l2_coordinates_are_already_reduced_echelon(problem):
     # L1 and L2 are reduced echelon in the same order, so the coordinates of
     # L2's basis need no elimination, and each pivot is the L1 position of
-    # an L2 lead.
-    reduced, pivots = rref_mod(problem._A, problem.q)
-    assert problem._A.shape == (problem.k2, problem.k1)
-    assert np.array_equal(problem._A, reduced)
-    assert problem._A_piv == pivots
+    # an L2 lead.  _proj, row i e_i modulo L2, is the residue map of that
+    # echelon form: a projection whose kernel (x @ _proj = 0) is exactly
+    # L2's coordinate span.
+    q, k1 = problem.q, problem.k1
+    coords = [problem.space1.coordinates(b) for b in problem.space2.basis]
+    coords = np.array(coords, dtype=np.int64).reshape(-1, k1)
+    reduced, pivots = rref_mod(coords, q)
+    assert np.array_equal(coords, reduced)
     leads = problem.space1.leads()
     assert pivots == [leads.index(m) for m in problem.space2.leads()]
+    proj = problem._proj
+    eye = np.eye(k1, dtype=np.int64)
+    assert np.array_equal(proj, reduce_rows(eye, reduced, pivots, q))
+    assert np.array_equal((proj @ proj) % q, proj)
+    assert not ((coords @ proj) % q).any()
+    assert rank_mod(proj, q) == k1 - problem.k2
+
+
+def test_basis_in_another_order_refused():
+    # The problem would standardize and search in the basis's order while
+    # reporting its own, and ghw would rebuild it with that stale order.
+    data = resolve_problem(load_problem("five-points-f3"))
+    for order, other in [(GREVLEX, LEX), (LEX, GRLEX), (GRLEX, GREVLEX)]:
+        gb = vanishing_ideal(data.points, other)
+        message = f"gb is in {other.name}, but order is {order.name}"
+        with pytest.raises(ValueError, match=message):
+            RghwProblem(data.points, data.space1, data.space2, order, gb=gb)
+        problem = RghwProblem(data.points, data.space1, data.space2, other, gb=gb)
+        assert problem.order is other
+        assert f"order={other.name}" in repr(problem)
 
 
 class TestCandidates:
@@ -558,20 +582,31 @@ class TestLeadSetDifference:
             assert set(lead_set_difference(problem)) == brute_lead_sweep(problem)
 
     def test_matches_brute_sweep_random(self):
+        # lead_set_difference reads the first `_realized` basis leads.
         rng = random.Random(SEED + 2)
         checked = 0
-        while checked < 8:
-            pool = list(product(range(3), repeat=2))
+        while checked < 30:
+            q = rng.choice((2, 3, 5))
+            field = PrimeField(q)
+            order = rng.choice((LEX, GRLEX, GREVLEX))
+            pool = list(product(range(q), repeat=2))
             rng.shuffle(pool)
-            pts = PointSet(F3, pool[: rng.randint(3, 7)])
-            monos = monomials_upto(F3, 2, 2)
+            pts = PointSet(field, pool[: rng.randint(3, min(7, len(pool)))])
+            monos = monomials_upto(field, 2, 2)
             rng.shuffle(monos)
             try:
-                problem = RghwProblem(
-                    pts, monos[:4], [monos[0] + monos[1]], GREVLEX
-                )
+                first = RghwProblem(pts, monos[: rng.randint(2, 6)], None, order)
             except ValueError:
                 continue
+            k1 = first.k1
+            if q**k1 > 5**5:
+                continue
+            combos = [
+                [rng.randrange(q) for _ in range(k1)]
+                for _ in range(rng.randint(0, k1 - 1))
+            ]
+            space2 = [first.poly_from_coefficients(c) for c in combos]
+            problem = RghwProblem(pts, first.space1, space2, order, gb=first.gb)
             assert set(lead_set_difference(problem)) == brute_lead_sweep(problem)
             checked += 1
 
