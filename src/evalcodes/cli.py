@@ -42,6 +42,7 @@ from .errors import BudgetExceededError
 from .families import (
     HypersimplexSpec,
     cartesian_points,
+    toric_deg1_weight,
     toric_min_distance_formula,
     toric_space,
     torus_points,
@@ -418,12 +419,20 @@ def cmd_toric_table(args, resolved):
             row["min_distance"] = profile.minimum_distance
             # The second-weight convention is only defined for q >= 3.
             row["next_to_minimal"] = next_to_minimal(profile) if args.q >= 3 else None
-            if row["min_distance"] != row["min_distance_formula"]:
-                raise RuntimeError(
-                    f"internal inconsistency: enumerated distance"
-                    f" {row['min_distance']} != formula"
-                    f" {row['min_distance_formula']} at d={d}"
+            checks = [("distance", row["min_distance"], row["min_distance_formula"])]
+            if d == 1 and args.q >= 3 and args.s >= 4:
+                # The closed form of the degree one code's second weight,
+                # defined for q >= 3 and t = 2 <= s / 2.
+                second = toric_deg1_weight(args.q, args.s, 2)
+                checks.append(
+                    ("next-to-minimal weight", row["next_to_minimal"], second)
                 )
+            for what, got, formula in checks:
+                if got != formula:
+                    raise RuntimeError(
+                        f"internal inconsistency: enumerated {what} {got}"
+                        f" != formula {formula} at d={d}"
+                    )
         except BudgetExceededError as exc:
             row["refusal"] = str(exc)
         rows.append(row)

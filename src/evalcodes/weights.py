@@ -15,16 +15,16 @@ bounds over the leads realized by L1 outside L2, always the first
 `_realized` basis leads; its root bound is the relative footprint bound
 RFP_r.  The tree is built once per (problem, r), the leaves under one
 parent in one numpy reduction, and shared by the search and
-`relative_footprint`.  On a product point set the bound is sharp whenever
-its own witness, products of linear factors in one variable, passes three
-checks (its normal forms lie in L1, its residues modulo L2 have rank r,
-and its evaluated zero count equals the root bound); that witness starts
-the search at the root bound, and the search then scores no candidate.
-Otherwise groups are visited best bound first, those that cannot beat the
-running maximum are skipped, and a group stops being scored once the
-maximum reaches its bound.  Residues modulo L2 and the members chosen so
-far are one product with a residue map, `_proj` narrowed by each chosen
-member (`_narrow`), in the witness and in the search alike.
+`relative_footprint`.  L2 is held as L1 coordinates from one `rref_mod`,
+and C2 is read off L1's evaluation matrix E.  The route is the witness or
+the walk.  On a product point set the bound is sharp whenever its own
+witness, products of linear factors in one variable, passes three checks
+(it lies in L1, its residues modulo L2 have rank r, and its evaluated zero
+count equals the root bound), and no candidate is scored.  Otherwise the
+walk visits groups best bound first, skips those that cannot beat the
+running maximum, and stops scoring a group once the maximum reaches its
+bound.  Residues modulo span(L2, chosen) are one product with `_proj`
+narrowed by each chosen member (`_narrow`, a `reduce_rows` step).
 Surviving groups are scored prefix by prefix in coefficient space over the
 echelon basis of L1, by the table kernel of `codes`: zero counts and the
 residue test are byte compares against tables of low-digit words, and
@@ -38,14 +38,14 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, evaluate_space, standardize
+from .codes import DEFAULT_BUDGET, EvaluationCode, evaluate_space, standardize
 from .codes import _BATCH, _count_equal, _digits, _low_digit_count, _monic_row
 from .codes import _ZeroTable
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from .groebner import _product_factors, _root_product
 from .groebner import degree_with_F, footprint, normal_form, vanishing_ideal
-from .poly import GREVLEX, Polynomial, divisibility_table
+from .poly import GREVLEX, Polynomial, PolySpace, divisibility_table
 
 
 def gaussian_binomial(n, k, q):
@@ -62,9 +62,10 @@ def gaussian_binomial(n, k, q):
 class RghwProblem:
     """A point set with two nested polynomial spaces, ready for the search.
 
-    Both spaces (PolySpaces or lists of generators) are standardized against
-    the vanishing ideal of X and echelonized in its order, so they consist
-    of standard monomial combinations and evaluate injectively.
+    L1 (a PolySpace or a list of generators) is standardized against the
+    vanishing ideal of X, so it evaluates injectively.  L2 is held as L1
+    coordinates `_basis2`, one `rref_mod` of its generators' normal forms;
+    their polynomials are L2's reduced echelon basis, and C2 is _basis2 @ E.
     L2 must be strictly contained in L1; an absent L2 means the zero space.
     A given `gb` must be in `order`.  Raises ValueError when
     k1 * (q - 1)^2 >= 2^63, the limit of the int64 products that score
@@ -76,32 +77,29 @@ class RghwProblem:
             raise ValueError(f"gb is in {gb.order.name}, but order is {order.name}")
         self.points = points
         self.order = order
-        field = points.field
+        q = points.field.q
         self.gb = gb if gb is not None else vanishing_ideal(points, order)
         self.space1 = standardize(space1, self.gb)
-        self.space2 = standardize(space2 or [], self.gb)
+        generators2 = getattr(space2, "basis", space2 or [])
+        reduced2 = [normal_form(f, self.gb) for f in generators2]
         if self.space1.dim == 0:
             raise ValueError("L1 reduces to the zero space on X")
-        coords = []
-        for b in self.space2.basis:
-            c = self.space1.coordinates(b)
-            if c is None:
-                raise ValueError("L2 is not contained in L1")
-            coords.append(c)
-        if self.space2.dim >= self.space1.dim:
-            raise ValueError("containment of L2 in L1 must be strict")
         k1 = self.space1.dim
-        check_int64_products(field.q, k1, what="the candidate search")
+        coords = [self.space1.coordinates(f) for f in reduced2]
+        if None in coords:
+            raise ValueError("L2 is not contained in L1")
+        coords = np.array(coords, dtype=np.int64).reshape(-1, k1)
+        self._basis2, pivots2 = rref_mod(coords, q)
+        if len(pivots2) >= k1:
+            raise ValueError("containment of L2 in L1 must be strict")
+        check_int64_products(q, k1, what="the candidate search")
+        basis2 = [self.poly_from_coefficients(row) for row in self._basis2]
+        self.space2 = PolySpace(points.field, points.nvars, self.gb.order, basis2)
         self._lead_monos = self.space1.leads()
         self._code1 = evaluate_space(self.space1, points)
         self._E = self._code1.rows
-        # L1 and L2 are both reduced echelon in gb.order, so the coordinates
-        # of L2's basis are already reduced echelon: the pivot of a row is
-        # the L1 position of its lead.  Row i of _proj is e_i modulo L2.
-        position = {m: i for i, m in enumerate(self._lead_monos)}
-        basis2 = np.array(coords, dtype=np.int64).reshape(-1, k1)
-        pivots2 = [position[m] for m in self.space2.leads()]
-        self._proj = reduce_rows(np.eye(k1, dtype=np.int64), basis2, pivots2, field.q)
+        # Row i of _proj is e_i modulo L2.
+        self._proj = reduce_rows(np.eye(k1), self._basis2, pivots2, q)
         # Position i is realized by L1 \ L2 exactly when basis elements
         # i..k1-1 do not span a subspace of L2: some row of _proj from i on
         # is nonzero.  So the realized positions are 0.._realized-1.
@@ -134,9 +132,10 @@ class RghwProblem:
         return len(self.points)
 
     def codes(self):
-        """The evaluation code pair (C1, C2)."""
+        """The evaluation code pair (C1, C2); C2's rows are read off E."""
         if self._code2 is None:
-            self._code2 = evaluate_space(self.space2, self.points)
+            rows = (self._basis2 @ self._E) % self.q
+            self._code2 = EvaluationCode(self.field, rows, self.num_points)
         return self._code1, self._code2
 
     def poly_from_coefficients(self, coeffs):
@@ -208,7 +207,7 @@ def _narrow(proj, row, q):
         return None
     piv = int(np.argmax(res != 0))
     norm = (res * pow(int(res[piv]), q - 2, q)) % q
-    return (proj - np.outer(proj[:, piv], norm)) % q
+    return reduce_rows(proj, norm[None], [piv], q)
 
 
 def _product_witness(problem, r):
@@ -223,14 +222,15 @@ def _product_witness(problem, r):
     a complete lead tuple at the root bound of `_bound_tree` have that many
     common zeros, which no admissible set exceeds (Lopez, Renteria-Marquez
     and Villarreal, "Affine Cartesian codes", Des. Codes Cryptogr. 71,
-    2014).  Such tuples are walked best first, as the search walks its
-    groups, and an F is kept only after two checks: its normal form lies in
+    2014).  Every term of F divides the standard monomial m and the
+    footprint is a box, so F is its own normal form.  Such tuples are
+    walked best first, and an F is kept only after two checks: it lies in
     L1 (`PolySpace.coordinates`), and its residue modulo L2 and the F kept
-    before it is nonzero, so the r residues have rank r.  The first complete
-    tuple is accepted after a third: its common zeros, counted by
-    `PointSet.evaluate`, number the root bound.  None when X is not a
-    product or no tuple passes, as when L1 is not closed under divisors or
-    RFP_r < M_r.
+    before it, through `_proj`, is nonzero, so the r residues have rank r.
+    The first complete tuple is accepted after a third: its common zeros,
+    counted by `PointSet.evaluate`, number the root bound.  None when X is
+    not a product or no tuple passes, as when L1 is not closed under
+    divisors or RFP_r < M_r; the walk then answers.
     """
     factors = _product_factors(problem.points)
     if factors is None:
@@ -244,7 +244,7 @@ def _product_witness(problem, r):
             lead = problem._lead_monos[j]
             roots = [values[:e] for e, values in zip(lead, factors)]
             f = _root_product(problem.field, roots)
-            row = problem.space1.coordinates(normal_form(f, problem.gb))
+            row = problem.space1.coordinates(f)
             members[j] = f, None if row is None else np.array(row, dtype=np.int64)
         return members[j]
 
@@ -271,24 +271,22 @@ def _product_witness(problem, r):
     return zeros, [member(j)[1] for j in js]
 
 
-def _search_max_zeros(problem, r, budget, seed=None):
+def _search_max_zeros(problem, r, budget):
     """Largest |V_X(F)| over admissible candidate sets, with a witness.
 
     Returns (max zeros, list of coefficient rows).  A branch and bound that
     walks `_bound_tree` over the realized positions, one level per member of
     F: a group whose bound is at most the running maximum is skipped, and a
     group stops being scored once the maximum reaches its bound, since
-    nothing left in it can exceed that.  `seed`, a (zeros, rows) pair such
-    as the checked witness of `_product_witness`, is the starting maximum;
-    one at the root bound stops the walk at its first group, before any
-    candidate is charged.
+    nothing left in it can exceed that.  It runs when `_product_witness`
+    finds none.
 
     Each group is walked on the calling thread with the table kernel
     `codes._ZeroTable`, one prefix of q^l candidates at a time, in odometer
     order.  Each prefix is charged to the budget before it is scored, so the
     search refuses before it scores the prefix that would pass the budget.
     Reduction modulo span(L2, chosen) is linear, x @ proj for the `proj`
-    each level narrows by its chosen member (`_narrow`), so the
+    each level narrows from `_proj` by its chosen member (`_narrow`), so the
     admissibility test of a candidate, a nonzero residue, is a byte compare
     against a table of the residues of the low-digit rows.
     """
@@ -299,7 +297,7 @@ def _search_max_zeros(problem, r, budget, seed=None):
     words = _ZeroTable(e_matrix, q)
     groups = _bound_tree(problem, r)
     counter = 0
-    best_zeros, best_rows = seed if seed is not None else (-1, None)
+    best_zeros, best_rows = -1, None
 
     def extend(js, alive, proj, chosen):
         nonlocal counter, best_zeros, best_rows
@@ -358,26 +356,25 @@ def _search_max_zeros(problem, r, budget, seed=None):
 def rghw_degree(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False):
     """The r-th relative generalized Hamming weight M_r(C1, C2).
 
-    Computed as deg(S/I(X)) minus the largest candidate zero count, with
-    zeros counted by direct evaluation.  On a product point set the
-    footprint bound's own witness (`_product_witness`) is tried first: once
-    its normal forms lie in L1, its residues modulo L2 have rank r and its
-    evaluated zero count equals the root bound, it certifies M_r = RFP_r and
-    the search scores no candidate.  Otherwise the search walks as without
-    it.  With validate=True the zero count of the maximizing candidate set,
-    the witness included, is recomputed as deg S/(I(X) + (F)) by
-    `degree_with_F`, a rank over the footprint from the multiplication
-    matrices of I(X), built once per basis and kept on `problem.gb`, that
-    never evaluates at the points, and the definition oracle is replayed
-    when it fits the budget; any disagreement raises instead of being
-    silently resolved.  The search runs on the calling thread; `threads`
-    must be None or at least 1.
+    Computed as deg(S/I(X)) minus the largest candidate zero count, counted
+    at the points, by the witness or the walk.  On a product point set the
+    footprint bound's own witness (`_product_witness`) certifies M_r = RFP_r
+    once it lies in L1, its residues modulo L2 (on L1 coordinates) have
+    rank r and its zero count equals the root bound; otherwise
+    `_search_max_zeros` walks.  With validate=True the zero count of the
+    maximizing candidate set, the witness included, is recomputed as
+    deg S/(I(X) + (F)) by `degree_with_F`, a rank over the footprint from
+    the multiplication matrices of I(X), built once per basis and kept on
+    `problem.gb`, that never evaluates at the points, and the definition
+    oracle is replayed when it fits the budget; any disagreement raises
+    instead of being silently resolved.  The search runs on the calling
+    thread; `threads` must be None or at least 1.
     """
     problem._check_r(r)
     if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
-    seed = _product_witness(problem, r)
-    best_zeros, best_rows = _search_max_zeros(problem, r, budget, seed)
+    found = _product_witness(problem, r) or _search_max_zeros(problem, r, budget)
+    best_zeros, best_rows = found
     if best_zeros < 0:
         raise RuntimeError("no admissible candidate set found")
     value = problem.num_points - best_zeros

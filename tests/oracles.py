@@ -25,7 +25,9 @@ tests of the search.  `squarefree_zero_bound`, `reducible_zero_bound` and
 against counted varieties.  `_footprint_survivors`, one lead tuple's
 footprint count, and `reference_bound_tree` over it are the reference for
 the leaf counts of the search's bound tree, each parent's leaves in one
-reduction.  `support` (the columns where some row is
+reduction.  `outer_narrow`, one outer-product pivot update of a residue
+map, is the reference for the `reduce_rows` step of `weights._narrow`.
+`support` (the columns where some row is
 nonzero) and `monomial_div` (the quotient of monomials, checking
 divisibility) are helpers that only the tests read.
 """
@@ -243,6 +245,18 @@ def reference_bound_tree(problem, r):
         return ordered[js]
 
     return groups
+
+
+def outer_narrow(proj, row, q):
+    """From `proj`, the residue map modulo some V, the one modulo
+    span(V, row) by the outer-product pivot update; None when row lies in
+    V."""
+    res = (row @ proj) % q
+    if not res.any():
+        return None
+    piv = int(np.argmax(res != 0))
+    norm = (res * pow(int(res[piv]), q - 2, q)) % q
+    return (proj - np.outer(proj[:, piv], norm)) % q
 
 
 def monic_walk_search(problem, r, budget, chunk=1 << 13):

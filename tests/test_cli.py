@@ -16,6 +16,7 @@ from evalcodes import (
     cli,
     format_polynomial,
     standardize,
+    toric_deg1_weight,
     vanishing_ideal,
     weights,
 )
@@ -388,6 +389,29 @@ class TestToricTableCommand:
             "next_to_minimal": 4,
             "refusal": None,
         }
+
+    @pytest.mark.parametrize(
+        "q, s, second", [(3, 4, 10), (5, 4, 204), (3, 6, 40), (7, 4, 1110)]
+    )
+    def test_degree_one_second_weight_matches_its_formula(self, capsys, q, s, second):
+        # At s = 6 the rows d = 2..4 are refused (3^15 and 3^20 words), so
+        # the exit code is 2; row 1 is answered and checked all the same.
+        code, out, _ = run(capsys, "toric-table", str(q), str(s), "--json")
+        assert code == (2 if s == 6 else 0)
+        row = json.loads(out)["rows"][0]
+        assert row["refusal"] is None
+        assert row["next_to_minimal"] == second == toric_deg1_weight(q, s, 2)
+
+    def test_second_weight_disagreement_aborts(self, capsys, monkeypatch):
+        # The d = 1 row's next-to-minimal weight is compared with
+        # toric_deg1_weight(q, s, 2) as its distance is with the formula.
+        monkeypatch.setattr(
+            cli, "toric_deg1_weight", lambda q, s, t: toric_deg1_weight(q, s, t) + 1
+        )
+        message = "enumerated next-to-minimal weight 10 != formula 11 at d=1"
+        with pytest.raises(RuntimeError, match=message):
+            main(["toric-table", "3", "4", "--json"])
+        assert capsys.readouterr().out == ""
 
     def test_binary_field_suppresses_second_weight(self, capsys):
         code, out, _ = run(capsys, "toric-table", "2", "3", "--json")

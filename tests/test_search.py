@@ -6,14 +6,15 @@ maximum reaches its bound.  None of that may change the maximum: these
 tests compare it with a walk over every admissible candidate set and check
 that the witness attains it.  The search runs on the calling thread for
 every `threads` value.  On product point sets the footprint bound's own
-witness starts the search; the tests of the walk itself run it unseeded,
-and those of the witness check it against the unseeded walk and the
+witness answers in place of the walk; the tests of the walk call it
+directly, and those of the witness check it against the walk and the
 Cartesian formula.
 """
 
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -31,12 +32,17 @@ from evalcodes import (
     cartesian_problem,
     cartesian_rghw_formula,
     gaussian_binomial,
+    normal_form,
     relative_footprint,
     rghw_degree,
+    toric_problem,
 )
 from evalcodes import codes, weights
 from evalcodes.cli import load_problem, resolve_problem
-from evalcodes.weights import _bound_tree, _product_witness, _search_max_zeros
+from evalcodes.field import reduce_rows, rref_mod
+from evalcodes.groebner import _root_product
+from evalcodes.weights import _bound_tree, _narrow, _product_witness
+from evalcodes.weights import _search_max_zeros
 
 from oracles import (
     _footprint_survivors,
@@ -45,6 +51,7 @@ from oracles import (
     brute_variety_count,
     monic_rows,
     monic_walk_search,
+    outer_narrow,
     pp_rank,
     reference_bound_tree,
 )
@@ -59,7 +66,7 @@ SETTINGS = settings(
 
 
 def searched(problem, r, budget=DEFAULT_BUDGET):
-    """(max zeros, witness rows as lists) of the unseeded search."""
+    """(max zeros, witness rows as lists) of the candidate walk."""
     zeros, rows = _search_max_zeros(problem, r, budget)
     return zeros, [[int(v) for v in row] for row in rows]
 
@@ -264,7 +271,7 @@ def test_leaf_bounds_match_one_count_per_tuple_on_a_grid(r):
 @st.composite
 def cartesian_cases(draw):
     """Nested Cartesian codes on random subsets, in a random order, small
-    enough for the unseeded walk."""
+    enough for the candidate walk."""
     q = draw(st.sampled_from((2, 3, 5, 7)))
     s = draw(st.integers(1, 3))
     sizes = sorted(draw(st.lists(st.integers(1, min(q, 4)), min_size=s, max_size=s)))
@@ -307,7 +314,7 @@ def test_product_witness_certifies_cartesian_problems(case):
     if sharp:
         assert witness[0] == zeros
         check_witness(problem, r, zeros, [[int(v) for v in row] for row in witness[1]])
-        # The seeded walk stops at its first group and charges nothing.
+        # The witness answers without the walk, so nothing is charged.
         assert rghw_degree(problem, r, budget=1) == value
     else:
         with pytest.raises(BudgetExceededError):
@@ -330,5 +337,59 @@ def test_without_a_witness_the_search_walks_unseeded(name, why):
         assert _product_witness(problem, r) is None, why
         with mock.patch.object(weights, "_search_max_zeros", walk):
             value = rghw_degree(problem, r)
-        assert walk.call_args.args[1:] == (r, DEFAULT_BUDGET, None)
+        assert walk.call_args.args == (problem, r, DEFAULT_BUDGET)
         assert value == problem.num_points - searched(problem, r)[0]
+
+
+@st.composite
+def torus_cases(draw):
+    """Nested squarefree problems on tori, in a random order."""
+    q = draw(st.sampled_from((3, 5, 7)))
+    s = draw(st.integers(1, 3))
+    d1 = draw(st.integers(1, s))
+    degrees2 = draw(st.lists(st.integers(0, d1 - 1), max_size=2, unique=True))
+    order = draw(st.sampled_from((LEX, GRLEX, GREVLEX)))
+    problem = toric_problem(PrimeField(q), s, d1, degrees2 or None, order)
+    r = min(draw(st.sampled_from((1, 2, 3))), problem.k1 - problem.k2)
+    return problem, r
+
+
+@settings(SETTINGS, max_examples=80)
+@given(st.one_of(cartesian_cases().map(lambda c: (c[0], c[-1])), torus_cases()))
+def test_witness_members_are_their_own_normal_forms(case):
+    # Every term of a member F_j divides its lead, a standard monomial, and
+    # the footprint of a product set is a box, so the witness reads F_j's
+    # L1 coordinates without dividing it by the vanishing ideal first.
+    problem, r = case
+    members = []
+
+    def build(field, roots):
+        members.append(_root_product(field, roots))
+        return members[-1]
+
+    with mock.patch.object(weights, "_root_product", build):
+        _product_witness(problem, r)
+    assert members
+    for f in members:
+        assert normal_form(f, problem.gb) == f
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 31])
+def test_narrow_matches_the_outer_product_update(q):
+    # _narrow's reduce_rows step against the outer-product pivot update, on
+    # residue maps modulo random subspaces V and on arbitrary matrices, for
+    # rows outside V and rows inside it (None).
+    rng = np.random.default_rng(q)
+    for k in range(1, 7):
+        for _ in range(20):
+            rows = rng.integers(0, q, (int(rng.integers(0, k + 1)), k))
+            basis, pivots = rref_mod(rows, q)
+            proj = reduce_rows(np.eye(k, dtype=np.int64), basis, pivots, q)
+            inside = (rng.integers(0, q, len(basis)) @ basis) % q
+            for matrix in (proj, rng.integers(0, q, (k, k))):
+                for row in (rng.integers(0, q, k), inside):
+                    got = _narrow(matrix, row, q)
+                    want = outer_narrow(matrix, row, q)
+                    assert (got is None) == (want is None)
+                    assert got is None or np.array_equal(got, want)
+            assert _narrow(proj, inside, q) is None

@@ -31,7 +31,7 @@ from evalcodes import (
     vanishing_ideal,
     weight_distribution,
 )
-from evalcodes import weights
+from evalcodes import evaluate_space, standardize, weights
 from evalcodes.cli import load_problem, resolve_problem
 from evalcodes.field import rank_mod, reduce_rows, rref_mod
 
@@ -142,8 +142,10 @@ class TestProblemConstruction:
 
 @st.composite
 def nested_problems(draw):
-    """Random X in GF(q)^s, L1 spanned by random polynomials, L2 by random
-    combinations of L1's basis, in a random order."""
+    """Random X in GF(q)^s, L1 spanned by random polynomials, in a random
+    order, and (problem, L2 as given): L2 spanned by random combinations of
+    L1's basis, some dependent, each plus a member of I(X) so that it is not
+    reduced, given as a list or as a PolySpace echelonized in any order."""
     q = draw(st.sampled_from((2, 3, 5, 7)))
     s = draw(st.integers(1, 3))
     field = PrimeField(q)
@@ -170,30 +172,45 @@ def nested_problems(draw):
     k2 = draw(st.integers(1, k1 - 1))
     combos = draw(st.lists(combo, min_size=k2, max_size=k2))
     space2 = [first.poly_from_coefficients(c) for c in combos]
-    return RghwProblem(pts, first.space1, space2, order, gb=first.gb)
+    space2 += [a + b for a, b in zip(space2, space2[1:2])]
+    for i, g in enumerate(space2):
+        mono = draw(st.sampled_from(monos))
+        vanishing = draw(st.sampled_from(first.gb.generators))
+        space2[i] = g + vanishing.term_mul(mono, draw(coordinate))
+    if draw(st.booleans()):
+        other = draw(st.sampled_from((LEX, GRLEX, GREVLEX)))
+        space2 = echelonize(space2, other, field=field, nvars=s)
+    return RghwProblem(pts, first.space1, space2, order, gb=first.gb), space2
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(nested_problems())
-def test_l2_coordinates_are_already_reduced_echelon(problem):
-    # L1 and L2 are reduced echelon in the same order, so the coordinates of
-    # L2's basis need no elimination, and each pivot is the L1 position of
-    # an L2 lead.  _proj, row i e_i modulo L2, is the residue map of that
-    # echelon form: a projection whose kernel (x @ _proj = 0) is exactly
-    # L2's coordinate span.
+def test_l2_is_held_by_its_l1_coordinates(case):
+    # L2 enters once, as L1 coordinates: one rref_mod of its generators'
+    # normal forms on L1's basis.  Those rows, as polynomials, are the
+    # reduced echelon basis `standardize` gives, since L1's basis is reduced
+    # echelon and such a basis is unique; each pivot is the L1 position of
+    # an L2 lead.  _proj, row i e_i modulo L2, is a projection whose kernel
+    # (x @ _proj = 0) is exactly L2's coordinate span, and C2 is read off E.
+    problem, space2 = case
     q, k1 = problem.q, problem.k1
-    coords = [problem.space1.coordinates(b) for b in problem.space2.basis]
+    standard = standardize(space2, problem.gb)
+    assert problem.space2 == standard
+    coords = [problem.space1.coordinates(b) for b in standard.basis]
     coords = np.array(coords, dtype=np.int64).reshape(-1, k1)
     reduced, pivots = rref_mod(coords, q)
+    assert np.array_equal(problem._basis2, reduced)
     assert np.array_equal(coords, reduced)
     leads = problem.space1.leads()
-    assert pivots == [leads.index(m) for m in problem.space2.leads()]
+    assert pivots == [leads.index(m) for m in standard.leads()]
     proj = problem._proj
     eye = np.eye(k1, dtype=np.int64)
     assert np.array_equal(proj, reduce_rows(eye, reduced, pivots, q))
     assert np.array_equal((proj @ proj) % q, proj)
     assert not ((coords @ proj) % q).any()
     assert rank_mod(proj, q) == k1 - problem.k2
+    code2 = evaluate_space(standard, problem.points)
+    assert np.array_equal(problem.codes()[1].rows, code2.rows)
 
 
 def test_basis_in_another_order_refused():
