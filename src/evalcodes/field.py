@@ -8,8 +8,10 @@ inverse (Fermat's little theorem).  Only prime q is supported, below about
 The numpy code paths hold residues in int64 and form sums of products of two
 residues, so they need terms * (q - 1)^2 < 2^63 for the number of products
 summed; `check_int64_products` refuses fields outside that limit instead of
-letting the arithmetic wrap silently; `matmul_mod` reduces between chunks
-of products and needs only (q - 1)^2 < 2^63.  `rref_mod` is the one GF(q)
+letting the arithmetic wrap silently.  `matmul_mod` also takes int32
+operands, which the Buchberger-Moeller elimination uses when its sums fit
+them; it reduces between chunks of products sized by the operands' dtype,
+so int64 operands need only (q - 1)^2 < 2^63.  `rref_mod` is the one GF(q)
 row reduction: polynomial spaces, generator matrices and the RGHW search all
 eliminate through it and `reduce_rows`.
 """
@@ -33,30 +35,45 @@ def check_int64_products(q, terms=1, what="int64 arithmetic"):
 
 
 def matmul_mod(a, b, q):
-    """(a @ b) mod q for int64 residue arrays a and b.
+    """(a @ b) mod q for int32 or int64 residue arrays: a matrix times a
+    vector, or a matrix or a vector times a matrix.
 
-    Reduces mod q after every chunk of floor((2^63 - 1 - q) / (q - 1)^2)
-    products, so a residue plus one chunk fits in int64.  The chunk is at
-    least 1 whenever (q - 1)^2 < 2^63, and exactly 1 at q = 3037000493.
-    A matrix times a vector is summed by `np.einsum`, which is faster there
-    than the int64 `@`; every other shape goes through `@`.
+    Sums of up to floor((2^31 - 1 - q) / (q - 1)^2) products fit every
+    operand dtype and are formed at once.  Longer ones reduce mod q after
+    every chunk of floor((L - q) / (q - 1)^2) products, L the largest value
+    of the product's dtype (2^31 - 1 when both operands are int32, else
+    2^63 - 1), so a residue plus one chunk fits.  The int32 chunk is at
+    least 1 whenever (q - 1)^2 + q < 2^31, exactly 1 at q = 46337; the int64
+    chunk whenever (q - 1)^2 < 2^63, exactly 1 at q = 3037000493.  The
+    dtype is read only past the first bound, so a short product costs no
+    lookup.  A matrix times a vector and a vector times a matrix are summed
+    by `np.einsum`, faster there than the integer `@`, which a matrix times
+    a matrix goes through.
     """
-    if a.ndim == 2 and b.ndim == 1:
+    if b.ndim == 1:
         product = _matvec
+    elif a.ndim == 1:
+        product = _vecmat
     else:
         product = np.matmul
-    chunk = (2**63 - 1 - q) // (q - 1) ** 2
-    inner = a.shape[-1]
-    if inner <= chunk:
-        return product(a, b) % q
-    acc = 0
-    for lo in range(0, inner, chunk):
-        acc = (acc + product(a[..., lo : lo + chunk], b[lo : lo + chunk])) % q
-    return acc
+    inner = b.shape[0]
+    if inner * (q - 1) ** 2 + q > 2**31 - 1:
+        int32 = a.dtype == np.int32 and b.dtype == np.int32
+        chunk = ((2**31 - 1 if int32 else 2**63 - 1) - q) // (q - 1) ** 2
+        if inner > chunk:
+            acc = 0
+            for lo in range(0, inner, chunk):
+                acc = (acc + product(a[..., lo : lo + chunk], b[lo : lo + chunk])) % q
+            return acc
+    return product(a, b) % q
 
 
 def _matvec(a, b):
     return np.einsum("ij,j->i", a, b)
+
+
+def _vecmat(a, b):
+    return np.einsum("j,ji->i", a, b)
 
 
 def rref_mod(rows, q):

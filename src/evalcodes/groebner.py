@@ -14,8 +14,10 @@ A candidate is tested only when each of its quotients by one variable is
 standard, s lookups in the set of standard monomials found so far.  The
 inverse of the stored rows' unit triangular pivot block is kept, so a
 candidate is reduced by two matrix-vector products through
-`field.matmul_mod`, which sums that shape by einsum and reduces after
-every floor((2^63 - 1 - q) / (q - 1)^2) products, admitting every q with
+`field.matmul_mod`, which sums them by einsum.  The residues are int32
+when every sum of m products fits, m (q - 1)^2 + q < 2^31, which halves
+the memory the products read; otherwise they are int64, and `matmul_mod`
+reduces between chunks of products, admitting every q with
 (q - 1)^2 < 2^63.
 Normal forms divide by heads (lead, inverse lead coefficient) built once
 per basis, and pass a term on a standard monomial straight to the
@@ -274,25 +276,31 @@ def _buchberger_moeller(points, order):
     monomials, then a 1 for the monomial itself.  Eliminating the tagged row
     against the stored rows reduces both at once, so when the evaluations
     vanish the tag is the generator; generators come out in the heap's
-    increasing order.  The stored rows fill an m x (2m + 1) array R (kept in
-    transpose, so that the products read contiguous rows); row i is 1 at its
-    pivot and 0 at earlier pivots, so R[:k, piv] is unit upper triangular,
-    with inverse U (kept in transpose too).  A candidate v reduces to the
-    unique residue zero at every pivot, the one row-by-row elimination
-    gives, by c = v[piv] @ U and [v | e_k] - c @ R[:k]; a new row with pivot
-    p extends U to [[U, -U u], [0, 1]], u = R[:k, p].  All three products
-    are a matrix times a vector, the shape `matmul_mod` sums by einsum, so
-    the caller's check (q - 1)^2 < 2^63 is the only limit.
+    increasing order.  The stored rows fill an m x (2m + 1) array R, row by
+    row; row i is 1 at its pivot and 0 at earlier pivots, so R[:k, piv] is
+    unit upper triangular, with inverse U, kept in transpose as Ut.  A
+    candidate v reduces to the unique residue zero at every pivot, the one
+    row-by-row elimination gives, by c = v[piv] @ U and [v | e_k] - c @ R[:k];
+    a new row with pivot p extends U to [[U, -U u], [0, 1]], u = R[:k, p],
+    so Ut gains the row -u @ Ut.  R is row-major so that c @ R[:k], the
+    largest product, sums contiguous rows of R, and a new stored row is one
+    contiguous write, scaled in place.  The residues, of R, Ut, the
+    coordinate columns and the candidates' vectors, are int32 when every
+    sum a product forms fits: m (q - 1)^2 + q < 2^31, under which
+    `matmul_mod` forms a sum of up to m products at once.  Otherwise they
+    are int64, where `matmul_mod` reduces between chunks, so the caller's
+    check (q - 1)^2 < 2^63 is the only limit.
     """
     field = points.field
     q = field.q
     s = points.nvars
     key = order.key
-    columns = points._columns
 
     m = len(points)
-    Rt = np.zeros((2 * m + 1, m), dtype=np.int64)
-    Ut = np.zeros((m, m), dtype=np.int64)
+    dtype = np.int32 if m * (q - 1) ** 2 + q < 2**31 else np.int64
+    columns = points._columns.astype(dtype)
+    R = np.zeros((m, 2 * m + 1), dtype=dtype)
+    Ut = np.zeros((m, m), dtype=dtype)
     piv = np.zeros(m, dtype=np.intp)
     standard = []
     is_standard = set()
@@ -300,7 +308,7 @@ def _buchberger_moeller(points, order):
     leads = []
 
     start = (0,) * s
-    heap = [(key(start), start, np.ones(m, dtype=np.int64))]
+    heap = [(key(start), start, np.ones(m, dtype=dtype))]
     seen = {start}
     while heap:
         _, mono, vec = heapq.heappop(heap)
@@ -312,7 +320,7 @@ def _buchberger_moeller(points, order):
             continue
         k = len(standard)
         c = matmul_mod(Ut[:k, :k], vec[piv[:k]], q)
-        red = matmul_mod(Rt[: m + k, :k], c, q)
+        red = matmul_mod(c, R[:k, : m + k], q)
         res = vec - red[:m]
         res %= q
         nonzero = res.nonzero()[0]
@@ -326,11 +334,14 @@ def _buchberger_moeller(points, order):
             continue
         p = int(nonzero[0])
         inv = field.inv(int(res[p]))
-        Ut[k, :k] = -matmul_mod(Ut[:k, :k].T, Rt[p, :k], q) % q
+        Ut[k, :k] = -matmul_mod(R[:k, p], Ut[:k, :k], q) % q
         Ut[k, k] = 1
-        Rt[:m, k] = res * inv % q
-        Rt[m : m + k, k] = -red[m:] * inv % q
-        Rt[m + k, k] = inv
+        row = R[k, : m + k + 1]
+        row[:m] = res
+        np.negative(red[m:], out=row[m:-1])
+        row[-1] = 1
+        row *= inv
+        row %= q
         piv[k] = p
         standard.append(mono)
         is_standard.add(mono)

@@ -81,10 +81,18 @@ class TestInt64Limit:
             check_int64_products(2147483647, 3)
 
 
-@pytest.mark.parametrize("q", [2, 31, 2147483647, 3037000493])
-def test_matmul_mod_agrees_with_python_ints(q):
-    # Chunks of 2 and 1 products at the two large primes; all-(q - 1)
-    # operands are the largest sums a chunk can meet.
+# int64 operands sum chunks of 2 and 1 products at the two large primes;
+# int32 operands at 46337, the largest prime with (q - 1)^2 + q < 2^31, sum
+# one product at a time.
+OPERANDS = [
+    *(pytest.param(q, np.int64, id=str(q)) for q in (2, 31, 2147483647, 3037000493)),
+    *(pytest.param(q, np.int32, id=f"{q}-int32") for q in (2, 31, 46337)),
+]
+
+
+@pytest.mark.parametrize("q, dtype", OPERANDS)
+def test_matmul_mod_agrees_with_python_ints(q, dtype):
+    # All-(q - 1) operands are the largest sums a chunk can meet.
     rng = random.Random(q)
     for rows, inner, cols in [(3, 7, 4), (1, 1, 1), (5, 12, 2)]:
         a = [[rng.randrange(q) for _ in range(inner)] for _ in range(rows)]
@@ -94,37 +102,44 @@ def test_matmul_mod_agrees_with_python_ints(q):
                 [sum(x[i][t] * y[t][j] for t in range(inner)) % q for j in range(cols)]
                 for i in range(rows)
             ]
-            xa, ya = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
+            xa, ya = np.array(x, dtype=dtype), np.array(y, dtype=dtype)
             assert matmul_mod(xa, ya, q).tolist() == want
             # Vector times matrix and matrix times vector.
             assert matmul_mod(xa[0], ya, q).tolist() == want[0]
             assert matmul_mod(xa, ya[:, 0], q).tolist() == [row[0] for row in want]
 
 
-@pytest.mark.parametrize("q", [2, 31, 2147483647, 3037000493])
-def test_matmul_mod_on_the_slices_of_the_elimination(q):
+@pytest.mark.parametrize("q, dtype", OPERANDS)
+def test_matmul_mod_on_the_slices_of_the_elimination(q, dtype):
     # The operand shapes `_buchberger_moeller` passes, as views of larger
-    # arrays: a leading block Ut[:k, :k] times a gathered vector, the block
-    # Rt[:m + k, :k] (rows longer than k) times a vector, and the transposed
-    # block Ut[:k, :k].T times a row slice Rt[p, :k].  Half the entries are
-    # q - 1, so a chunk meets its largest sums.
+    # arrays: a leading block Ut[:k, :k] times a gathered vector, a vector
+    # times the block R[:k, :m + k] of the row-major stored rows (rows longer
+    # than m + k), and a column slice R[:k, p] times Ut[:k, :k].  Half the
+    # entries are q - 1, so a chunk meets its largest sums; the all-(q - 1)
+    # vector times the block meets them in every column.
     rng = random.Random(q + 1)
     m, k, p = 9, 6, 4
 
     def residues(rows, cols):
         draws = [rng.choice((rng.randrange(q), q - 1)) for _ in range(rows * cols)]
-        return np.array(draws, dtype=np.int64).reshape(rows, cols)
+        return np.array(draws, dtype=dtype).reshape(rows, cols)
 
-    Rt, Ut = residues(2 * m + 1, m), residues(m, m)
+    R, Ut = residues(m, 2 * m + 1), residues(m, m)
     vec = residues(1, m)[0]
     piv = np.array(rng.sample(range(m), k))
+    full = np.full(k, q - 1, dtype=dtype)
     cases = [
         (Ut[:k, :k], vec[piv]),
-        (Rt[: m + k, :k], vec[:k]),
-        (Ut[:k, :k].T, Rt[p, :k]),
-        (Rt[::2, 1:k], Ut[1, 2 : k + 1]),  # strided rows and a strided slice
+        (vec[piv], R[:k, : m + k]),
+        (full, R[:k, : m + k]),
+        (R[:k, p], Ut[:k, :k]),
+        (Ut[:k, :k].T, R[:k, p]),  # a transposed block times a column slice
+        (R[::2, 1:k], Ut[1, 2 : k + 1]),  # strided rows and a strided slice
     ]
     for a, b in cases:
-        assert not a.flags.c_contiguous
+        assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+        got = matmul_mod(a, b, q).tolist()
+        if a.ndim == 1:
+            a, b = b.T, a  # x @ M is M.T @ x
         want = [sum(int(x) * int(y) for x, y in zip(row, b)) % q for row in a.tolist()]
-        assert matmul_mod(a, b, q).tolist() == want
+        assert got == want

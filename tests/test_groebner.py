@@ -416,6 +416,34 @@ def test_elimination_matches_the_loop_on_larger_sets(order, q, s, m):
     assert gb.standard_monomials == reference.standard_monomials
 
 
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("q, dtype", [(7321, np.int32), (7331, np.int64)])
+def test_elimination_on_each_side_of_the_int32_bound(monkeypatch, order, q, dtype):
+    # At m = 40, 7321 is the last prime with m (q - 1)^2 + q < 2^31, where
+    # the residues are int32, and 7331 the next one, where they are int64.
+    # (q - 1, q - 1) and its neighbours give the largest products.
+    m = 40
+    rng = random.Random(SEED + q)
+    pts = {(q - 1, q - 1), (0, q - 1), (q - 1, 0), (q - 2, q - 1)}
+    while len(pts) < m:
+        pts.add((rng.randrange(q), rng.randrange(q)))
+    pts = PointSet(PrimeField(q), sorted(pts))
+    assert _product_factors(pts) is None
+    dtypes = set()
+    real = groebner.matmul_mod
+    monkeypatch.setattr(
+        groebner,
+        "matmul_mod",
+        lambda a, b, q: dtypes.update((a.dtype, b.dtype)) or real(a, b, q),
+    )
+    gb = _buchberger_moeller(pts, order)
+    assert dtypes == {np.dtype(dtype)}
+    reference = loop_buchberger_moeller(pts, order)
+    assert gb.generators == reference.generators
+    assert gb.leads() == reference.leads()
+    assert gb.standard_monomials == reference.standard_monomials
+
+
 GRID = [(a, b) for a in (0, 2, 3) for b in (1, 4)]
 
 
