@@ -50,7 +50,7 @@ from .families import (
 from .field import PrimeField
 from .groebner import PointSet, footprint, vanishing_ideal
 from .poly import Polynomial, format_polynomial, monomials, order_by_name
-from .weights import RghwProblem, relative_footprint, rghw_degree
+from .weights import RghwProblem, _oracle_skipped, relative_footprint, rghw_degree
 
 _FACTOR_VAR = re.compile(r"t(\d+)(?:\^(\d+))?\Z")
 _FACTOR_INT = re.compile(r"\d+\Z")
@@ -316,12 +316,14 @@ def cmd_rghw(args, resolved):
         resolved.points, resolved.space1, resolved.space2, resolved.order
     )
     results = []
+    skipped = {}  # r -> subcodes past the budget, where the oracle did not run
     for r in resolved.r_values:
         entry = {
             "r": r,
             "rghw": None,
             "relative_footprint": relative_footprint(problem, r),
             "certified": None,
+            "oracle": None,
             "refusal": None,
         }
         try:
@@ -338,6 +340,9 @@ def cmd_rghw(args, resolved):
                 )
             # M_r meeting the lower bound RFP_r certifies the value by itself.
             entry["certified"] = entry["rghw"] == entry["relative_footprint"]
+            if args.validate:
+                skipped[r] = _oracle_skipped(problem, r, args.budget)
+                entry["oracle"] = skipped[r] is None
         results.append(entry)
     fields = dict(k1=problem.k1, k2=problem.k2, results=results)
     fields.update(weights=None, refusal=None, budget=args.budget)
@@ -354,6 +359,11 @@ def cmd_rghw(args, resolved):
                 f"r={r}: M_{r} = {entry['rghw']}"
                 f"  RFP_{r} = {entry['relative_footprint']}"
                 + ("  (certified)" if entry["certified"] else "")
+                + (
+                    f"  [oracle skipped: {skipped[r]} subcodes > budget {args.budget}]"
+                    if entry["oracle"] is False
+                    else ""
+                )
             )
     return fields, lines, any(entry["refusal"] for entry in results)
 

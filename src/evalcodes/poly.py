@@ -71,37 +71,38 @@ def monomials(bounds, low, high):
 
 
 class MonomialOrder:
-    """A monomial order given by a sort key; larger key means larger monomial."""
+    """A monomial order given by a sort key; larger key means larger monomial.
+
+    `key` is the key function itself, an attribute rather than a method, so
+    the sorts and heaps that call it per monomial pay no extra call.
+    """
 
     def __init__(self, name, keyfunc):
         self.name = name
-        self._key = keyfunc
-
-    def key(self, m):
-        return self._key(m)
+        self.key = keyfunc
 
     def compare(self, a, b):
         """-1, 0 or +1 as a <, =, > b in this order."""
         if len(a) != len(b):
             raise DimensionMismatchError("monomials of different arity")
-        ka, kb = self._key(a), self._key(b)
+        ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
     def max(self, monomials):
-        return max(monomials, key=self._key)
+        return max(monomials, key=self.key)
 
     def sorted(self, monomials, reverse=False):
-        return sorted(monomials, key=self._key, reverse=reverse)
+        return sorted(monomials, key=self.key, reverse=reverse)
 
     def __repr__(self):
         return f"MonomialOrder({self.name!r})"
 
 
-LEX = MonomialOrder("lex", lambda m: tuple(m))
+LEX = MonomialOrder("lex", tuple)
 GRLEX = MonomialOrder("grlex", lambda m: (sum(m), tuple(m)))
-GREVLEX = MonomialOrder(
-    "grevlex", lambda m: (sum(m), tuple(-e for e in reversed(m)))
-)
+# Monomials are exponent tuples; a list comprehension over the reversed
+# slice builds the grevlex tail faster than a generator.
+GREVLEX = MonomialOrder("grevlex", lambda m: (sum(m), tuple([-e for e in m[::-1]])))
 
 _ORDERS = {o.name: o for o in (LEX, GRLEX, GREVLEX)}
 

@@ -16,24 +16,27 @@ bounds over the leads realized by L1 outside L2, always the first
 RFP_r.  The tree is built once per (problem, r), the leaves under one
 parent in one numpy reduction, and shared by the search and
 `relative_footprint`.  L2 is held as L1 coordinates from one `rref_mod`,
-and C2 is read off L1's evaluation matrix E.  The route is the witness or
-the walk.  On a product point set the bound is sharp whenever its own
-witness, products of linear factors in one variable, passes three checks
-(it lies in L1, its residues modulo L2 have rank r, and its evaluated zero
-count equals the root bound), and no candidate is scored.  Otherwise the
-walk visits groups best bound first, skips those that cannot beat the
-running maximum, and stops scoring a group once the maximum reaches its
-bound.  Residues modulo span(L2, chosen) are one product with `_proj`
-narrowed by each chosen member (`_narrow`, a `reduce_rows` step).
-Surviving groups are scored prefix by prefix in coefficient space over the
-echelon basis of L1, by the table kernel of `codes`: zero counts and the
-residue test are byte compares against tables of low-digit words, and
-only the candidates kept are rebuilt in full.  A definition level oracle
-for cross checking scores the reduced echelon coefficient matrices of
-every r dimensional subcode in numpy batches; it never touches lead
-monomials or bases.
+and C2 is read off L1's evaluation matrix E.  E and L2's polynomial basis
+are built on their first read, not with the problem: the walk and the
+definition oracle read E, and a problem the witness certifies never builds
+it.  The route is the witness or the walk.  On a product point set the
+bound is sharp whenever its own witness, products of linear factors in one
+variable, passes three checks (it lies in L1, its residues modulo L2 have
+rank r, and its evaluated zero count equals the root bound), and no
+candidate is scored.  Otherwise the walk visits groups best bound first,
+skips those that cannot beat the running maximum, and stops scoring a group
+once the maximum reaches its bound.  Residues modulo span(L2, chosen) are
+one product with `_proj` narrowed by each chosen member (`_narrow`, a
+`reduce_rows` step).  Surviving groups are scored prefix by prefix in
+coefficient space over the echelon basis of L1, by the table kernel of
+`codes`: zero counts and the residue test are byte compares against tables
+of low-digit words, and only the candidates kept are rebuilt in full.  A
+definition level oracle for cross checking scores the reduced echelon
+coefficient matrices of every r dimensional subcode in numpy batches; it
+never touches lead monomials or bases.
 """
 
+from functools import cached_property
 from itertools import combinations, repeat
 
 import numpy as np
@@ -67,9 +70,16 @@ class RghwProblem:
     coordinates `_basis2`, one `rref_mod` of its generators' normal forms;
     their polynomials are L2's reduced echelon basis, and C2 is _basis2 @ E.
     L2 must be strictly contained in L1; an absent L2 means the zero space.
-    A given `gb` must be in `order`.  Raises ValueError when
-    k1 * (q - 1)^2 >= 2^63, the limit of the int64 products that score
-    candidates.
+    A given `gb` must be in `order` and have |X| standard monomials, as
+    I(X) has.  Raises ValueError when k1 * (q - 1)^2 >= 2^63, the limit of
+    the int64 products that score candidates.
+
+    What the witness and the bound tree read is built here: `gb`, `space1`,
+    `_basis2`, `_proj`, `_realized` and `_divides`.  L1's evaluation matrix
+    `_E` (with `_code1`, through `evaluate_space` and its injectivity check)
+    and L2's polynomial basis `space2` are built on first read, by the walk
+    `_search_max_zeros`, `codes()` (the definition oracle) or a caller; a
+    problem that the witness certifies never builds them.
     """
 
     def __init__(self, points, space1, space2=None, order=GREVLEX, gb=None):
@@ -79,6 +89,12 @@ class RghwProblem:
         self.order = order
         q = points.field.q
         self.gb = gb if gb is not None else vanishing_ideal(points, order)
+        standard = footprint(self.gb)
+        if len(standard) != len(points):
+            raise ValueError(
+                f"gb has {len(standard)} standard monomials, but X has"
+                f" {len(points)} points"
+            )
         self.space1 = standardize(space1, self.gb)
         generators2 = getattr(space2, "basis", space2 or [])
         reduced2 = [normal_form(f, self.gb) for f in generators2]
@@ -93,11 +109,8 @@ class RghwProblem:
         if len(pivots2) >= k1:
             raise ValueError("containment of L2 in L1 must be strict")
         check_int64_products(q, k1, what="the candidate search")
-        basis2 = [self.poly_from_coefficients(row) for row in self._basis2]
-        self.space2 = PolySpace(points.field, points.nvars, self.gb.order, basis2)
         self._lead_monos = self.space1.leads()
-        self._code1 = evaluate_space(self.space1, points)
-        self._E = self._code1.rows
+        self._code1 = None  # built with _E on its first read
         # Row i of _proj is e_i modulo L2.
         self._proj = reduce_rows(np.eye(k1), self._basis2, pivots2, q)
         # Position i is realized by L1 \ L2 exactly when basis elements
@@ -107,9 +120,20 @@ class RghwProblem:
         self._code2 = None
         self._trees = {}  # r -> groups of _bound_tree
         # k1 x |footprint|: basis lead i divides standard monomial u.
-        self._divides = divisibility_table(
-            self._lead_monos, footprint(self.gb), points.nvars
-        )
+        self._divides = divisibility_table(self._lead_monos, standard, points.nvars)
+
+    @property
+    def _E(self):
+        """L1's evaluation matrix, k1 x |X|, built on first read."""
+        if self._code1 is None:
+            self._code1 = evaluate_space(self.space1, self.points)
+        return self._code1.rows
+
+    @cached_property
+    def space2(self):
+        """L2's reduced echelon basis as a PolySpace, built on first read."""
+        basis2 = [self.poly_from_coefficients(row) for row in self._basis2]
+        return PolySpace(self.field, self.points.nvars, self.gb.order, basis2)
 
     @property
     def field(self):
@@ -125,7 +149,7 @@ class RghwProblem:
 
     @property
     def k2(self):
-        return self.space2.dim
+        return self._basis2.shape[0]
 
     @property
     def num_points(self):
@@ -366,7 +390,8 @@ def rghw_degree(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False)
     deg S/(I(X) + (F)) by `degree_with_F`, a rank over the footprint from
     the multiplication matrices of I(X), built once per basis and kept on
     `problem.gb`, that never evaluates at the points, and the definition
-    oracle is replayed when it fits the budget; any disagreement raises
+    oracle is replayed when its subcodes fit the budget (`_oracle_skipped`),
+    which builds E on a witness-certified problem; any disagreement raises
     instead of being silently resolved.  The search runs on the calling
     thread; `threads` must be None or at least 1.
     """
@@ -390,7 +415,7 @@ def rghw_degree(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False)
             raise RuntimeError(
                 "validation mismatch: footprint bound below the exact degree"
             )
-        if gaussian_binomial(problem.k1, r, problem.q) <= budget:
+        if _oracle_skipped(problem, r, budget) is None:
             c1, c2 = problem.codes()
             oracle = rghw_definition_oracle(c1, c2, r, budget)
             if oracle != value:
@@ -398,6 +423,13 @@ def rghw_degree(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False)
                     f"validation mismatch: oracle {oracle} != degree value {value}"
                 )
     return value
+
+
+def _oracle_skipped(problem, r, budget):
+    """The number of r dimensional subcodes of C1 when it exceeds the budget,
+    so that validation skips the definition oracle; None when it replays."""
+    subcodes = gaussian_binomial(problem.k1, r, problem.q)
+    return subcodes if subcodes > budget else None
 
 
 def ghw(problem, r, budget=DEFAULT_BUDGET, threads=None, validate=False):

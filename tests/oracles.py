@@ -12,6 +12,8 @@ for the table kernel: whole coefficient rows times the generator matrix.
 reference for the batched `rghw_definition_oracle`.
 `loop_buchberger_moeller`, one stored row at a time, is the reference for
 the array elimination of `groebner._buchberger_moeller`.
+`ORDER_KEYS`, one plain lambda per monomial order, is the reference for
+the sort keys of `poly.MonomialOrder`.
 `trial_division_is_prime` is the reference for the Miller-Rabin test of
 `PrimeField`, and `box_monomials`, a walk over the whole exponent box, the
 reference for `poly.monomials`.  `division_degree_with_F`, one division
@@ -58,6 +60,15 @@ from evalcodes.groebner import _check_F
 from evalcodes.poly import divisibility_table, monomial_divides
 from evalcodes.poly import monomial_mul, total_degree
 from evalcodes.weights import gaussian_binomial
+
+# Larger key, larger monomial: lex compares exponents from the first
+# variable, grlex total degree first, and grevlex total degree, then the
+# smaller exponent from the last variable.
+ORDER_KEYS = {
+    "lex": lambda m: tuple(m),
+    "grlex": lambda m: (sum(m), tuple(m)),
+    "grevlex": lambda m: (sum(m), tuple(-e for e in reversed(m))),
+}
 
 
 def trial_division_is_prime(n):

@@ -258,8 +258,15 @@ class TestRghwCommand:
         assert report["k1"] == 5
         assert report["k2"] == 3
         assert report["results"] == [
-            {"r": 1, "rghw": 1, "relative_footprint": 1, "certified": True, "refusal": None},
-            {"r": 2, "rghw": 2, "relative_footprint": 2, "certified": True, "refusal": None},
+            {
+                "r": r,
+                "rghw": r,
+                "relative_footprint": r,
+                "certified": True,
+                "oracle": None,
+                "refusal": None,
+            }
+            for r in (1, 2)
         ]
 
     def test_order_override_keeps_values(self, capsys):
@@ -273,9 +280,32 @@ class TestRghwCommand:
             assert [e["rghw"] for e in payload["results"]] == [1, 2]
 
     def test_validation_does_not_change_numbers(self, capsys):
+        # Only "oracle" differs: null without --validate, true once replayed.
         _, plain, _ = run(capsys, "rghw", "five-points-f3", "--json")
         _, checked, _ = run(capsys, "rghw", "five-points-f3", "--validate", "--json")
-        assert json.loads(plain)["results"] == json.loads(checked)["results"]
+        plain, checked = json.loads(plain)["results"], json.loads(checked)["results"]
+        assert [e.pop("oracle") for e in plain] == [None, None]
+        assert [e.pop("oracle") for e in checked] == [True, True]
+        assert plain == checked
+
+    def test_oracle_skipped_past_the_budget(self, capsys):
+        # At budget 100 the oracle's 121 one-dimensional subcodes of C1
+        # (k1 = 5 over GF(3)) do not fit, and r = 2 is refused: its walk
+        # needs 108 candidates.
+        argv = ["rghw", "five-points-f3", "--validate", "--budget", "100"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        first, second = json.loads(out)["results"]
+        assert (first["rghw"], first["certified"], first["oracle"]) == (1, True, False)
+        assert (second["rghw"], second["oracle"]) == (None, None)
+        assert "108" in second["refusal"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert (
+            "r=1: M_1 = 1  RFP_1 = 1  (certified)"
+            "  [oracle skipped: 121 subcodes > budget 100]"
+        ) in out.splitlines()
+        assert "oracle" not in out.splitlines()[2]
 
     def test_budget_refusal_keeps_partial_report(self, capsys):
         code, out, _ = run(

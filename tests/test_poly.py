@@ -30,7 +30,7 @@ from evalcodes.poly import (
     total_degree,
 )
 
-from oracles import box_monomials, monomial_lcm, pp_rref
+from oracles import ORDER_KEYS, box_monomials, monomial_lcm, pp_rref
 
 SEED = 20260823
 F3 = PrimeField(3)
@@ -168,6 +168,23 @@ def test_order_axioms_exhaustive():
         for lo, hi in zip(ranked, ranked[1:]):
             assert order.compare(hi, lo) > 0
         assert len(set(keys)) == len(monos)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_order_keys_match_the_reference_lambdas(s):
+    # Every monomial of the box [0, 4)^s: each order's key, sorted and
+    # compare agree with the plain lambdas of the reference keys.
+    monos = list(product(range(4), repeat=s))
+    for order in (LEX, GRLEX, GREVLEX):
+        ref = ORDER_KEYS[order.name]
+        assert [order.key(m) for m in monos] == [ref(m) for m in monos]
+        assert order.sorted(monos) == sorted(monos, key=ref)
+        assert order.sorted(monos, reverse=True) == sorted(monos, key=ref, reverse=True)
+        assert order.max(monos) == max(monos, key=ref)
+        keys = [ref(m) for m in monos]
+        for a, ka in zip(monos, keys):
+            for b, kb in zip(monos, keys):
+                assert order.compare(a, b) == (ka > kb) - (ka < kb)
 
 
 def test_lead_term_examples():

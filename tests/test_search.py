@@ -11,7 +11,9 @@ directly, and those of the witness check it against the walk and the
 Cartesian formula.
 """
 
+import random
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -339,6 +341,66 @@ def test_without_a_witness_the_search_walks_unseeded(name, why):
             value = rghw_degree(problem, r)
         assert walk.call_args.args == (problem, r, DEFAULT_BUDGET)
         assert value == problem.num_points - searched(problem, r)[0]
+
+
+# The Cartesian cases of the rghw-search benchmark: q, sizes, d1, d2, r.
+BENCH_CARTESIAN = [
+    (5, (4, 4), 3, -1, 1),
+    (5, (4, 4), 3, 1, 1),
+    (5, (4, 4, 4), 2, 1, 1),
+    (7, (6, 6), 2, -1, 2),
+    (11, (10, 10), 2, -1, 1),
+]
+DATA = Path(__file__).parent / "data"
+
+
+def _never_evaluated(*args):
+    raise AssertionError("evaluate_space called on the witness route")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case", BENCH_CARTESIAN)
+def test_witness_route_never_builds_the_evaluation_matrix(monkeypatch, case, seed):
+    # The witness certifies M_r = RFP_r from the bound tree, L1 coordinates
+    # and the witness's own evaluation, so E (L1's evaluation matrix) is
+    # never built.
+    q, sizes, d1, d2, r = case
+    rng = random.Random(seed)
+    subsets = [sorted(rng.sample(range(q), n)) for n in sizes]
+    monkeypatch.setattr(weights, "evaluate_space", _never_evaluated)
+    problem = cartesian_problem(PrimeField(q), subsets, d1, d2)
+    value = cartesian_rghw_formula(sizes, d1, d2, r)
+    assert relative_footprint(problem, r) == value
+    assert rghw_degree(problem, r) == value
+    assert problem._code1 is None
+
+
+def test_witness_route_on_the_grid_never_builds_the_evaluation_matrix(monkeypatch):
+    monkeypatch.setattr(weights, "evaluate_space", _never_evaluated)
+    data = resolve_problem(load_problem(str(DATA / "cartesian-f7-7x7-d6.json")))
+    problem = RghwProblem(data.points, data.space1, data.space2, data.order)
+    values = [7, 13, 14, 19, 20]
+    assert [relative_footprint(problem, r) for r in data.r_values] == values
+    assert [rghw_degree(problem, r) for r in data.r_values] == values
+    assert problem._code1 is None
+
+
+@pytest.mark.parametrize("name", ["torus-f5-sharp-gap", "five-points-f3"])
+def test_walk_route_builds_the_evaluation_matrix_once(monkeypatch, name):
+    data = resolve_problem(load_problem(name))
+    built = mock.Mock(wraps=codes.evaluate_space)
+    monkeypatch.setattr(weights, "evaluate_space", built)
+    problem = RghwProblem(data.points, data.space1, data.space2, data.order)
+    assert problem._code1 is None and built.call_count == 0
+    for r in data.r_values:
+        rghw_degree(problem, r, validate=True)
+    e_matrix = problem._E
+    assert problem._E is e_matrix
+    assert built.call_count == 1
+    code1, code2 = problem.codes()
+    assert code1 is problem._code1 and code1.rows is e_matrix
+    assert np.array_equal(e_matrix, codes.evaluate_space(problem.space1, problem.points).rows)
+    assert np.array_equal(code2.rows, (problem._basis2 @ e_matrix) % problem.q)
 
 
 @st.composite

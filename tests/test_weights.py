@@ -209,6 +209,7 @@ def test_l2_is_held_by_its_l1_coordinates(case):
     assert np.array_equal((proj @ proj) % q, proj)
     assert not ((coords @ proj) % q).any()
     assert rank_mod(proj, q) == k1 - problem.k2
+    assert problem.k2 == problem.space2.dim == len(pivots)
     code2 = evaluate_space(standard, problem.points)
     assert np.array_equal(problem.codes()[1].rows, code2.rows)
 
@@ -225,6 +226,21 @@ def test_basis_in_another_order_refused():
         problem = RghwProblem(data.points, data.space1, data.space2, other, gb=gb)
         assert problem.order is other
         assert f"order={other.name}" in repr(problem)
+
+
+def test_basis_of_other_points_refused():
+    # I(X) has exactly |X| standard monomials.  The basis of four of the
+    # five points has four, so it is refused at construction with both
+    # sizes named; E, which would catch it, is no longer built there.
+    data = resolve_problem(load_problem("five-points-f3"))
+    fewer = PointSet(data.field, data.points.points[:4])
+    gb = vanishing_ideal(fewer, data.order)
+    message = "gb has 4 standard monomials, but X has 5 points"
+    with pytest.raises(ValueError, match=message):
+        RghwProblem(data.points, data.space1, data.space2, data.order, gb=gb)
+    # The basis of all five points is accepted.
+    gb = vanishing_ideal(data.points, data.order)
+    RghwProblem(data.points, data.space1, data.space2, data.order, gb=gb)
 
 
 class TestCandidates:
