@@ -20,15 +20,17 @@ terms by "+"/"-") or lists of [[e1, ..., es], coeff] term pairs; an
 exponent e >= q is read as ((e - 1) mod (q - 1)) + 1, the same function on
 GF(q), and terms that then coincide are added.  Space shorthands:
 {"total_degree": d}, {"squarefree_degree": d},
-{"squarefree_max_degree": d}.  Integers in a problem file (q, s, degrees,
-coordinates, exponents, coefficients, r) must be JSON integers: floats and
-booleans are refused, never truncated.  Exit codes: 0 success, 1 input
-error, 2 budget refusal.
+{"squarefree_max_degree": d}.  Integers in a problem file (the schema, q,
+s, degrees, coordinates, exponents, coefficients, r) must be JSON integers:
+floats and booleans are refused, never truncated.  A point family of more
+than DEFAULT_BUDGET points is refused before it is listed.  Exit codes: 0
+success, 1 input error, 2 budget refusal.
 """
 
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -173,16 +175,27 @@ def _points_from_spec(spec, field, s):
     if isinstance(spec, dict) and "family" in spec:
         family = spec["family"]
         if family == "torus":
+            # (q - 1)^s with s capped at 64: exact below 2^64, at least 2^64 above.
+            _check_family_size(family, (field.q - 1) ** min(s, 64))
             return torus_points(field, s)
         if family == "cartesian":
             subsets = spec.get("subsets")
             if not isinstance(subsets, list) or len(subsets) != s:
                 raise ValueError("cartesian family needs s coordinate subsets")
-            return cartesian_points(
-                field, [_integer_list(c, "subset coordinate") for c in subsets]
-            )
+            subsets = [_integer_list(c, "subset coordinate") for c in subsets]
+            _check_family_size(family, math.prod(map(len, subsets)))
+            return cartesian_points(field, subsets)
         raise ValueError(f"unknown point family {family!r}")
     raise ValueError("points must be a coordinate list or a family object")
+
+
+def _check_family_size(family, count):
+    """Refuse a family of more than DEFAULT_BUDGET points before it is listed."""
+    if count > DEFAULT_BUDGET:
+        named = count if count < 2**64 else "at least 2^64"
+        raise ValueError(
+            f"the {family} family has {named} points, over the limit {DEFAULT_BUDGET}"
+        )
 
 
 def _fixture_dir():
@@ -215,7 +228,8 @@ def load_problem(source):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {source}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema") != 1:
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if type(schema) is not int or schema != 1:  # true == 1.0 == 1 in Python
         raise ValueError('problem file must be an object with "schema": 1')
     return data
 
@@ -415,13 +429,10 @@ def cmd_toric_table(args, resolved):
                 repetition = {0: 1, row["n"]: args.q - 1}
                 profile = WeightProfile(row["n"], args.q, 1, repetition)
             else:
-                # Refused from k alone, before the space and the code are
-                # built, on the side `weight_distribution` walks: q^k for
-                # q >= 3, where k = C(s, d) <= n / 2 and n = (q - 1)^s < q^k
-                # (the torus fits the budget), and the dual's q^0 at q = 2,
-                # where n = k = 1.
-                side = min(spec.dim, row["n"] - spec.dim)
-                enumeration_size(args.q, side, args.budget)
+                # Refused from (k, n) alone, before the space and the code
+                # are built.  A row that passes has a torus of fewer than
+                # q^k points, so the torus can be listed.
+                enumeration_size(args.q, spec.dim, row["n"], args.budget)
                 points = points or torus_points(field, args.s)
                 profile = weight_distribution(
                     evaluate_space(toric_space(spec), points), budget=args.budget

@@ -255,13 +255,14 @@ class _ZeroTable:
             yield from self.targets(lead, depth, lo, hi)[:, columns]
 
 
-def enumeration_size(q, k, budget):
-    """q^k, after the checks of a weight distribution in their order, for
-    the dimension k of the side it walks: ValueError when
-    k * (q - 1)^2 >= 2^63, BudgetExceededError when q^k exceeds the budget,
-    then ValueError when q^k >= 2^63.  A k of at least budget.bit_length()
-    is refused without forming q^k, which may be too large to build or to
-    write out; the refusal names the count as q^k."""
+def enumeration_size(q, rank, n, budget):
+    """q^k for the side k = min(rank, n - rank) that a weight distribution
+    walks, the code or its dual, after its checks in their order:
+    ValueError when k * (q - 1)^2 >= 2^63, BudgetExceededError when q^k
+    exceeds the budget, then ValueError when q^k >= 2^63.  A k of at least
+    budget.bit_length() is refused without forming q^k, which may be too
+    large to build or to write out; the refusal names the count as q^k."""
+    k = min(rank, n - rank)
     check_int64_products(q, max(k, 1), what="codeword enumeration")
     if k >= budget.bit_length():  # q^k >= 2^k > budget
         raise BudgetExceededError(f"{q}^{k}", budget, "codeword enumeration")
@@ -341,10 +342,9 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
     parity-check matrix, a basis of the dual, and the MacWilliams identity
     gives the counts of C.  Each codeword is the image of q^(k - rho)
     coefficient vectors, so the counts are scaled by that, also for rank
-    deficient matrices.  The walk is budgeted as q^min(rho, n - rho) words
-    and raises as `enumeration_size` on that dimension.  It runs on the
-    calling thread: `threads` must be None or at least 1, and is otherwise
-    ignored.
+    deficient matrices.  `enumeration_size(q, rho, n, budget)` budgets the
+    walk.  It runs on the calling thread: `threads` must be None or at
+    least 1, and is otherwise ignored.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be at least 1")
@@ -353,9 +353,9 @@ def weight_distribution(code, budget=DEFAULT_BUDGET, threads=None):
     n = code.n
     reduced, _ = code.reduced
     rho = reduced.shape[0]
+    enumeration_size(q, rho, n, budget)
     dual = rho > n - rho
     rows = parity_check_matrix(code) if dual else reduced
-    enumeration_size(q, rows.shape[0], budget)
     counts = _monic_walk(rows, q)
     if dual:
         counts = _macwilliams(counts, q, n - rho)

@@ -120,19 +120,19 @@ class HypersimplexSpec:
         return comb(self.s, self.d) if self.field.q > 2 else 1
 
 
-def toric_space(spec, order=GREVLEX):
-    """Span of the squarefree monomials of degree exactly d on the torus."""
+def toric_space(spec):
+    """Span of the squarefree monomials of degree d on the torus, in grevlex."""
     monos = monomials((2,) * spec.s, spec.d, spec.d)
-    return _torus_space(spec.field, spec.s, monos, order)
+    return _torus_space(spec.field, spec.s, monos, GREVLEX)
 
 
-def toric_code(spec, order=GREVLEX):
+def toric_code(spec):
     """Evaluation of squarefree monomials of degree exactly d on the torus.
 
     Dimension is binom(s, d) for q >= 3; for q = 2 the code collapses to
     the [1, 1] repetition code.
     """
-    return evaluate_space(toric_space(spec, order), torus_points(spec.field, spec.s))
+    return evaluate_space(toric_space(spec), torus_points(spec.field, spec.s))
 
 
 def toric_problem(field, s, d1, degrees2=None, order=GREVLEX):

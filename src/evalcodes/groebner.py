@@ -36,6 +36,7 @@ evaluation codes and `variety_in_X` both go through it.
 """
 
 import heapq
+import math
 import operator
 
 import numpy as np
@@ -225,20 +226,9 @@ def vanishing_ideal(points, order=GREVLEX):
 
 def _product_factors(points):
     """The coordinate projections of X, each sorted, when X is their product;
-    else None.
-
-    The product of their sizes is at least |X|, so the scan stops as soon as
-    it passes |X|, before the product grows with s.
-    """
-    size = 1
-    factors = []
-    for column in zip(*points.points):
-        values = sorted(set(column))
-        size *= len(values)
-        if size > len(points):
-            return None
-        factors.append(values)
-    return factors
+    else None."""
+    factors = [sorted(set(column)) for column in zip(*points.points)]
+    return factors if math.prod(map(len, factors)) == len(points) else None
 
 
 def _root_product(field, roots):

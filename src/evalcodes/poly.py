@@ -168,8 +168,8 @@ class Polynomial:
         return cls(field, nvars, {(0,) * nvars: value})
 
     @classmethod
-    def monomial(cls, field, mono, coeff=1):
-        return cls(field, len(mono), {tuple(mono): coeff})
+    def monomial(cls, field, mono):
+        return cls(field, len(mono), {tuple(mono): 1})
 
     def _check(self, other):
         if self.field != other.field:
@@ -286,35 +286,24 @@ class Polynomial:
         return f"Polynomial({self.field.q}, {format_polynomial(self)!r})"
 
 
-def format_polynomial(f, order=GREVLEX):
-    """Canonical text form, terms in decreasing order, symmetric coefficients."""
+def format_polynomial(f):
+    """Canonical text: terms in decreasing grevlex order, symmetric coefficients."""
     if not f.terms:
         return "0"
     q = f.field.q
     parts = []
-    for mono in order.sorted(f.terms, reverse=True):
+    for mono in GREVLEX.sorted(f.terms, reverse=True):
         c = f.terms[mono]
-        disp = c if c <= q // 2 else c - q
-        neg = disp < 0
-        mag = abs(disp)
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(f"t{i + 1}")
-            elif e > 1:
-                factors.append(f"t{i + 1}^{e}")
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        parts.append((neg, body))
-    first_neg, first_body = parts[0]
-    pieces = [("-" if first_neg else "") + first_body]
-    for neg, body in parts[1:]:
-        pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+        factors = [
+            f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}" for i, e in enumerate(mono) if e
+        ]
+        mag = c if c <= q // 2 else q - c
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        parts += ["+" if c <= q // 2 else "-", "*".join(factors)]
+    # "+ a - b" for the terms a, -b; a leading "+ " is dropped, "- " closed up.
+    text = " ".join(parts)
+    return text[2:] if parts[0] == "+" else "-" + text[2:]
 
 
 def divide(f, divisors, order):

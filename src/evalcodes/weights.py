@@ -529,4 +529,4 @@ def relative_footprint(problem, r):
     [1, dim L1 - dim L2], as for `rghw_degree`.
     """
     problem._check_r(r)
-    return len(footprint(problem.gb)) - _bound_tree(problem, r)(())[0][0]
+    return problem.num_points - _bound_tree(problem, r)(())[0][0]

@@ -160,10 +160,14 @@ class TestProblemLoading:
         assert data["r"] == [1, 2]
 
     def test_missing_schema_rejected(self, tmp_path):
+        # true and 1.0 compare equal to 1 in Python, but only the JSON
+        # integer 1 is the marker.
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"q": 3}))
-        with pytest.raises(ValueError):
-            load_problem(str(path))
+        for schema in (None, True, 1.0):
+            data = {"q": 3} if schema is None else _five_point_file(schema=schema)
+            path.write_text(json.dumps(data))
+            with pytest.raises(ValueError, match='"schema": 1'):
+                load_problem(str(path))
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -652,6 +656,73 @@ def _five_point_file(**changes):
     return data
 
 
+class TestFamilySize:
+    """A point family is counted before it is listed, and refused with exit 1
+    above DEFAULT_BUDGET points."""
+
+    @staticmethod
+    def _unlisted(monkeypatch):
+        for name in ("torus_points", "cartesian_points"):
+            monkeypatch.setattr(cli, name, _no_building)
+
+    def test_huge_families_refused_at_once(self, capsys, tmp_path, monkeypatch):
+        # (3 - 1)^40 = 2^40 points either way.
+        self._unlisted(monkeypatch)
+        cartesian = tmp_path / "cartesian.json"
+        family = {"family": "cartesian", "subsets": [[0, 1]] * 40}
+        cartesian.write_text(json.dumps(_five_point_file(s=40, points=family)))
+        torus = DATA / "torus-f3-s40.json"
+        for path, family in ((torus, "torus"), (cartesian, "cartesian")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "rghw", str(path))
+            assert time.perf_counter() - start < 1
+            assert code == 1
+            assert out == ""
+            assert err == (
+                f"error: the {family} family has 1099511627776 points,"
+                f" over the limit {DEFAULT_BUDGET}\n"
+            )
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            {"family": "torus"},
+            {"family": "cartesian", "subsets": [[0, 1]] * 64},
+            {"family": "cartesian", "subsets": [[0, 1, 2]] * 100},
+        ],
+    )
+    def test_counts_from_2_to_the_64_named_as_such(
+        self, capsys, monkeypatch, tmp_path, points
+    ):
+        # The torus count is (q - 1)^min(s, 64), never the full power.
+        self._unlisted(monkeypatch)
+        path = tmp_path / "problem.json"
+        s = len(points["subsets"]) if "subsets" in points else 10**12
+        path.write_text(json.dumps(_five_point_file(s=s, points=points)))
+        code, _, err = run(capsys, "vanishing-ideal", str(path))
+        assert code == 1
+        assert "family has at least 2^64 points" in err
+
+    def test_limit_boundary(self, capsys, monkeypatch, tmp_path):
+        # The torus of GF(5)^2 has 16 points: listed at a limit of 16,
+        # refused at 15.
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_five_point_file(q=5, points={"family": "torus"})))
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 16)
+        code, out, _ = run(capsys, "vanishing-ideal", str(path), "--json")
+        assert (code, json.loads(out)["n"]) == (0, 16)
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 15)
+        code, _, err = run(capsys, "vanishing-ideal", str(path))
+        assert code == 1
+        assert "the torus family has 16 points, over the limit 15" in err
+        # An empty subset lists no point, whatever the others multiply to.
+        empty = {"family": "cartesian", "subsets": [[0, 1]] * 70 + [[]]}
+        path.write_text(json.dumps(_five_point_file(s=71, points=empty)))
+        code, _, err = run(capsys, "vanishing-ideal", str(path))
+        assert code == 1
+        assert "point set is empty" in err
+
+
 class TestTotalDegreeShorthand:
     """Exponents are capped at min(d, q - 1), since t^q = t on K."""
 
@@ -750,6 +821,17 @@ class TestStrictIntegers:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {field} must be an integer")
+
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_non_integer_schema_refused(self, capsys, tmp_path, schema):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_five_point_file(schema=schema)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rghw", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err == 'error: problem file must be an object with "schema": 1\n'
 
     def test_reported_example_refused(self, capsys, tmp_path):
         path = tmp_path / "problem.json"

@@ -254,15 +254,32 @@ class TestWeightDistribution:
         assert info.value.budget == 10
 
     def test_budget_refusal_from_k_alone(self):
-        # From k >= budget.bit_length() on, q^k >= 2^k exceeds the budget, so
-        # the refusal names the count as q^k without forming it.
-        assert codes.enumeration_size(2, 3, 8) == 8
-        assert codes.enumeration_size(2, 4, 16) == 16
+        # The walked side is k = min(rank, n - rank).  From
+        # k >= budget.bit_length() on, q^k >= 2^k exceeds the budget, so the
+        # refusal names the count as q^k without forming it.
+        assert codes.enumeration_size(2, 3, 6, 8) == 8
+        assert codes.enumeration_size(2, 4, 8, 16) == 16
         with pytest.raises(BudgetExceededError, match=r"needs 2\^4 elements"):
-            codes.enumeration_size(2, 4, 15)
+            codes.enumeration_size(2, 4, 8, 15)
         with pytest.raises(BudgetExceededError) as info:
-            codes.enumeration_size(3, 10**12, 10**7)
+            codes.enumeration_size(3, 10**12, 3 * 10**12, 10**7)
         assert (info.value.needed, info.value.budget) == ("3^1000000000000", 10**7)
+
+    def test_budget_counts_the_dual_side(self):
+        # rank > n - rank: the dual, of dimension n - rank, is walked.
+        assert codes.enumeration_size(2, 7, 10, 8) == 8
+        assert codes.enumeration_size(3, 10**12, 10**12, 1) == 1
+        with pytest.raises(BudgetExceededError, match=r"needs 2\^4 elements"):
+            codes.enumeration_size(2, 9, 13, 15)
+        with pytest.raises(BudgetExceededError) as info:
+            codes.enumeration_size(3, 3 * 10**12, 4 * 10**12, 10**7)
+        assert info.value.needed == "3^1000000000000"
+        # A [7, 5] code over GF(3): its 3^2 dual words fit a budget of 9.
+        code = EvaluationCode(F3, np.eye(5, 7, dtype=np.int64))
+        with pytest.raises(BudgetExceededError) as info:
+            weight_distribution(code, budget=8)
+        assert info.value.needed == 9
+        assert weight_distribution(code, budget=9).total() == 3**5
 
     def test_thread_count_does_not_change_results(self):
         code = toric_code(HypersimplexSpec(F3, 4, 2))
