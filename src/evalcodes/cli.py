@@ -22,9 +22,11 @@ GF(q), and terms that then coincide are added.  Space shorthands:
 {"total_degree": d}, {"squarefree_degree": d},
 {"squarefree_max_degree": d}.  Integers in a problem file (the schema, q,
 s, degrees, coordinates, exponents, coefficients, r) must be JSON integers:
-floats and booleans are refused, never truncated.  A point family of more
-than DEFAULT_BUDGET points is refused before it is listed.  Exit codes: 0
-success, 1 input error, 2 budget refusal.
+floats and booleans are refused, never truncated.  A key outside those
+shown, at the top or in a point family, is refused by name.  A point family
+of more than DEFAULT_BUDGET points, or a shorthand of more than
+DEFAULT_BUDGET monomials, is counted in closed form and refused before it
+is listed.  Exit codes: 0 success, 1 input error, 2 budget refusal.
 """
 
 import argparse
@@ -57,6 +59,8 @@ from .weights import RghwProblem, _oracle_skipped, relative_footprint, rghw_degr
 _FACTOR_VAR = re.compile(r"t(\d+)(?:\^(\d+))?\Z")
 _FACTOR_INT = re.compile(r"\d+\Z")
 _TERM_SPLIT = re.compile(r"(?=[+-])")
+_PROBLEM_KEYS = ("schema", "q", "s", "order", "points", "L1", "L2", "r")
+_FAMILY_KEYS = ("family", "subsets")
 
 
 def _integer(value, what):
@@ -152,6 +156,8 @@ def _space_polynomials(spec, field, s):
             bounds, low = (2,) * s, d if key == "squarefree_degree" else 0
         else:
             raise ValueError(f"unknown space shorthand {spec!r}")
+        size = _shorthand_size(key, d, field.q, s)
+        _check_size(f"the {key} space", size, "monomials")
         return [Polynomial.monomial(field, m) for m in monomials(bounds, low, d)]
     if isinstance(spec, list):
         polys = []
@@ -166,6 +172,37 @@ def _space_polynomials(spec, field, s):
     raise ValueError(f"space specification must be a list or shorthand, got {spec!r}")
 
 
+def _shorthand_size(key, d, q, s):
+    """The number of monomials a shorthand lists, or a count of at least
+    2^64 when it has that many: C(s, d) for squarefree_degree, the sum of
+    C(s, i) over i <= d for squarefree_max_degree, and for total_degree
+    over the box [0, q)^s, N(d) = sum_j (-1)^j C(s, j) C(d - jq + s, s).
+    The C(s, i) are built one from the last and stop past 2^64, so a huge s
+    takes few steps.  N(d) is at least the count of squarefree monomials of
+    degree at most min(d, s); when that is below 2^64, d or s is small and
+    the sum is short, with d capped at s (q - 1), the top degree."""
+
+    def binomials(top):  # C(s, 0), C(s, 1), ..., C(s, top) or to past 2^64
+        row = [1]
+        for i in range(top):
+            if row[-1] >= 2**64:
+                break
+            row.append(row[-1] * (s - i) // (i + 1))
+        return row
+
+    if key == "squarefree_degree":
+        # C(s, i) grows with i up to s / 2, and C(s, d) = C(s, s - d).
+        return binomials(min(d, s - d))[-1]
+    count = sum(binomials(min(d, s)))
+    if key == "squarefree_max_degree" or count >= 2**64:
+        return count
+    d = min(d, s * (q - 1))
+    return sum(
+        (-1) ** j * math.comb(s, j) * math.comb(d - j * q + s, s)
+        for j in range(d // q + 1)
+    )
+
+
 def _points_from_spec(spec, field, s):
     if isinstance(spec, list):
         pts = PointSet(field, [_integer_list(p, "point coordinate") for p in spec])
@@ -173,29 +210,35 @@ def _points_from_spec(spec, field, s):
             raise ValueError(f"points have arity {pts.nvars}, expected s={s}")
         return pts
     if isinstance(spec, dict) and "family" in spec:
+        _check_keys(spec, _FAMILY_KEYS, "point family")
         family = spec["family"]
         if family == "torus":
             # (q - 1)^s with s capped at 64: exact below 2^64, at least 2^64 above.
-            _check_family_size(family, (field.q - 1) ** min(s, 64))
+            _check_size(f"the {family} family", (field.q - 1) ** min(s, 64), "points")
             return torus_points(field, s)
         if family == "cartesian":
             subsets = spec.get("subsets")
             if not isinstance(subsets, list) or len(subsets) != s:
                 raise ValueError("cartesian family needs s coordinate subsets")
             subsets = [_integer_list(c, "subset coordinate") for c in subsets]
-            _check_family_size(family, math.prod(map(len, subsets)))
+            _check_size(f"the {family} family", math.prod(map(len, subsets)), "points")
             return cartesian_points(field, subsets)
         raise ValueError(f"unknown point family {family!r}")
     raise ValueError("points must be a coordinate list or a family object")
 
 
-def _check_family_size(family, count):
-    """Refuse a family of more than DEFAULT_BUDGET points before it is listed."""
+def _check_size(what, count, items):
+    """Refuse a list of more than DEFAULT_BUDGET items before it is built."""
     if count > DEFAULT_BUDGET:
         named = count if count < 2**64 else "at least 2^64"
-        raise ValueError(
-            f"the {family} family has {named} points, over the limit {DEFAULT_BUDGET}"
-        )
+        raise ValueError(f"{what} has {named} {items}, over the limit {DEFAULT_BUDGET}")
+
+
+def _check_keys(data, known, what):
+    """Refuse a key outside `known`: a misspelt key would go unread."""
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown {what} key {key!r}; known: {', '.join(known)}")
 
 
 def _fixture_dir():
@@ -247,6 +290,7 @@ class ResolvedProblem:
 
 
 def resolve_problem(data, order_override=None, need_spaces=True):
+    _check_keys(data, _PROBLEM_KEYS, "problem file")
     for key in ("q", "s", "points"):
         if key not in data:
             raise ValueError(f"problem file is missing {key!r}")
@@ -521,9 +565,7 @@ def build_parser():
                 "--threads",
                 type=positive_int,
                 default=None,
-                help="accepted and ignored, at least 1: weight enumeration (budgeted"
-                " as q^min(rank, n - rank) words, over the code or its dual) and the"
-                " rghw search run on the calling thread",
+                help="accepted and ignored; at least 1",
             )
 
     p = sub.add_parser(

@@ -150,14 +150,6 @@ class WeightProfile:
         return f"WeightProfile(n={self.n}, k={self.k}, {self.distribution})"
 
 
-def _low_digit_count(q, free):
-    """l, the largest number of trailing digits of `free` with q^l <= _CHUNK."""
-    low = 0
-    while low < free and q ** (low + 1) <= _CHUNK:
-        low += 1
-    return low
-
-
 def _digits(q, width, lo, hi):
     """Base-q digits of lo..hi-1, `width` per row, most significant first."""
     idx = np.arange(lo, hi, dtype=np.int64)
@@ -238,21 +230,32 @@ class _ZeroTable:
         words = self.matrix[lead] + _digits(self.q, len(high), lo, hi) @ high
         return ((-words) % self.q).astype(self.dtype)
 
+    def depth(self, lead):
+        """l, the lead's number of low digits: the most of the digits after
+        it with q^l <= _CHUNK."""
+        free = self.matrix.shape[0] - lead - 1
+        low = 0
+        while low < free and self.q ** (low + 1) <= _CHUNK:
+            low += 1
+        return low
+
     def batches(self, lead):
         """(depth, lo, hi) for the prefixes of the lead, in order, in batches
-        of about _BATCH words; depth is the lead's number of low digits."""
-        free = self.matrix.shape[0] - lead - 1
-        depth = _low_digit_count(self.q, free)
-        prefixes = self.q ** (free - depth)
+        of about _BATCH words."""
+        depth = self.depth(lead)
+        prefixes = self.q ** (self.matrix.shape[0] - lead - 1 - depth)
         step = max(1, _BATCH // self.q**depth)
         for lo in range(0, prefixes, step):
             yield depth, lo, min(lo + step, prefixes)
 
     def prefix_targets(self, lead, columns=slice(None)):
-        """Yield the targets of the prefixes h = 0, 1, ... of the lead in
-        order, restricted to `columns`; computed a batch at a time."""
+        """Yield (first, targets) for the prefixes h = 0, 1, ... of the lead
+        in order: first = h * q^depth numbers the prefix's first monic row,
+        and the targets are restricted to `columns`; a batch at a time."""
         for depth, lo, hi in self.batches(lead):
-            yield from self.targets(lead, depth, lo, hi)[:, columns]
+            size = self.q**depth
+            targets = self.targets(lead, depth, lo, hi)[:, columns]
+            yield from zip(range(lo * size, hi * size, size), targets)
 
 
 def enumeration_size(q, rank, n, budget):

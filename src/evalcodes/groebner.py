@@ -38,6 +38,7 @@ evaluation codes and `variety_in_X` both go through it.
 import heapq
 import math
 import operator
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,13 @@ class PointSet:
         # The int64 coordinate columns, s x |X|, shared by every evaluation.
         self._columns = np.array(pts, dtype=np.int64).T.copy()
         self._columns.flags.writeable = False
+
+    @cached_property
+    def product_factors(self):
+        """The sorted coordinate projections A_i when X is their product,
+        which it is exactly when |X| = |A_1| * ... * |A_s|; else None."""
+        factors = [sorted(set(column)) for column in zip(*self.points)]
+        return factors if math.prod(map(len, factors)) == len(self) else None
 
     def __len__(self):
         return len(self.points)
@@ -152,10 +160,10 @@ class GroebnerBasis:
     standard_monomials is the footprint, a tuple in increasing order, when
     the construction already yields it (`vanishing_ideal`), else None; so
     are `leads`, the generators' lead monomials.  The division heads of the
-    generators are built here, once, for every `normal_form` on the basis;
-    the footprint's set, which `normal_form` looks standard terms up in,
-    and the multiplication matrices of `degree_with_F` are built on first
-    use and kept.
+    generators and the footprint's set, which `normal_form` looks standard
+    terms up in, are built here, once, for every `normal_form` on the basis;
+    the multiplication matrices of `degree_with_F` are built on first use
+    and kept.
     """
 
     def __init__(
@@ -167,7 +175,7 @@ class GroebnerBasis:
         self.generators = list(generators)
         self.standard_monomials = standard_monomials
         self._heads = _heads(self.generators, order, leads)
-        self._standard = None
+        self._standard = frozenset(standard_monomials or ())
         self._multiplication = None
 
     def leads(self):
@@ -190,24 +198,24 @@ class GroebnerBasis:
 def vanishing_ideal(points, order=GREVLEX):
     """Reduced Groebner basis of the ideal of all polynomials zero on X.
 
-    X lies in the product of its coordinate projections A_i, so it is that
-    product exactly when |X| = |A_1| * ... * |A_s|.  Then the answer is in
-    closed form: the monic f_i = prod_{a in A_i} (t_i - a) are a universal
-    Groebner basis of I(X), reduced in every order (the leads are
-    t_i^{|A_i|} and no tail term is divisible by a lead), and the footprint
-    is the box prod [0, |A_i|) (Lopez, Renteria-Marquez and Villarreal,
-    "Affine Cartesian codes", Des. Codes Cryptogr. 71, 2014).  Tori,
-    Cartesian grids and every set with s = 1 are such products.  Any other
-    set goes through the Buchberger-Moeller elimination of
-    `_buchberger_moeller`.  The reduced basis is unique, so both routes give
-    the same generators and footprint.  The footprint has exactly |X|
-    elements and is kept on the result.  Raises ValueError when
-    (q - 1)^2 >= 2^63, where the int64 elimination would wrap.
+    When X is the product of its coordinate projections A_i
+    (`PointSet.product_factors`), the answer is in closed form: the monic
+    f_i = prod_{a in A_i} (t_i - a) are a universal Groebner basis of I(X),
+    reduced in every order (the leads are t_i^{|A_i|} and no tail term is
+    divisible by a lead), and the footprint is the box prod [0, |A_i|)
+    (Lopez, Renteria-Marquez and Villarreal, "Affine Cartesian codes", Des.
+    Codes Cryptogr. 71, 2014).  Tori, Cartesian grids and every set with
+    s = 1 are such products.  Any other set goes through the
+    Buchberger-Moeller elimination of `_buchberger_moeller`.  The reduced
+    basis is unique, so both routes give the same generators and footprint.
+    The footprint has exactly |X| elements and is kept on the result.
+    Raises ValueError when (q - 1)^2 >= 2^63, where the int64 elimination
+    would wrap.
     """
     field = points.field
     q = field.q
     check_int64_products(q, what="the vanishing ideal")
-    factors = _product_factors(points)
+    factors = points.product_factors
     if factors is None:
         return _buchberger_moeller(points, order)
     s = points.nvars
@@ -222,13 +230,6 @@ def vanishing_ideal(points, order=GREVLEX):
     leads = [lead for lead, _ in heads]
     generators = [g for _, g in heads]
     return GroebnerBasis(field, s, order, generators, tuple(box), leads)
-
-
-def _product_factors(points):
-    """The coordinate projections of X, each sorted, when X is their product;
-    else None."""
-    factors = [sorted(set(column)) for column in zip(*points.points)]
-    return factors if math.prod(map(len, factors)) == len(points) else None
 
 
 def _root_product(field, roots):
@@ -347,14 +348,11 @@ def normal_form(f, gb):
     """Remainder of f on division by the reduced basis; canonical in S/I.
 
     When the basis knows its footprint, a term on a standard monomial goes
-    to the remainder with one lookup in the footprint's set, built on the
-    first call and kept on the basis, instead of being tested against every
-    lead."""
+    to the remainder with one lookup in the footprint's set, kept on the
+    basis, instead of being tested against every lead."""
     if not gb.generators:
         return f
     f._check(gb.generators[0])
-    if gb._standard is None:
-        gb._standard = frozenset(gb.standard_monomials or ())
     _, rem = _divide(f, gb._heads, gb.order, gb._standard)
     return Polynomial._clean(f.field, f.nvars, rem)
 

@@ -42,12 +42,11 @@ from itertools import combinations, repeat
 import numpy as np
 
 from .codes import DEFAULT_BUDGET, EvaluationCode, evaluate_space, standardize
-from .codes import _BATCH, _count_equal, _digits, _low_digit_count, _monic_row
-from .codes import _ZeroTable
+from .codes import _BATCH, _ZeroTable, _count_equal, _digits, _monic_row
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
-from .groebner import _product_factors, _root_product
-from .groebner import degree_with_F, footprint, normal_form, vanishing_ideal
+from .groebner import _root_product, degree_with_F, footprint, normal_form
+from .groebner import vanishing_ideal
 from .poly import GREVLEX, Polynomial, PolySpace, divisibility_table
 
 
@@ -109,7 +108,6 @@ class RghwProblem:
         if len(pivots2) >= k1:
             raise ValueError("containment of L2 in L1 must be strict")
         check_int64_products(q, k1, what="the candidate search")
-        self._lead_monos = self.space1.leads()
         self._code1 = None  # built with _E on its first read
         # Row i of _proj is e_i modulo L2.
         self._proj = reduce_rows(np.eye(k1), self._basis2, pivots2, q)
@@ -120,7 +118,7 @@ class RghwProblem:
         self._code2 = None
         self._trees = {}  # r -> groups of _bound_tree
         # k1 x |footprint|: basis lead i divides standard monomial u.
-        self._divides = divisibility_table(self._lead_monos, standard, points.nvars)
+        self._divides = divisibility_table(self.space1.leads(), standard, points.nvars)
 
     @property
     def _E(self):
@@ -239,7 +237,7 @@ def _product_witness(problem, r):
     coefficient rows) of an admissible set with the root bound of zeros, or
     None.
 
-    On X = A_1 x ... x A_s (`groebner._product_factors`) a lead m gives
+    On X = A_1 x ... x A_s (`PointSet.product_factors`) a lead m gives
     F = prod_i prod_{c among the first m_i values of A_i} (t_i - c), of lead
     m.  A point whose i-th coordinate is the u_i-th smallest value of A_i is
     a zero of F exactly when m does not divide t^u, so the F of the leads of
@@ -256,7 +254,7 @@ def _product_witness(problem, r):
     not a product or no tuple passes, as when L1 is not closed under
     divisors or RFP_r < M_r; the walk then answers.
     """
-    factors = _product_factors(problem.points)
+    factors = problem.points.product_factors
     if factors is None:
         return None
     groups = _bound_tree(problem, r)
@@ -265,7 +263,7 @@ def _product_witness(problem, r):
 
     def member(j):
         if j not in members:
-            lead = problem._lead_monos[j]
+            lead = problem.space1.leads()[j]
             roots = [values[:e] for e, values in zip(lead, factors)]
             f = _root_product(problem.field, roots)
             row = problem.space1.coordinates(f)
@@ -334,22 +332,23 @@ def _search_max_zeros(problem, r, budget):
             if residues is None:
                 residues = _ZeroTable(proj, q)
                 low_alive = {}
-            depth = _low_digit_count(q, k1 - lead - 1)
+            depth = words.depth(lead)
             if depth not in low_alive:
                 low_alive[depth] = words.low(depth)[alive]
             low = low_alive[depth]
             size = low.shape[1]
             ok = np.ones(size, dtype=bool)
-            res_targets = residues.prefix_targets(lead) if reduce else repeat(None)
             word_targets = words.prefix_targets(lead, alive)
-            for h, (target, target_res) in enumerate(zip(word_targets, res_targets)):
+            res_targets = (
+                residues.prefix_targets(lead) if reduce else repeat((None, None))
+            )
+            for (first, target), (_, target_res) in zip(word_targets, res_targets):
                 counter += size
                 if counter > budget:
                     raise BudgetExceededError(counter, budget, "candidate enumeration")
                 zeros = _count_equal(low, target).astype(np.int64)
                 if reduce:
                     ok = (residues.low(depth) != target_res[:, None]).any(axis=0)
-                first = h * size
                 if len(js) == r - 1:
                     scored = np.where(ok, zeros, -1) if reduce else zeros
                     i = int(np.argmax(scored))

@@ -588,7 +588,7 @@ def lead_set_difference(problem):
     elements with lead at most m_i is not contained in L2; those subspaces
     shrink as i grows, so the set is the first `_realized` basis leads.
     """
-    return [problem._lead_monos[i] for i in range(problem._realized)]
+    return problem.space1.leads()[: problem._realized]
 
 
 def brute_relative_footprint(problem, r):

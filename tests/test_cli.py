@@ -459,6 +459,9 @@ class TestToricTableCommand:
         assert code == 1
         assert "prime" in err
 
+    def test_nonpositive_s_rejected(self, capsys):
+        assert run(capsys, "toric-table", "3", "0") == (1, "", "error: s must be positive\n")
+
     def test_budget_refuses_rows_before_building_codes(self, capsys, monkeypatch):
         # 3^k > 1 for every row below d = s, so each is refused from its
         # dimension alone, before its space is built or any polynomial is
@@ -776,6 +779,28 @@ class TestSpaceShorthands:
                         for m in box_monomials(bounds, low, high)
                     ]
                     assert cli._space_polynomials(spec, field, s) == expected
+                    # The closed form that counts the list before it is made.
+                    [(key, d)] = spec.items()
+                    assert cli._shorthand_size(key, d, q, s) == len(expected)
+
+    def test_huge_counts_refused_before_listing(self, capsys, monkeypatch):
+        # Counts past 2^64 stop early however large s and d are; the CI
+        # family size check runs the s = 40 file.
+        monkeypatch.setattr(cli, "monomials", _no_building)
+        for key, d, q, s in [
+            ("squarefree_degree", 5 * 10**5, 3, 10**6),
+            ("squarefree_max_degree", 10**6, 3, 10**6),
+            ("total_degree", 10**18, 3, 10**6),
+            ("total_degree", 10**30, 2**61 - 1, 63),
+        ]:
+            assert cli._shorthand_size(key, d, q, s) >= 2**64
+            with pytest.raises(ValueError, match="at least 2.64 monomials"):
+                cli._space_polynomials({key: d}, PrimeField(q), s)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "rghw", str(DATA / "squarefree-max-f3-s40.json"))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "has 1099511627776 monomials" in err
 
     def test_wide_squarefree_spaces_answer_at_once(self, capsys):
         # Boxes of 2^21 and 2^30 vectors hold 22 and 435 monomials.
@@ -787,6 +812,81 @@ class TestSpaceShorthands:
         assert time.perf_counter() - start < 5
         assert code == 0
         assert [e["rghw"] for e in json.loads(out)["results"]] == [1]
+
+
+MISSING = object()  # drops the key from the problem file
+
+
+class TestProblemFileRefusals:
+    """A malformed problem file exits 1 at once, with a message naming the
+    fault and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"q": MISSING}, "problem file is missing 'q'"),
+            ({"s": MISSING}, "problem file is missing 's'"),
+            ({"points": MISSING}, "problem file is missing 'points'"),
+            ({"L1": MISSING}, "problem file is missing 'L1'"),
+            ({"s": 0}, "s must be positive"),
+            ({"r": [1, 0]}, "'r' must be a list of positive integers"),
+            ({"r": 1}, "'r' entry must be a list of integers, got 1"),
+            ({"points": [[0, 0], 1]}, "point coordinate must be a list of integers"),
+            ({"L1": {"total_degree": -1}}, "total_degree must be non-negative"),
+            ({"L1": {"squarefree_degree": 3}}, "squarefree_degree must lie in [0, s]"),
+            ({"L2": {"squarefree_max_degree": -1}}, "squarefree_max_degree must lie in"),
+            ({"L1": {"degree": 2}}, "unknown space shorthand {'degree': 2}"),
+            ({"L1": ["1", 3]}, "cannot parse polynomial entry 3"),
+            ({"L1": "t1 + t2"}, "space specification must be a list or shorthand"),
+            ({"points": "all"}, "points must be a coordinate list or a family object"),
+            ({"points": [[0, 0, 0], [1, 0, 0]]}, "points have arity 3, expected s=2"),
+            (
+                {"points": {"family": "cartesian", "subsets": [[0, 1]]}},
+                "cartesian family needs s coordinate subsets",
+            ),
+            ({"points": {"family": "grid"}}, "unknown point family 'grid'"),
+            # A misspelt key would leave its value unread.
+            (
+                {"l2": {"total_degree": 1}},
+                "unknown problem file key 'l2'; known: schema, q, s, order,"
+                " points, L1, L2, r",
+            ),
+            ({"R": [2]}, "unknown problem file key 'R'"),
+            (
+                {"points": {"family": "torus", "subset": [[0, 1]]}},
+                "unknown point family key 'subset'; known: family, subsets",
+            ),
+            # Shorthands are counted before they are listed: 2^40, C(40, 20)
+            # and all 3^15 monomials of the box [0, 3)^15.
+            (
+                {"s": 40, "points": [[0] * 40], "L1": {"squarefree_max_degree": 40}},
+                "the squarefree_max_degree space has 1099511627776 monomials,"
+                f" over the limit {DEFAULT_BUDGET}",
+            ),
+            (
+                {"s": 40, "points": [[0] * 40], "L2": {"squarefree_degree": 20}},
+                "the squarefree_degree space has 137846528820 monomials",
+            ),
+            (
+                {"s": 15, "points": [[0] * 15], "L1": {"total_degree": 30}},
+                "the total_degree space has 14348907 monomials",
+            ),
+            (
+                {"s": 70, "points": [[0] * 70], "L1": {"squarefree_max_degree": 70}},
+                "the squarefree_max_degree space has at least 2^64 monomials",
+            ),
+        ],
+    )
+    def test_refused_with_exit_one(self, capsys, tmp_path, changes, message):
+        data = _five_point_file(**changes)
+        data = {key: value for key, value in data.items() if value is not MISSING}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rghw", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
 
 
 class TestStrictIntegers:

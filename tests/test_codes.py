@@ -11,6 +11,7 @@ from evalcodes import (
     BudgetExceededError,
     DimensionMismatchError,
     EvaluationCode,
+    FieldMismatchError,
     HypersimplexSpec,
     NonInjectiveEvaluationError,
     PointSet,
@@ -124,6 +125,18 @@ class TestEvaluateSpace:
         )
         with pytest.raises(NonInjectiveEvaluationError):
             evaluate_space(space, pts)
+
+    @pytest.mark.parametrize(
+        "field, nvars, error, message",
+        [
+            (F5, 2, FieldMismatchError, "space and points over different fields"),
+            (F3, 3, DimensionMismatchError, "space and points in different arities"),
+        ],
+    )
+    def test_mismatched_points_refused(self, field, nvars, error, message):
+        space = echelonize([Polynomial.constant(field, nvars, 1)], GREVLEX)
+        with pytest.raises(error, match=message):
+            evaluate_space(space, PointSet(F3, FIVE_POINTS))
 
 
 class TestStandardize:
@@ -339,7 +352,7 @@ class TestTableKernel:
                 table = codes._ZeroTable(g, q)
                 for lead in range(k):
                     free = k - lead - 1
-                    depth = codes._low_digit_count(q, free)
+                    depth = table.depth(lead)
                     assert q**depth <= chunk
                     assert depth == free or q ** (depth + 1) > chunk
                     low = table.low(depth)
@@ -355,6 +368,30 @@ class TestTableKernel:
                     for index in range(0, q**free, max(1, q**free // 7)):
                         row = codes._monic_row(q, k, lead, index)
                         assert row.tolist() == rows[index].tolist()
+
+    def test_prefix_walk_numbers_each_prefix(self):
+        # prefix_targets hands over the number of each prefix's first monic
+        # row with its targets, so a reader of the walk never counts
+        # prefixes itself; batches of one and of several prefixes alike, and
+        # with the targets restricted to some columns.
+        rng = random.Random(SEED)
+        for q, k, chunk, batch in ((2, 6, 4, 8), (3, 5, 9, 9), (5, 3, 5, 1 << 15)):
+            n = rng.randint(2, 6)
+            g = np.array(random_rows(rng, q, k, n), dtype=np.int64)
+            columns = np.array(sorted(rng.sample(range(n), 2)))
+            with mock.patch.multiple(codes, _CHUNK=chunk, _BATCH=batch):
+                table = codes._ZeroTable(g, q)
+                for lead in range(k):
+                    free = k - lead - 1
+                    size = q ** table.depth(lead)
+                    low = table.low(table.depth(lead))[columns]
+                    rows = monic_rows(q, k, lead, 0, q**free)
+                    zeros = np.count_nonzero((rows @ g[:, columns]) % q == 0, axis=1)
+                    walked = list(table.prefix_targets(lead, columns))
+                    assert [first for first, _ in walked] == list(range(0, q**free, size))
+                    for first, targets in walked:
+                        got = codes._count_equal(low, targets)
+                        assert got.tolist() == zeros[first : first + size].tolist()
 
     def test_table_dtype_and_growth(self):
         # The smallest unsigned dtype that holds q - 1; the table is only as

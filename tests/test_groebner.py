@@ -33,7 +33,6 @@ from evalcodes import groebner
 from evalcodes.groebner import (
     _buchberger_moeller,
     _multiplication_matrices,
-    _product_factors,
 )
 from evalcodes.poly import monomial_divides
 
@@ -339,7 +338,7 @@ def product_sets(draw):
 )
 @given(pts=product_sets())
 def test_product_closed_form_is_the_eliminated_basis(order, pts):
-    assert _product_factors(pts) is not None
+    assert pts.product_factors is not None
     assert_eliminated_basis(pts, order)
 
 
@@ -361,7 +360,7 @@ def general_sets(draw):
     m = draw(st.integers(2, min(60, q**s)))
     ranks = draw(st.randoms(use_true_random=False)).sample(range(q**s), m)
     pts = PointSet(PrimeField(q), [[r // q**i % q for i in range(s)] for r in ranks])
-    assume(s == 1 or _product_factors(pts) is None)
+    assume(s == 1 or pts.product_factors is None)
     return pts
 
 
@@ -397,7 +396,7 @@ def test_elimination_at_extreme_fields(order, q):
         pts = {(rng.randrange(q), rng.randrange(q)) for _ in range(14)}
         pts = sorted(pts) + [(q - 1, q - 1), (0, q - 1), (q - 1, 0)]
     pts = PointSet(PrimeField(q), pts)
-    assert _product_factors(pts) is None
+    assert pts.product_factors is None
     assert_eliminated_basis(pts, order)
 
 
@@ -408,7 +407,7 @@ def test_elimination_matches_the_loop_on_larger_sets(order, q, s, m):
     # staircase whose corners the footprint lookup must find in each order.
     ranks = random.Random(SEED + q * m).sample(range(q**s), m)
     pts = PointSet(PrimeField(q), [[r // q**i % q for i in range(s)] for r in ranks])
-    assert _product_factors(pts) is None
+    assert pts.product_factors is None
     gb = _buchberger_moeller(pts, order)
     reference = loop_buchberger_moeller(pts, order)
     assert gb.generators == reference.generators
@@ -428,7 +427,7 @@ def test_elimination_on_each_side_of_the_int32_bound(monkeypatch, order, q, dtyp
     while len(pts) < m:
         pts.add((rng.randrange(q), rng.randrange(q)))
     pts = PointSet(PrimeField(q), sorted(pts))
-    assert _product_factors(pts) is None
+    assert pts.product_factors is None
     dtypes = set()
     real = groebner.matmul_mod
     monkeypatch.setattr(
@@ -462,7 +461,7 @@ GRID = [(a, b) for a in (0, 2, 3) for b in (1, 4)]
 def test_vanishing_ideal_edge_sets(order, pts, is_product):
     # A point off the grid or missing from it sends the set to the
     # elimination; either route must give the reduced basis.
-    assert (_product_factors(pts) is not None) == is_product
+    assert (pts.product_factors is not None) == is_product
     assert_eliminated_basis(pts, order)
 
 
@@ -778,7 +777,7 @@ def bases_with_F(draw):
             points = rng.sample(grid, rng.randint(3, min(len(grid), 14)))
         pts = PointSet(field, points)
         gb = vanishing_ideal(pts, order)
-        assume(kind == "product" or _product_factors(pts) is None)
+        assume(kind == "product" or pts.product_factors is None)
     monos = list(product(range(3), repeat=s))
     terms = st.dictionaries(
         st.sampled_from(monos), st.integers(1, field.q - 1), min_size=1, max_size=3
@@ -821,7 +820,7 @@ def test_multiplication_walk_at_large_fields(order, q, is_product):
     else:
         pts = PointSet(field, [(rng.randrange(q), rng.randrange(q)) for _ in range(12)])
     gb = vanishing_ideal(pts, order)
-    assert (_product_factors(pts) is not None) == is_product
+    assert (pts.product_factors is not None) == is_product
     (x0, y0), (x1, y1) = pts.points[:2]
     line = parse(
         field, 2, {(1, 0): y1 - y0, (0, 1): x0 - x1, (0, 0): x1 * y0 - x0 * y1}

@@ -11,6 +11,7 @@ directly, and those of the witness check it against the walk and the
 Cartesian formula.
 """
 
+import functools
 import random
 from itertools import product
 from pathlib import Path
@@ -414,6 +415,28 @@ def torus_cases(draw):
     problem = toric_problem(PrimeField(q), s, d1, degrees2 or None, order)
     r = min(draw(st.sampled_from((1, 2, 3))), problem.k1 - problem.k2)
     return problem, r
+
+
+def test_product_structure_is_worked_out_once_per_point_set(monkeypatch):
+    # vanishing_ideal and the witness of every r read the one
+    # PointSet.product_factors, worked out on its first read and kept.
+    worked = mock.Mock(wraps=PointSet.product_factors.func)
+    cached = functools.cached_property(worked)
+    cached.__set_name__(PointSet, "product_factors")
+    monkeypatch.setattr(PointSet, "product_factors", cached)
+    field = PrimeField(5)
+    grid = PointSet(field, product([0, 1, 3], [0, 2, 3, 4]))
+    scattered = PointSet(field, [[0, 0], [1, 0], [0, 1], [1, 1], [0, 4]])
+    for points, witnessed in ((grid, True), (scattered, False)):
+        space1 = [Polynomial.monomial(field, m) for m in [(0, 0), (1, 0), (0, 1), (1, 1)]]
+        problem = RghwProblem(points, space1)
+        for r in (1, 2, 3):
+            assert (_product_witness(problem, r) is not None) == witnessed
+            rghw_degree(problem, r)
+        assert worked.call_args_list == [mock.call(points)]
+        worked.reset_mock()
+    assert grid.product_factors == [[0, 1, 3], [0, 2, 3, 4]]
+    assert scattered.product_factors is None
 
 
 @settings(SETTINGS, max_examples=80)
