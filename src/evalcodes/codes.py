@@ -3,13 +3,13 @@
 An evaluation code is the image of a polynomial space under evaluation at a
 point set; `EvaluationCode` holds its generator matrix over GF(q) as an
 int64 array with entries in [0, q), which needs (q - 1)^2 < 2^63 (see
-`field.check_int64_products`).  One table kernel counts zeros for both the
-weight distribution and the RGHW search.  A monic coefficient row (first
-nonzero entry 1) splits after its lead into a high prefix h and l low
-digits with q^l <= _CHUNK.  Its word is a_h + B_i mod q, where a_h comes
-from the lead and the prefix, and the table of low-digit words B, a
-`_ZeroTable`, is shared by every lead.  The word is zero exactly where
-B_i == -a_h mod q, so a zero count is n byte compares.  Weight
+`field.check_int64_products`).  One zero-count walk, `_ZeroTable.zero_counts`,
+serves both the weight distribution and the RGHW search.  A monic
+coefficient row (first nonzero entry 1) splits after its lead into a high
+prefix h and l low digits with q^l <= _CHUNK.  Its word is a_h + B_i mod q,
+where a_h comes from the lead and the prefix, and the table of low-digit
+words B, a `_ZeroTable`, is shared by every lead.  The word is zero exactly
+where B_i == -a_h mod q, so a zero count is n byte compares.  Weight
 enumeration walks the monic rows of the smaller of C and its dual, after
 one row reduction of the generator matrix gives the rank rho: a basis of C
 when rho <= n - rho, else the parity-check matrix, whose distribution the
@@ -33,8 +33,8 @@ DEFAULT_BUDGET = 10**7
 # Most words per table comparison, for weight enumeration and the RGHW
 # search: q^l <= _CHUNK for the l low digits of the table kernel.
 _CHUNK = 1 << 13
-# Words per batch of prefixes whose targets are computed at once, and per
-# broadcast of the weight distribution.
+# Words per batch of prefixes that `_ZeroTable.zero_counts` counts at once,
+# for weight enumeration and the RGHW search.
 _BATCH = 1 << 15
 
 
@@ -239,23 +239,19 @@ class _ZeroTable:
             low += 1
         return low
 
-    def batches(self, lead):
-        """(depth, lo, hi) for the prefixes of the lead, in order, in batches
-        of about _BATCH words."""
+    def zero_counts(self, lead, columns=slice(None)):
+        """Yield (first, counts) for the prefixes of the lead, in order, in
+        batches of about _BATCH words: row j of counts holds the zero counts
+        on `columns` of the q^depth monic rows numbered from
+        first + j * q^depth."""
         depth = self.depth(lead)
+        size = self.q**depth
+        low = self.low(depth)[columns]
         prefixes = self.q ** (self.matrix.shape[0] - lead - 1 - depth)
-        step = max(1, _BATCH // self.q**depth)
+        step = max(1, _BATCH // size)
         for lo in range(0, prefixes, step):
-            yield depth, lo, min(lo + step, prefixes)
-
-    def prefix_targets(self, lead, columns=slice(None)):
-        """Yield (first, targets) for the prefixes h = 0, 1, ... of the lead
-        in order: first = h * q^depth numbers the prefix's first monic row,
-        and the targets are restricted to `columns`; a batch at a time."""
-        for depth, lo, hi in self.batches(lead):
-            size = self.q**depth
-            targets = self.targets(lead, depth, lo, hi)[:, columns]
-            yield from zip(range(lo * size, hi * size, size), targets)
+            targets = self.targets(lead, depth, lo, min(lo + step, prefixes))
+            yield lo * size, _count_equal(low, targets[:, columns])
 
 
 def enumeration_size(q, rank, n, budget):
@@ -300,16 +296,15 @@ def _monic_walk(rows, q):
     Each nonzero vector is a nonzero multiple of exactly one monic vector,
     of the same weight, so the monic histogram times q - 1 plus the zero
     vector counts each vector once.  The monic rows of each lead are
-    counted by the table kernel in batches of about _BATCH words, several
-    prefixes per broadcast.
+    counted by `_ZeroTable.zero_counts` in batches of about _BATCH words,
+    several prefixes per broadcast.
     """
     k, n = rows.shape
     table = _ZeroTable(rows, q)
     hist = np.zeros(n + 1, dtype=np.int64)
     for lead in range(k):
-        for depth, lo, hi in table.batches(lead):
-            zeros = _count_equal(table.low(depth), table.targets(lead, depth, lo, hi))
-            hist += np.bincount(zeros.ravel(), minlength=n + 1)
+        for _, counts in table.zero_counts(lead):
+            hist += np.bincount(counts.ravel(), minlength=n + 1)
     hist = hist[::-1] * (q - 1)  # weight n - zeros
     hist[0] += 1
     return [int(c) for c in hist]

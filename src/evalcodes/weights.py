@@ -28,21 +28,22 @@ skips those that cannot beat the running maximum, and stops scoring a group
 once the maximum reaches its bound.  Residues modulo span(L2, chosen) are
 one product with `_proj` narrowed by each chosen member (`_narrow`, a
 `reduce_rows` step).  Surviving groups are scored prefix by prefix in
-coefficient space over the echelon basis of L1, by the table kernel of
-`codes`: zero counts and the residue test are byte compares against tables
-of low-digit words, and only the candidates kept are rebuilt in full.  A
-definition level oracle for cross checking scores the reduced echelon
-coefficient matrices of every r dimensional subcode in numpy batches; it
-never touches lead monomials or bases.
+coefficient space over the echelon basis of L1, by the zero-count walk of
+`codes`: a candidate's zeros are its word's zero count on E, and it is
+admissible when its residue's zero count on the k1 residue coordinates is
+below k1.  Only the candidates kept are rebuilt in full.  A definition
+level oracle for cross checking scores the reduced echelon coefficient
+matrices of every r dimensional subcode in numpy batches; it never touches
+lead monomials or bases.
 """
 
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import combinations, count, repeat
 
 import numpy as np
 
 from .codes import DEFAULT_BUDGET, EvaluationCode, evaluate_space, standardize
-from .codes import _BATCH, _ZeroTable, _count_equal, _digits, _monic_row
+from .codes import _BATCH, _ZeroTable, _digits, _monic_row
 from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from .groebner import _root_product, degree_with_F, footprint, normal_form
@@ -303,54 +304,48 @@ def _search_max_zeros(problem, r, budget):
     nothing left in it can exceed that.  It runs when `_product_witness`
     finds none.
 
-    Each group is walked on the calling thread with the table kernel
-    `codes._ZeroTable`, one prefix of q^l candidates at a time, in odometer
-    order.  Each prefix is charged to the budget before it is scored, so the
-    search refuses before it scores the prefix that would pass the budget.
+    Each group is walked on the calling thread by the zero-count walk
+    `codes._ZeroTable.zero_counts`, one prefix of q^l candidates at a time,
+    in odometer order; a child keeps the columns where its chosen row's
+    word is zero.  Each prefix is charged to the budget before its counts
+    are read, so the search refuses before it scores the prefix that would
+    pass the budget; the walk counts a batch of prefixes at once, so a
+    refusal may have counted up to _BATCH words that were never charged.
     Reduction modulo span(L2, chosen) is linear, x @ proj for the `proj`
-    each level narrows from `_proj` by its chosen member (`_narrow`), so the
-    admissibility test of a candidate, a nonzero residue, is a byte compare
-    against a table of the residues of the low-digit rows.
+    each level narrows from `_proj` by its chosen member (`_narrow`), so a
+    candidate is admissible, with a nonzero residue, exactly when the walk
+    over proj counts fewer than k1 zeros; with nothing to reduce by, at the
+    first level when L2 = 0, every candidate is.
     """
     q = problem.q
     k1 = problem.k1
     e_matrix = problem._E
-    m = e_matrix.shape[1]
     words = _ZeroTable(e_matrix, q)
     groups = _bound_tree(problem, r)
     counter = 0
     best_zeros, best_rows = -1, None
 
+    def prefixes(lead, alive, residues):
+        # (first row, zero counts on alive, admissible or None) per prefix.
+        walk = words.zero_counts(lead, alive)
+        tests = residues.zero_counts(lead) if residues else repeat((0, None))
+        for (first, counts), (_, res) in zip(walk, tests):
+            ok = repeat(None) if res is None else res < k1
+            yield from zip(count(first, counts.shape[1]), counts.astype(np.int64), ok)
+
     def extend(js, alive, proj, chosen):
         nonlocal counter, best_zeros, best_rows
         # With nothing to reduce by, every monic row is admissible.
-        reduce = js or problem.k2
-        residues = None
+        residues = _ZeroTable(proj, q) if js or problem.k2 else None
         for bound, lead in groups(js):
             if bound <= best_zeros:
                 break
-            if residues is None:
-                residues = _ZeroTable(proj, q)
-                low_alive = {}
-            depth = words.depth(lead)
-            if depth not in low_alive:
-                low_alive[depth] = words.low(depth)[alive]
-            low = low_alive[depth]
-            size = low.shape[1]
-            ok = np.ones(size, dtype=bool)
-            word_targets = words.prefix_targets(lead, alive)
-            res_targets = (
-                residues.prefix_targets(lead) if reduce else repeat((None, None))
-            )
-            for (first, target), (_, target_res) in zip(word_targets, res_targets):
-                counter += size
+            for first, zeros, ok in prefixes(lead, alive, residues):
+                counter += len(zeros)
                 if counter > budget:
                     raise BudgetExceededError(counter, budget, "candidate enumeration")
-                zeros = _count_equal(low, target).astype(np.int64)
-                if reduce:
-                    ok = (residues.low(depth) != target_res[:, None]).any(axis=0)
                 if len(js) == r - 1:
-                    scored = np.where(ok, zeros, -1) if reduce else zeros
+                    scored = zeros if ok is None else np.where(ok, zeros, -1)
                     i = int(np.argmax(scored))
                     if int(scored[i]) > best_zeros:
                         best_zeros = int(scored[i])
@@ -360,19 +355,19 @@ def _search_max_zeros(problem, r, budget):
                         i = int(i)
                         if min(int(zeros[i]), bound) <= best_zeros:
                             break
-                        if not ok[i]:
+                        if ok is not None and not ok[i]:
                             continue
                         row = _monic_row(q, k1, lead, first + i)
                         extend(
                             js + (lead,),
-                            alive[low[:, i] == target],
+                            alive[(row @ e_matrix[:, alive]) % q == 0],
                             _narrow(proj, row, q),
                             chosen + [row],
                         )
                 if best_zeros >= bound:
                     break
 
-    extend((), np.arange(m), problem._proj, [])
+    extend((), np.arange(e_matrix.shape[1]), problem._proj, [])
     return best_zeros, best_rows
 
 

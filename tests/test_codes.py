@@ -370,10 +370,11 @@ class TestTableKernel:
                         assert row.tolist() == rows[index].tolist()
 
     def test_prefix_walk_numbers_each_prefix(self):
-        # prefix_targets hands over the number of each prefix's first monic
-        # row with its targets, so a reader of the walk never counts
-        # prefixes itself; batches of one and of several prefixes alike, and
-        # with the targets restricted to some columns.
+        # zero_counts hands over the number of each batch's first monic row
+        # with its zero counts, row j for the prefix q^depth * j rows on, so
+        # a reader of the walk never counts prefixes itself; batches of one
+        # and of several prefixes alike, and with the counts restricted to
+        # some columns.
         rng = random.Random(SEED)
         for q, k, chunk, batch in ((2, 6, 4, 8), (3, 5, 9, 9), (5, 3, 5, 1 << 15)):
             n = rng.randint(2, 6)
@@ -384,14 +385,29 @@ class TestTableKernel:
                 for lead in range(k):
                     free = k - lead - 1
                     size = q ** table.depth(lead)
-                    low = table.low(table.depth(lead))[columns]
                     rows = monic_rows(q, k, lead, 0, q**free)
                     zeros = np.count_nonzero((rows @ g[:, columns]) % q == 0, axis=1)
-                    walked = list(table.prefix_targets(lead, columns))
-                    assert [first for first, _ in walked] == list(range(0, q**free, size))
-                    for first, targets in walked:
-                        got = codes._count_equal(low, targets)
-                        assert got.tolist() == zeros[first : first + size].tolist()
+                    walked = list(table.zero_counts(lead, columns))
+                    firsts = [first for first, _ in walked]
+                    assert firsts == list(range(0, q**free, size * len(walked[0][1])))
+                    for first, counts in walked:
+                        assert counts.shape[1] == size
+                        got = counts.ravel().tolist()
+                        assert got == zeros[first : first + counts.size].tolist()
+                    assert sum(counts.size for _, counts in walked) == q**free
+        # The search's residue test: a monic row's word on a k x k matrix
+        # with zero rows is nonzero exactly when it has fewer than k zeros.
+        for q, k in ((2, 5), (3, 4), (5, 3)):
+            m = np.array(random_rows(rng, q, k, k), dtype=np.int64)
+            m[rng.sample(range(k), 2)] = 0
+            with mock.patch.multiple(codes, _CHUNK=q, _BATCH=q * q):
+                table = codes._ZeroTable(m, q)
+                for lead in range(k):
+                    rows = monic_rows(q, k, lead, 0, q ** (k - lead - 1))
+                    nonzero = ((rows @ m) % q).any(axis=1)
+                    walked = table.zero_counts(lead)
+                    got = np.concatenate([counts.ravel() for _, counts in walked])
+                    assert (got < k).tolist() == nonzero.tolist()
 
     def test_table_dtype_and_growth(self):
         # The smallest unsigned dtype that holds q - 1; the table is only as

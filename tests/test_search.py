@@ -223,6 +223,23 @@ def test_sharp_gap_scores_every_group_above_the_maximum():
     assert info.value.needed == needed
 
 
+def test_sharp_gap_deeper_walks_charge_and_answer():
+    # The walk narrows residues and surviving columns at two and three
+    # levels.  Budget 10^5 refuses r = 2 and r = 3 at these charges; at 10^6
+    # r = 3 walks about 582k candidates to M_3 = 12, which validation checks
+    # by degree_with_F, and skips the oracle's 2,558,556 subcodes.
+    data = resolve_problem(load_problem("torus-f5-sharp-gap"))
+    problem = RghwProblem(data.points, data.space1, data.space2, data.order)
+    for r, needed in ((2, 100225), (3, 100075)):
+        with pytest.raises(BudgetExceededError) as info:
+            rghw_degree(problem, r, budget=10**5)
+        assert info.value.needed == needed
+    assert weights._oracle_skipped(problem, 3, 10**6) == 2558556
+    error = AssertionError("the oracle was replayed")
+    with mock.patch.object(weights, "rghw_definition_oracle", side_effect=error):
+        assert rghw_degree(problem, 3, budget=10**6, validate=True) == 12
+
+
 @pytest.mark.parametrize(
     "name, values",
     [
