@@ -23,10 +23,10 @@ GF(q), and terms that then coincide are added.  Space shorthands:
 {"squarefree_max_degree": d}.  Integers in a problem file (the schema, q,
 s, degrees, coordinates, exponents, coefficients, r) must be JSON integers:
 floats and booleans are refused, never truncated.  A key outside those
-shown, at the top or in a point family, is refused by name.  A point family
-of more than DEFAULT_BUDGET points, or a shorthand of more than
-DEFAULT_BUDGET monomials, is counted in closed form and refused before it
-is listed.  Exit codes: 0 success, 1 input error, 2 budget refusal.
+shown is refused by name ("subsets" in a torus too).  A point family of
+more than DEFAULT_BUDGET points, or a shorthand of more than DEFAULT_BUDGET
+monomials, is counted in closed form and refused before it is listed.
+Exit codes: 0 success, 1 input error, 2 budget refusal.
 """
 
 import argparse
@@ -60,7 +60,7 @@ _FACTOR_VAR = re.compile(r"t(\d+)(?:\^(\d+))?\Z")
 _FACTOR_INT = re.compile(r"\d+\Z")
 _TERM_SPLIT = re.compile(r"(?=[+-])")
 _PROBLEM_KEYS = ("schema", "q", "s", "order", "points", "L1", "L2", "r")
-_FAMILY_KEYS = ("family", "subsets")
+_FAMILY_KEYS = {"torus": ("family",), "cartesian": ("family", "subsets")}
 
 
 def _integer(value, what):
@@ -210,20 +210,20 @@ def _points_from_spec(spec, field, s):
             raise ValueError(f"points have arity {pts.nvars}, expected s={s}")
         return pts
     if isinstance(spec, dict) and "family" in spec:
-        _check_keys(spec, _FAMILY_KEYS, "point family")
         family = spec["family"]
+        if not isinstance(family, str) or family not in _FAMILY_KEYS:
+            raise ValueError(f"unknown point family {family!r}")
+        _check_keys(spec, _FAMILY_KEYS[family], "point family")
         if family == "torus":
             # (q - 1)^s with s capped at 64: exact below 2^64, at least 2^64 above.
             _check_size(f"the {family} family", (field.q - 1) ** min(s, 64), "points")
             return torus_points(field, s)
-        if family == "cartesian":
-            subsets = spec.get("subsets")
-            if not isinstance(subsets, list) or len(subsets) != s:
-                raise ValueError("cartesian family needs s coordinate subsets")
-            subsets = [_integer_list(c, "subset coordinate") for c in subsets]
-            _check_size(f"the {family} family", math.prod(map(len, subsets)), "points")
-            return cartesian_points(field, subsets)
-        raise ValueError(f"unknown point family {family!r}")
+        subsets = spec.get("subsets")
+        if not isinstance(subsets, list) or len(subsets) != s:
+            raise ValueError("cartesian family needs s coordinate subsets")
+        subsets = [_integer_list(c, "subset coordinate") for c in subsets]
+        _check_size(f"the {family} family", math.prod(map(len, subsets)), "points")
+        return cartesian_points(field, subsets)
     raise ValueError("points must be a coordinate list or a family object")
 
 

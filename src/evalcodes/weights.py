@@ -6,9 +6,9 @@ deg(S/I(X)) minus the largest number of common zeros inside X over
 candidate sets F of r monic polynomials in L1 with pairwise distinct lead
 monomials whose span meets L2 trivially.
 
-The search is a branch and bound over lead tuples.  For any F,
-|V_X(F)| = deg S/(I(X) + (F)) <= deg S/(in I(X) + (in F)), the number of
-standard monomials divisible by no lead of F, counted on one table from the
+The search is a branch and bound over lead tuples.  For any F, |V_X(F)| =
+deg S/(I(X) + (F)) <= deg S/(in I(X) + (in F)), the number of standard
+monomials divisible by no lead of F, counted on one table from the
 divisibility kernel `poly.divisibility_table`.  A group of partial sets is
 bounded by the best complete lead tuple through it, which gives one tree of
 bounds over the leads realized by L1 outside L2, always the first
@@ -16,28 +16,27 @@ bounds over the leads realized by L1 outside L2, always the first
 RFP_r.  The tree is built once per (problem, r), the leaves under one
 parent in one numpy reduction, and shared by the search and
 `relative_footprint`.  L2 is held as L1 coordinates from one `rref_mod`,
-and C2 is read off L1's evaluation matrix E.  E and L2's polynomial basis
-are built on their first read, not with the problem: the walk and the
-definition oracle read E, and a problem the witness certifies never builds
-it.  The route is the witness or the walk.  On a product point set the
-bound is sharp whenever its own witness, products of linear factors in one
-variable, passes three checks (it lies in L1, its residues modulo L2 have
-rank r, and its evaluated zero count equals the root bound), and no
-candidate is scored.  Otherwise the walk visits groups best bound first,
-skips those that cannot beat the running maximum, and stops scoring a group
-once the maximum reaches its bound.  Residues modulo span(L2, chosen) are
-one product with `_proj` narrowed by each chosen member (`_narrow`, a
-`reduce_rows` step).  Surviving groups are scored prefix by prefix in
-coefficient space over the echelon basis of L1, by the zero-count walk of
-`codes`: a candidate's zeros are its word's zero count on E, and it is
-admissible when its residue's zero count on the k1 residue coordinates is
-below k1.  Only the candidates kept are rebuilt in full.  A definition
-level oracle for cross checking scores the reduced echelon coefficient
-matrices of every r dimensional subcode in numpy batches; it never touches
-lead monomials or bases.
+and C2 is read off L1's evaluation matrix E.  E is built on its first read,
+not with the problem: the walk and the definition oracle read it, and a
+problem the witness certifies never builds it.  The route is the witness or
+the walk.  On a product point set the bound is sharp whenever its own
+witness, products of linear factors in one variable, passes three checks
+(it lies in L1, its residues modulo L2 have rank r, and its evaluated zero
+count equals the root bound), and no candidate is scored.  Otherwise the
+walk visits groups best bound first, skips those that cannot beat the
+running maximum, and stops scoring a group once the maximum reaches its
+bound.  Residues modulo span(L2, chosen) are one product with `_proj`
+narrowed by each chosen member (`_narrow`, a `reduce_rows` step).  Groups
+are scored prefix by prefix in coefficient space over the echelon basis of
+L1, by the zero-count walk of `codes`: a candidate scores its word's zero
+count on E, or -1 when its residue's count on the k1 residue coordinates
+is k1 (it is inadmissible), and one rule serves every level: the best is
+taken, and only it rebuilt in full, while min(its score, the group's bound)
+beats the maximum.  A definition level oracle for cross checking scores the
+reduced echelon coefficient matrices of every r dimensional subcode in
+numpy batches; it never touches lead monomials or bases.
 """
 
-from functools import cached_property
 from itertools import combinations, count, repeat
 
 import numpy as np
@@ -48,7 +47,7 @@ from .errors import BudgetExceededError, DimensionMismatchError
 from .field import check_int64_products, rank_mod, reduce_rows, rref_mod
 from .groebner import _root_product, degree_with_F, footprint, normal_form
 from .groebner import vanishing_ideal
-from .poly import GREVLEX, Polynomial, PolySpace, divisibility_table
+from .poly import GREVLEX, Polynomial, divisibility_table
 
 
 def gaussian_binomial(n, k, q):
@@ -77,9 +76,9 @@ class RghwProblem:
     What the witness and the bound tree read is built here: `gb`, `space1`,
     `_basis2`, `_proj`, `_realized` and `_divides`.  L1's evaluation matrix
     `_E` (with `_code1`, through `evaluate_space` and its injectivity check)
-    and L2's polynomial basis `space2` are built on first read, by the walk
-    `_search_max_zeros`, `codes()` (the definition oracle) or a caller; a
-    problem that the witness certifies never builds them.
+    is built on first read, by the walk `_search_max_zeros`, `codes()` (the
+    definition oracle) or a caller; a problem that the witness certifies
+    never builds it.
     """
 
     def __init__(self, points, space1, space2=None, order=GREVLEX, gb=None):
@@ -127,12 +126,6 @@ class RghwProblem:
         if self._code1 is None:
             self._code1 = evaluate_space(self.space1, self.points)
         return self._code1.rows
-
-    @cached_property
-    def space2(self):
-        """L2's reduced echelon basis as a PolySpace, built on first read."""
-        basis2 = [self.poly_from_coefficients(row) for row in self._basis2]
-        return PolySpace(self.field, self.points.nvars, self.gb.order, basis2)
 
     @property
     def field(self):
@@ -302,7 +295,11 @@ def _search_max_zeros(problem, r, budget):
     F: a group whose bound is at most the running maximum is skipped, and a
     group stops being scored once the maximum reaches its bound, since
     nothing left in it can exceed that.  It runs when `_product_witness`
-    finds none.
+    finds none.  One rule takes candidates at every level: best first by
+    `argmax`, ties in odometer order, while min(score, bound) beats the
+    maximum, an inadmissible one scoring -1; each is rebuilt by `_monic_row`
+    and recorded at the last level, where the bound caps every score, or
+    extended at an inner one.
 
     Each group is walked on the calling thread by the zero-count walk
     `codes._ZeroTable.zero_counts`, one prefix of q^l candidates at a time,
@@ -313,9 +310,9 @@ def _search_max_zeros(problem, r, budget):
     refusal may have counted up to _BATCH words that were never charged.
     Reduction modulo span(L2, chosen) is linear, x @ proj for the `proj`
     each level narrows from `_proj` by its chosen member (`_narrow`), so a
-    candidate is admissible, with a nonzero residue, exactly when the walk
-    over proj counts fewer than k1 zeros; with nothing to reduce by, at the
-    first level when L2 = 0, every candidate is.
+    candidate is inadmissible, with a zero residue, exactly when the walk
+    over proj counts k1 zeros; with nothing to reduce by, at the first
+    level when L2 = 0, none is.
     """
     q = problem.q
     k1 = problem.k1
@@ -326,12 +323,14 @@ def _search_max_zeros(problem, r, budget):
     best_zeros, best_rows = -1, None
 
     def prefixes(lead, alive, residues):
-        # (first row, zero counts on alive, admissible or None) per prefix.
+        # (first row, scores) per prefix: zeros on alive, -1 if inadmissible.
         walk = words.zero_counts(lead, alive)
         tests = residues.zero_counts(lead) if residues else repeat((0, None))
         for (first, counts), (_, res) in zip(walk, tests):
-            ok = repeat(None) if res is None else res < k1
-            yield from zip(count(first, counts.shape[1]), counts.astype(np.int64), ok)
+            scores = counts.astype(np.int64)
+            if res is not None:
+                scores[res == k1] = -1
+            yield from zip(count(first, counts.shape[1]), scores)
 
     def extend(js, alive, proj, chosen):
         nonlocal counter, best_zeros, best_rows
@@ -340,24 +339,20 @@ def _search_max_zeros(problem, r, budget):
         for bound, lead in groups(js):
             if bound <= best_zeros:
                 break
-            for first, zeros, ok in prefixes(lead, alive, residues):
-                counter += len(zeros)
+            for first, scores in prefixes(lead, alive, residues):
+                counter += len(scores)
                 if counter > budget:
                     raise BudgetExceededError(counter, budget, "candidate enumeration")
-                if len(js) == r - 1:
-                    scored = zeros if ok is None else np.where(ok, zeros, -1)
-                    i = int(np.argmax(scored))
-                    if int(scored[i]) > best_zeros:
-                        best_zeros = int(scored[i])
-                        best_rows = chosen + [_monic_row(q, k1, lead, first + i)]
-                else:
-                    for i in np.argsort(-zeros, kind="stable"):
-                        i = int(i)
-                        if min(int(zeros[i]), bound) <= best_zeros:
-                            break
-                        if ok is not None and not ok[i]:
-                            continue
-                        row = _monic_row(q, k1, lead, first + i)
+                while True:
+                    i = int(np.argmax(scores))
+                    zeros = int(scores[i])
+                    if min(zeros, bound) <= best_zeros:
+                        break
+                    scores[i] = -1
+                    row = _monic_row(q, k1, lead, first + i)
+                    if len(js) == r - 1:
+                        best_zeros, best_rows = zeros, chosen + [row]
+                    else:
                         extend(
                             js + (lead,),
                             alive[(row @ e_matrix[:, alive]) % q == 0],

@@ -277,14 +277,13 @@ def monic_walk_search(problem, r, budget, chunk=1 << 13):
     The same lead groups, visit order and stops as the library search; the
     candidates of a group are scored as `(rows @ E) % q` and `(rows @ proj)
     % q`, charged to the budget chunk by chunk.  L2 is reduced by its own
-    echelon form of the L1 coordinates of its basis.
+    `rref_mod` of `_basis2`, the L1 coordinates of its basis.
     """
     q = problem.q
     k1 = problem.k1
     e_matrix = problem._E
     groups = reference_bound_tree(problem, r)
-    l2 = [problem.space1.coordinates(b) for b in problem.space2.basis]
-    l2_red, l2_pivots = rref_mod(np.array(l2, dtype=np.int64).reshape(-1, k1), q)
+    l2_red, l2_pivots = rref_mod(problem._basis2, q)
     counter = 0
     best_zeros = -1
     best_rows = None
@@ -522,13 +521,12 @@ def brute_subspace_count(n, r, q):
 def brute_lead_sweep(problem):
     """Leads realized by elements of L1 outside L2, over all q^{k1} vectors."""
     q = problem.q
+    l2 = problem._basis2.tolist()
     leads = set()
     for coeffs in product(range(q), repeat=problem.k1):
-        if not any(coeffs):
-            continue
+        if pp_rank(l2 + [list(coeffs)], q) == problem.k2:
+            continue  # zero, or in L2
         f = problem.poly_from_coefficients(coeffs)
-        if problem.space2.contains(f):
-            continue
         leads.add(f.lead_monomial(problem.order))
     return leads
 
@@ -550,7 +548,7 @@ def enumerate_candidates(problem, r):
     q = problem.q
     k1 = problem.k1
     lead_monos = problem.space1.leads()
-    l2 = [problem.space1.coordinates(b) for b in problem.space2.basis]
+    l2 = problem._basis2.tolist()
 
     def descend(start, chosen, leads):
         if len(chosen) == r:

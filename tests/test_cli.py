@@ -854,7 +854,7 @@ class TestProblemFileRefusals:
             ({"R": [2]}, "unknown problem file key 'R'"),
             (
                 {"points": {"family": "torus", "subset": [[0, 1]]}},
-                "unknown point family key 'subset'; known: family, subsets",
+                "unknown point family key 'subset'; known: family",
             ),
             # Shorthands are counted before they are listed: 2^40, C(40, 20)
             # and all 3^15 monomials of the box [0, 3)^15.
@@ -875,6 +875,17 @@ class TestProblemFileRefusals:
                 {"s": 70, "points": [[0] * 70], "L1": {"squarefree_max_degree": 70}},
                 "the squarefree_max_degree space has at least 2^64 monomials",
             ),
+            # Each family has its own keys: the torus reads no subsets, so
+            # they would be dropped unread.
+            (
+                {"points": {"family": "torus", "subsets": [[0, 1], [0, 2]]}},
+                "unknown point family key 'subsets'; known: family",
+            ),
+            (
+                {"points": {"family": "cartesian", "subsets": [[0], [1]], "s": 2}},
+                "unknown point family key 's'; known: family, subsets",
+            ),
+            ({"points": {"family": ["torus"]}}, "unknown point family ['torus']"),
         ],
     )
     def test_refused_with_exit_one(self, capsys, tmp_path, changes, message):

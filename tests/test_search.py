@@ -82,7 +82,7 @@ def check_witness(problem, r, zeros, rows):
     leads = [f.lead_monomial(problem.order) for f in polys]
     assert len(set(leads)) == r
     assert all(int(f.lead_coeff(problem.order)) == 1 for f in polys)
-    l2 = [problem.space1.coordinates(b) for b in problem.space2.basis]
+    l2 = problem._basis2.tolist()
     assert pp_rank(rows + l2, problem.q) == r + problem.k2
 
 
@@ -159,8 +159,8 @@ def test_table_kernel_matches_reference_walk(case, sizes):
     # The reference scores whole coefficient rows times E and the residue
     # matrix.  The maximum is the same; an r = 1 witness is bit-identical,
     # the first maximum in odometer order of its lead group, whatever the
-    # prefix size.  For r = 2 the visit order inside a prefix is a stable
-    # sort by zeros, so the witness may differ on ties.
+    # prefix size.  For r = 2 a prefix is visited best first, ties in
+    # odometer order, so the witness may differ on ties.
     problem, r = case
     chunk, batch = sizes
     with mock.patch.multiple(codes, _CHUNK=chunk, _BATCH=batch):
@@ -171,7 +171,7 @@ def test_table_kernel_matches_reference_walk(case, sizes):
     if r == 1:
         assert rows == [[int(v) for v in row] for row in ref_rows]
         lead = rows[0].index(1)
-        l2 = [problem.space1.coordinates(b) for b in problem.space2.basis]
+        l2 = problem._basis2.tolist()
         q, k1 = problem.q, problem.k1
         for row in monic_rows(q, k1, lead, 0, q ** (k1 - lead - 1)).tolist():
             word = [sum(c * e for c, e in zip(row, col)) % q for col in problem._E.T]
@@ -238,6 +238,69 @@ def test_sharp_gap_deeper_walks_charge_and_answer():
     error = AssertionError("the oracle was replayed")
     with mock.patch.object(weights, "rghw_definition_oracle", side_effect=error):
         assert rghw_degree(problem, 3, budget=10**6, validate=True) == 12
+
+
+TORUS_F5_S4 = {
+    "schema": 1,
+    "q": 5,
+    "s": 4,
+    "points": {"family": "torus"},
+    "L1": {"squarefree_degree": 2},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def walked_problem(name):
+    source = load_problem(name) if name != "torus-f5-s4" else TORUS_F5_S4
+    data = resolve_problem(source)
+    return RghwProblem(data.points, data.space1, data.space2, data.order)
+
+
+@pytest.mark.parametrize(
+    "name, r, value, rows, needed",
+    [
+        ("five-points-f3", 1, 1, [[0, 1, 0, 2, 0]], 27),
+        ("five-points-f3", 2, 2, [[1, 0, 0, 0, 0], [0, 1, 0, 1, 0]], 108),
+        ("hypersimplex-f3-s4", 1, 8, [[0, 0, 1, 1]], 4),
+        ("hypersimplex-f3-s4", 2, 12, [[0, 1, 0, 1], [0, 0, 1, 1]], 18),
+        (
+            "hypersimplex-f3-s4",
+            3,
+            14,
+            [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+            90,
+        ),
+        ("torus-f5-sharp-gap", 1, 8, [[1, 0, 0, 1, 0, 3]], 3875),
+        (
+            "torus-f5-sharp-gap",
+            2,
+            11,
+            [[0, 1, 0, 1, 0, 3], [0, 0, 1, 1, 3, 1]],
+            243575,
+        ),
+        (
+            "torus-f5-sharp-gap",
+            3,
+            12,
+            [[1, 1, 0, 0, 0, 0], [0, 1, 2, 1, 2, 0], [0, 0, 0, 1, 2, 0]],
+            582100,
+        ),
+        ("torus-f5-s4", 1, 144, [[0, 1, 1, 1, 1, 0]], 781),
+        ("torus-f5-s4", 2, 192, [[0, 1, 1, 1, 1, 0], [0, 0, 0, 1, 1, 0]], 185033),
+    ],
+)
+def test_walk_answers_are_pinned(name, r, value, rows, needed):
+    # The walk's maximum, witness rows and total charge at every level, as
+    # recorded: candidates are taken best first with ties in odometer order,
+    # so a change to the visit order or the stops shows here.  `needed` is
+    # the smallest budget that answers; one less is refused at `needed`.
+    problem = walked_problem(name)
+    zeros, found = searched(problem, r, budget=needed)
+    assert (problem.num_points - zeros, found) == (value, rows)
+    assert rghw_degree(problem, r, budget=needed) == value
+    with pytest.raises(BudgetExceededError) as info:
+        _search_max_zeros(problem, r, needed - 1)
+    assert info.value.needed == needed
 
 
 @pytest.mark.parametrize(
