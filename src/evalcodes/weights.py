@@ -25,19 +25,20 @@ witness, products of linear factors in one variable, passes three checks
 count equals the root bound), and no candidate is scored.  Otherwise the
 walk visits groups best bound first, skips those that cannot beat the
 running maximum, and stops scoring a group once the maximum reaches its
-bound.  Residues modulo span(L2, chosen) are one product with `_proj`
-narrowed by each chosen member (`_narrow`, a `reduce_rows` step).  Groups
-are scored prefix by prefix in coefficient space over the echelon basis of
-L1, by the zero-count walk of `codes`: a candidate scores its word's zero
-count on E, or -1 when its residue's count on the k1 residue coordinates
-is k1 (it is inadmissible), and one rule serves every level: the best is
+bound.  Groups are scored prefix by prefix in coefficient space over the
+echelon basis of L1, by the zero-count walk of `codes`: a candidate scores
+its word's zero count on E, and one rule serves every level: the best is
 taken, and only it rebuilt in full, while min(its score, the group's bound)
-beats the maximum.  A definition level oracle for cross checking scores the
+beats the maximum.  One test decides admissibility, in the witness and the
+walk alike, and the walk applies it only to the rows it takes: a row is
+admissible when its residue modulo span(L2, chosen), one product with
+`_proj` narrowed by each chosen member (`_narrow`, a `reduce_rows` step),
+is nonzero.  A definition level oracle for cross checking scores the
 reduced echelon coefficient matrices of every r dimensional subcode in
 numpy batches; it never touches lead monomials or bases.
 """
 
-from itertools import combinations, count, repeat
+from itertools import combinations, count
 
 import numpy as np
 
@@ -297,9 +298,9 @@ def _search_max_zeros(problem, r, budget):
     nothing left in it can exceed that.  It runs when `_product_witness`
     finds none.  One rule takes candidates at every level: best first by
     `argmax`, ties in odometer order, while min(score, bound) beats the
-    maximum, an inadmissible one scoring -1; each is rebuilt by `_monic_row`
-    and recorded at the last level, where the bound caps every score, or
-    extended at an inner one.
+    maximum; each is rebuilt by `_monic_row` and, if admissible, recorded at
+    the last level, where the bound caps every score, or extended at an
+    inner one.
 
     Each group is walked on the calling thread by the zero-count walk
     `codes._ZeroTable.zero_counts`, one prefix of q^l candidates at a time,
@@ -309,10 +310,10 @@ def _search_max_zeros(problem, r, budget):
     pass the budget; the walk counts a batch of prefixes at once, so a
     refusal may have counted up to _BATCH words that were never charged.
     Reduction modulo span(L2, chosen) is linear, x @ proj for the `proj`
-    each level narrows from `_proj` by its chosen member (`_narrow`), so a
-    candidate is inadmissible, with a zero residue, exactly when the walk
-    over proj counts k1 zeros; with nothing to reduce by, at the first
-    level when L2 = 0, none is.
+    each level narrows from `_proj` by its chosen member, so a taken row is
+    admissible exactly when `_narrow` finds its residue nonzero, and the
+    narrowed map it returns is the child's `proj`; rows the walk does not
+    take are never reduced.
     """
     q = problem.q
     k1 = problem.k1
@@ -322,24 +323,18 @@ def _search_max_zeros(problem, r, budget):
     counter = 0
     best_zeros, best_rows = -1, None
 
-    def prefixes(lead, alive, residues):
-        # (first row, scores) per prefix: zeros on alive, -1 if inadmissible.
-        walk = words.zero_counts(lead, alive)
-        tests = residues.zero_counts(lead) if residues else repeat((0, None))
-        for (first, counts), (_, res) in zip(walk, tests):
-            scores = counts.astype(np.int64)
-            if res is not None:
-                scores[res == k1] = -1
-            yield from zip(count(first, counts.shape[1]), scores)
+    def prefixes(lead, alive):
+        # (first row, zero counts on alive) per prefix of the walk over E,
+        # signed so that a taken row's count can be set to -1.
+        for first, counts in words.zero_counts(lead, alive):
+            yield from zip(count(first, counts.shape[1]), counts.astype(np.int64))
 
     def extend(js, alive, proj, chosen):
         nonlocal counter, best_zeros, best_rows
-        # With nothing to reduce by, every monic row is admissible.
-        residues = _ZeroTable(proj, q) if js or problem.k2 else None
         for bound, lead in groups(js):
             if bound <= best_zeros:
                 break
-            for first, scores in prefixes(lead, alive, residues):
+            for first, scores in prefixes(lead, alive):
                 counter += len(scores)
                 if counter > budget:
                     raise BudgetExceededError(counter, budget, "candidate enumeration")
@@ -350,13 +345,16 @@ def _search_max_zeros(problem, r, budget):
                         break
                     scores[i] = -1
                     row = _monic_row(q, k1, lead, first + i)
+                    narrowed = _narrow(proj, row, q)
+                    if narrowed is None:  # row lies in span(L2, chosen)
+                        continue
                     if len(js) == r - 1:
                         best_zeros, best_rows = zeros, chosen + [row]
                     else:
                         extend(
                             js + (lead,),
                             alive[(row @ e_matrix[:, alive]) % q == 0],
-                            _narrow(proj, row, q),
+                            narrowed,
                             chosen + [row],
                         )
                 if best_zeros >= bound:

@@ -395,8 +395,8 @@ class TestTableKernel:
                         got = counts.ravel().tolist()
                         assert got == zeros[first : first + counts.size].tolist()
                     assert sum(counts.size for _, counts in walked) == q**free
-        # The search's residue test: a monic row's word on a k x k matrix
-        # with zero rows is nonzero exactly when it has fewer than k zeros.
+        # Square matrices with zero rows: a monic row's word on a k x k
+        # matrix is nonzero exactly when it has fewer than k zeros.
         for q, k in ((2, 5), (3, 4), (5, 3)):
             m = np.array(random_rows(rng, q, k, k), dtype=np.int64)
             m[rng.sample(range(k), 2)] = 0

@@ -88,18 +88,35 @@ def check_witness(problem, r, zeros, rows):
 
 @st.composite
 def small_problems(draw, nonzero_l2=False):
-    """Random X in GF(q)^s, L1 spanned by monomials, L2 in echelon form."""
+    """Random X in GF(q)^s, L1 spanned by monomials, L2 in echelon form.
+
+    r, up to 3, is drawn first, and X and the monomials of L1 number at
+    least r + 1 where q and s allow, so that walks three levels deep over a
+    nonzero L2 are drawn: there a row taken at the middle level can lie in
+    span(L2, chosen).  L2 leaves room for r members.
+    """
     q = draw(st.sampled_from((2, 3, 5)))
     s = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 3))
     field = PrimeField(q)
     grid = list(product(range(q), repeat=s))
     points = draw(
         st.lists(
-            st.sampled_from(grid), min_size=2, max_size=min(len(grid), 8), unique=True
+            st.sampled_from(grid),
+            min_size=min(len(grid), r + 1),
+            max_size=min(len(grid), 8),
+            unique=True,
         )
     )
-    monos = [m for m in product(range(3), repeat=s) if sum(m) <= 3]
-    chosen = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=6, unique=True))
+    monos = [m for m in product(range(4), repeat=s) if sum(m) <= 3]
+    chosen = draw(
+        st.lists(
+            st.sampled_from(monos),
+            min_size=min(len(monos), r + 1),
+            max_size=6,
+            unique=True,
+        )
+    )
     pts = PointSet(field, points)
     try:
         problem = RghwProblem(pts, [Polynomial.monomial(field, m) for m in chosen])
@@ -107,7 +124,9 @@ def small_problems(draw, nonzero_l2=False):
         assume(False)
     k1 = problem.k1
     assume(k1 >= 2)
-    k2 = draw(st.sampled_from((0, k1 - 2, draw(st.integers(0, k1 - 1)))))
+    r = min(r, k1 - 1 if nonzero_l2 else k1)
+    assume(gaussian_binomial(k1, r, q) <= 1500)
+    k2 = draw(st.sampled_from((0, k1 - r, draw(st.integers(0, k1 - r)))))
     if nonzero_l2:
         k2 = max(k2, 1)
     pivots = sorted(draw(st.permutations(range(k1)))[:k2])
@@ -121,12 +140,24 @@ def small_problems(draw, nonzero_l2=False):
         rows.append(row)
     space2 = [problem.poly_from_coefficients(row) for row in rows]
     problem = RghwProblem(pts, problem.space1, space2, gb=problem.gb)
-    r = draw(st.integers(1, min(2, k1 - k2)))
-    assume(gaussian_binomial(k1, r, q) <= 1500)
     return problem, r
 
 
+# All of GF(2)^2, L1 = span(1, t1, t2, t1 t2) and L2 = span(t1).  At r = 3
+# the walk takes t1, which lies in L2, at the middle level: a case that the
+# draws above reach only now and then.
+GF2_GRID = (
+    RghwProblem(
+        PointSet(PrimeField(2), list(product(range(2), repeat=2))),
+        [Polynomial.monomial(PrimeField(2), m) for m in product(range(2), repeat=2)],
+        [Polynomial.monomial(PrimeField(2), (1, 0))],
+    ),
+    3,
+)
+
+
 @SETTINGS
+@example(GF2_GRID)
 @given(small_problems())
 def test_pruned_search_matches_exhaustive_walk(case):
     problem, r = case
@@ -159,7 +190,7 @@ def test_table_kernel_matches_reference_walk(case, sizes):
     # The reference scores whole coefficient rows times E and the residue
     # matrix.  The maximum is the same; an r = 1 witness is bit-identical,
     # the first maximum in odometer order of its lead group, whatever the
-    # prefix size.  For r = 2 a prefix is visited best first, ties in
+    # prefix size.  For r >= 2 a prefix is visited best first, ties in
     # odometer order, so the witness may differ on ties.
     problem, r = case
     chunk, batch = sizes
